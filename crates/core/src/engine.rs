@@ -341,7 +341,7 @@ impl Engine {
     pub fn submit_at<P: VertexProgram>(&mut self, program: P, ts: u64) -> JobId {
         let id = self.jobs.len() as JobId;
         let view = self.store.view_at(ts);
-        let runtime = TypedJob::new(id, program, view);
+        let runtime = TypedJob::new(id, program, view).observed(&self.obs);
         let done = runtime.is_converged();
         self.jobs
             .push(JobEntry { runtime: Arc::new(runtime), done, quarantined: None });
@@ -396,7 +396,8 @@ impl Engine {
             return ResumeSubmit { job: self.submit_at(program, ts), seeded: false };
         }
         let summary = summary.expect("seedable implies Some");
-        let runtime = TypedJob::resume_from(id, program, view, prior, &summary.touched);
+        let runtime =
+            TypedJob::resume_from(id, program, view, prior, &summary.touched).observed(&self.obs);
         let done = runtime.is_converged();
         self.jobs
             .push(JobEntry { runtime: Arc::new(runtime), done, quarantined: None });

@@ -9,11 +9,13 @@
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use cgraph_graph::{GraphView, PartitionId, VersionId, VertexId, NO_PARTITION};
+use cgraph_graph::{GraphView, PartitionId, ReplicaPlan, VersionId, VertexId, NO_PARTITION};
 
+use crate::obs::{Counter, Observer};
 use crate::program::{EdgeDirection, VertexInfo, VertexProgram};
 use crate::state::{PartState, PendingSet};
 
@@ -30,15 +32,16 @@ pub struct ProcessStats {
 }
 
 /// What one Push stage did, for the engine's accounting.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PushStats {
     /// Private-table partitions touched while applying mirror→master
     /// records, in sorted order, with record counts (paper Alg. 2 SortD).
     pub touched_master_parts: Vec<(PartitionId, u64)>,
     /// Partitions touched while propagating master state back to mirrors,
-    /// in sorted order, with record counts (SortS).
+    /// strictly ascending by partition, with record counts (SortS).
     pub touched_mirror_parts: Vec<(PartitionId, u64)>,
-    /// Total synchronization records handled.
+    /// Total synchronization records handled: the counts of
+    /// `touched_master_parts` and `touched_mirror_parts` summed.
     pub sync_records: u64,
     /// Whether the job converged (nothing active next iteration).
     pub converged: bool,
@@ -104,6 +107,12 @@ pub struct TypedJob<P: VertexProgram> {
     view: GraphView,
     /// Immutable per-partition `VertexInfo` tables (replica-parallel).
     infos: Vec<Vec<VertexInfo>>,
+    /// The view's shared master→mirror routing (Push, Phase C).
+    plan: Arc<ReplicaPlan>,
+    /// Whether binding `plan` built it (vs. shared a live one).
+    plan_built: bool,
+    /// `push_mirror_records`, once [`observed`](Self::observed).
+    mirror_records: Option<Arc<Counter>>,
     parts: Vec<Mutex<PartState<P::Value>>>,
     pending: Mutex<PendingSet>,
     change: Mutex<Vec<f64>>,
@@ -142,24 +151,7 @@ impl<P: VertexProgram> TypedJob<P> {
             parts.push(Mutex::new(st));
         }
 
-        let job = TypedJob {
-            id,
-            program,
-            view,
-            infos,
-            parts,
-            pending: Mutex::new(PendingSet::new(np)),
-            change: Mutex::new(vec![0.0; np]),
-            iteration: AtomicU64::new(0),
-            converged: AtomicBool::new(false),
-        };
-        job.recompute_activation((0..np as PartitionId).collect());
-        if !job.pending.lock().any_active() {
-            job.converged.store(true, Ordering::SeqCst);
-        } else {
-            job.iteration.store(1, Ordering::SeqCst);
-        }
-        job
+        Self::assemble(id, program, view, infos, parts)
     }
 
     /// Creates the runtime seeded from a prior converged result instead
@@ -219,11 +211,28 @@ impl<P: VertexProgram> TypedJob<P> {
             parts.push(Mutex::new(st));
         }
 
+        Self::assemble(id, program, view, infos, parts)
+    }
+
+    /// The shared tail of the constructors: binds the view's replica
+    /// plan and computes the first active set over the seeded tables.
+    fn assemble(
+        id: JobId,
+        program: P,
+        view: GraphView,
+        infos: Vec<Vec<VertexInfo>>,
+        parts: Vec<Mutex<PartState<P::Value>>>,
+    ) -> Self {
+        let np = parts.len();
+        let (plan, plan_built) = view.bind_replica_plan();
         let job = TypedJob {
             id,
             program,
             view,
             infos,
+            plan,
+            plan_built,
+            mirror_records: None,
             parts,
             pending: Mutex::new(PendingSet::new(np)),
             change: Mutex::new(vec![0.0; np]),
@@ -242,6 +251,30 @@ impl<P: VertexProgram> TypedJob<P> {
     /// The wrapped program.
     pub fn program(&self) -> &P {
         &self.program
+    }
+
+    /// The replica plan this job routes Push through — the one every
+    /// job bound to the same view shares.
+    pub fn replica_plan(&self) -> &Arc<ReplicaPlan> {
+        &self.plan
+    }
+
+    /// Reports this job into `obs`'s registry (nothing when `obs` is
+    /// disabled): its plan bind as `replica_plan_builds` or
+    /// `replica_plan_hits`, and from here on every Push's mirror
+    /// fan-out as `push_mirror_records`.
+    pub fn observed(mut self, obs: &Observer) -> Self {
+        if obs.is_enabled() {
+            let registry = obs.registry();
+            let bind = if self.plan_built {
+                "replica_plan_builds"
+            } else {
+                "replica_plan_hits"
+            };
+            registry.counter(bind).inc();
+            self.mirror_records = Some(registry.counter("push_mirror_records"));
+        }
+        self
     }
 
     /// Final per-vertex results (replica-consistent; residual deltas are
@@ -435,6 +468,30 @@ impl<P: VertexProgram> JobRuntime for TypedJob<P> {
     }
 
     fn push_and_advance(&self) -> PushStats {
+        self.push_with(Self::fan_out_mirrors)
+    }
+
+    fn is_converged(&self) -> bool {
+        self.converged.load(Ordering::SeqCst)
+    }
+
+    fn partition_change(&self, pid: PartitionId) -> f64 {
+        self.change.lock()[pid as usize]
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self.as_any_impl()
+    }
+}
+
+impl<P: VertexProgram> TypedJob<P> {
+    /// The Push stage with its master→mirror half supplied by the
+    /// caller: [`fan_out_mirrors`](Self::fan_out_mirrors) in production,
+    /// the sort-based oracle in the differential test.
+    fn push_with(
+        &self,
+        fan_out: impl FnOnce(&Self, &[(PartitionId, u32)], &mut PushStats),
+    ) -> PushStats {
         let identity = self.program.identity();
         let np = self.view.num_partitions();
 
@@ -492,47 +549,12 @@ impl<P: VertexProgram> JobRuntime for TypedJob<P> {
         }
 
         // Phase C (SortS): propagate each touched master's final delta back
-        // to its mirror replicas, again in partition order.
+        // to its mirror replicas, counted per mirror partition.
         touched_masters.sort_unstable();
         touched_masters.dedup();
-        let mut mirror_updates: Vec<(PartitionId, VertexId, P::Value)> = Vec::new();
-        for (pid, li) in touched_masters {
-            let part = self.view.partition(pid);
-            let vid = part.global_of(li);
-            let replicas = self.view.replicas_of(vid);
-            if replicas.len() <= 1 {
-                continue;
-            }
-            let total = self.parts[pid as usize].lock().deltas[li as usize];
-            if total == identity {
-                continue;
-            }
-            for &mp in replicas {
-                if mp != pid {
-                    mirror_updates.push((mp, vid, total));
-                }
-            }
-        }
-        mirror_updates.sort_unstable_by_key(|&(p, vid, _)| (p, vid));
-        stats.sync_records += mirror_updates.len() as u64;
-        let mut touched_partitions: Vec<PartitionId> = Vec::new();
-        {
-            let mut i = 0;
-            while i < mirror_updates.len() {
-                let mpid = mirror_updates[i].0;
-                let start = i;
-                let part = self.view.partition(mpid).clone();
-                let mut st = self.parts[mpid as usize].lock();
-                while i < mirror_updates.len() && mirror_updates[i].0 == mpid {
-                    let (_, vid, val) = mirror_updates[i];
-                    let li = part.local_of(vid).expect("mirror replica present") as usize;
-                    st.deltas[li] = val;
-                    i += 1;
-                }
-                stats.touched_mirror_parts.push((mpid, (i - start) as u64));
-                touched_partitions.push(mpid);
-            }
-        }
+        fan_out(self, &touched_masters, &mut stats);
+        let mut touched_partitions: Vec<PartitionId> =
+            stats.touched_mirror_parts.iter().map(|&(p, _)| p).collect();
         touched_partitions.extend(stats.touched_master_parts.iter().map(|&(p, _)| p));
 
         // Phase D: next iteration's activation = partitions whose replicas
@@ -565,20 +587,93 @@ impl<P: VertexProgram> JobRuntime for TypedJob<P> {
         stats
     }
 
-    fn is_converged(&self) -> bool {
-        self.converged.load(Ordering::SeqCst)
+    /// Phase C of Push over the view's [`ReplicaPlan`]: every touched
+    /// master's non-identity total is copied into its mirror slots.
+    /// Pure assignment — each mirror slot has exactly one master and
+    /// master slots are never written here — so the order of the copies
+    /// cannot show in any value.
+    fn fan_out_mirrors(&self, touched_masters: &[(PartitionId, u32)], stats: &mut PushStats) {
+        let identity = self.program.identity();
+        // Push runs alone on the main thread once the iteration is
+        // complete, so holding every private table at once contends
+        // with nothing.
+        let mut tables: Vec<_> = self.parts.iter().map(|t| t.lock()).collect();
+        let mut records = vec![0u64; tables.len()];
+        for &(pid, li) in touched_masters {
+            let mirrors = self.plan.mirrors(pid, li);
+            if mirrors.is_empty() {
+                continue;
+            }
+            let total = tables[pid as usize].deltas[li as usize];
+            if total == identity {
+                continue;
+            }
+            for &(mp, mli) in mirrors {
+                tables[mp as usize].deltas[mli as usize] = total;
+                records[mp as usize] += 1;
+            }
+        }
+        drop(tables);
+        let mut sent = 0;
+        for (mp, &n) in records.iter().enumerate() {
+            if n > 0 {
+                stats.touched_mirror_parts.push((mp as PartitionId, n));
+                sent += n;
+            }
+        }
+        stats.sync_records += sent;
+        if let Some(counter) = &self.mirror_records {
+            counter.add(sent);
+        }
     }
 
-    fn partition_change(&self, pid: PartitionId) -> f64 {
-        self.change.lock()[pid as usize]
+    /// The sort-based Phase C that [`fan_out_mirrors`](Self::fan_out_mirrors)
+    /// replaced, kept as its differential oracle: re-derives each touched
+    /// master's mirrors from the view, sorts the records by (partition,
+    /// vertex) and applies them through a search per record.
+    #[cfg(test)]
+    fn fan_out_mirrors_sorted(
+        &self,
+        touched_masters: &[(PartitionId, u32)],
+        stats: &mut PushStats,
+    ) {
+        let identity = self.program.identity();
+        let mut mirror_updates: Vec<(PartitionId, VertexId, P::Value)> = Vec::new();
+        for &(pid, li) in touched_masters {
+            let part = self.view.partition(pid);
+            let vid = part.global_of(li);
+            let replicas = self.view.replicas_of(vid);
+            if replicas.len() <= 1 {
+                continue;
+            }
+            let total = self.parts[pid as usize].lock().deltas[li as usize];
+            if total == identity {
+                continue;
+            }
+            for &mp in replicas {
+                if mp != pid {
+                    mirror_updates.push((mp, vid, total));
+                }
+            }
+        }
+        mirror_updates.sort_unstable_by_key(|&(p, vid, _)| (p, vid));
+        stats.sync_records += mirror_updates.len() as u64;
+        let mut i = 0;
+        while i < mirror_updates.len() {
+            let mpid = mirror_updates[i].0;
+            let start = i;
+            let part = self.view.partition(mpid).clone();
+            let mut st = self.parts[mpid as usize].lock();
+            while i < mirror_updates.len() && mirror_updates[i].0 == mpid {
+                let (_, vid, val) = mirror_updates[i];
+                let li = part.local_of(vid).expect("mirror replica present") as usize;
+                st.deltas[li] = val;
+                i += 1;
+            }
+            stats.touched_mirror_parts.push((mpid, (i - start) as u64));
+        }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self.as_any_impl()
-    }
-}
-
-impl<P: VertexProgram> TypedJob<P> {
     fn as_any_impl(&self) -> &dyn Any {
         self
     }
@@ -709,14 +804,29 @@ mod tests {
     fn push_stats_report_sorted_touched_partitions() {
         let v = view(16, 4);
         let job = TypedJob::new(0, Bfs { source: 0 }, v);
-        for pid in job.pending() {
-            job.process_chunk(pid, 0, 1);
-            job.mark_processed(pid);
+        let records = |parts: &[(PartitionId, u64)]| parts.iter().map(|&(_, n)| n).sum::<u64>();
+        let mut mirror_records = 0;
+        while !job.is_converged() {
+            for pid in job.pending() {
+                job.process_chunk(pid, 0, 1);
+                job.mark_processed(pid);
+            }
+            let stats = job.push_and_advance();
+            let mut sorted = stats.touched_master_parts.clone();
+            sorted.sort_by_key(|&(p, _)| p);
+            assert_eq!(stats.touched_master_parts, sorted);
+            let mirrors = &stats.touched_mirror_parts;
+            assert!(
+                mirrors.windows(2).all(|w| w[0].0 < w[1].0),
+                "mirror partitions strictly ascending: {mirrors:?}"
+            );
+            assert_eq!(
+                records(&stats.touched_master_parts) + records(mirrors),
+                stats.sync_records
+            );
+            mirror_records += records(mirrors);
         }
-        let stats = job.push_and_advance();
-        let mut sorted = stats.touched_master_parts.clone();
-        sorted.sort_by_key(|&(p, _)| p);
-        assert_eq!(stats.touched_master_parts, sorted);
+        assert!(mirror_records > 0, "the walk crosses partition boundaries");
     }
 
     #[test]
@@ -757,6 +867,303 @@ mod tests {
         let pending = job.pending();
         for pid in pending {
             assert!(job.unprocessed_vertices(pid) > 0);
+        }
+    }
+
+    // ---- Phase C differential: routed fan-out vs. the sort-based oracle ----
+
+    /// The improve-and-propagate programs of `cgraph-algos` (which builds
+    /// on this crate, so cannot be linked into its unit tests) as one
+    /// table-driven program: a delta is folded when it `improves` the
+    /// value, and travels `along` each edge.
+    struct Relax<V> {
+        source: VertexId,
+        dir: EdgeDirection,
+        init: fn(VertexId, VertexId) -> (V, V),
+        identity: V,
+        improves: fn(V, V) -> bool,
+        along: fn(V, Weight) -> V,
+    }
+
+    impl<V> VertexProgram for Relax<V>
+    where
+        V: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static,
+    {
+        type Value = V;
+
+        fn direction(&self) -> EdgeDirection {
+            self.dir
+        }
+
+        fn init(&self, info: &VertexInfo) -> (V, V) {
+            (self.init)(info.vid, self.source)
+        }
+
+        fn identity(&self) -> V {
+            self.identity
+        }
+
+        fn acc(&self, a: V, b: V) -> V {
+            if (self.improves)(a, b) {
+                a
+            } else {
+                b
+            }
+        }
+
+        fn is_active(&self, value: &V, delta: &V) -> bool {
+            (self.improves)(*delta, *value)
+        }
+
+        fn compute(&self, _i: &VertexInfo, value: V, delta: V) -> (V, Option<V>) {
+            if (self.improves)(delta, value) {
+                (delta, Some(delta))
+            } else {
+                (value, None)
+            }
+        }
+
+        fn edge_contrib(&self, basis: V, w: Weight, _i: &VertexInfo) -> V {
+            (self.along)(basis, w)
+        }
+    }
+
+    fn sssp(source: VertexId) -> Relax<f32> {
+        Relax {
+            source,
+            dir: EdgeDirection::Out,
+            init: |v, s| (f32::INFINITY, if v == s { 0.0 } else { f32::INFINITY }),
+            identity: f32::INFINITY,
+            improves: |d, v| d < v,
+            along: |b, w| b + w,
+        }
+    }
+
+    fn sswp(source: VertexId) -> Relax<f32> {
+        Relax {
+            source,
+            dir: EdgeDirection::Out,
+            init: |v, s| (0.0, if v == s { f32::INFINITY } else { 0.0 }),
+            identity: 0.0,
+            improves: |d, v| d > v,
+            along: |b, w| b.min(w),
+        }
+    }
+
+    fn wcc() -> Relax<u32> {
+        Relax {
+            source: 0,
+            dir: EdgeDirection::Both,
+            init: |v, _| (u32::MAX, v),
+            identity: u32::MAX,
+            improves: |d, v| d < v,
+            along: |b, _| b,
+        }
+    }
+
+    fn reach(source: VertexId) -> Relax<bool> {
+        Relax {
+            source,
+            dir: EdgeDirection::Out,
+            init: |v, s| (false, v == s),
+            identity: false,
+            improves: |d, v| d && !v,
+            along: |b, _| b,
+        }
+    }
+
+    /// Delta-PageRank as in `cgraph-algos`: the one program whose `acc`
+    /// (a float sum) is sensitive to order — which Phase C never calls.
+    struct PageRank;
+
+    impl VertexProgram for PageRank {
+        type Value = f64;
+
+        fn init(&self, _i: &VertexInfo) -> (f64, f64) {
+            (0.0, 0.15)
+        }
+
+        fn identity(&self) -> f64 {
+            0.0
+        }
+
+        fn acc(&self, a: f64, b: f64) -> f64 {
+            a + b
+        }
+
+        fn is_active(&self, _value: &f64, delta: &f64) -> bool {
+            delta.abs() > 1e-3
+        }
+
+        fn compute(&self, _i: &VertexInfo, value: f64, delta: f64) -> (f64, Option<f64>) {
+            (value + delta, Some(delta))
+        }
+
+        fn edge_contrib(&self, basis: f64, _w: Weight, info: &VertexInfo) -> f64 {
+            0.85 * basis / info.out_degree.max(1) as f64
+        }
+
+        fn delta_magnitude(&self, delta: &f64) -> f64 {
+            delta.abs()
+        }
+    }
+
+    /// The exact bit pattern of a program value.
+    trait Bits {
+        fn bits(self) -> u64;
+    }
+
+    impl Bits for u32 {
+        fn bits(self) -> u64 {
+            self as u64
+        }
+    }
+
+    impl Bits for bool {
+        fn bits(self) -> u64 {
+            self as u64
+        }
+    }
+
+    impl Bits for f32 {
+        fn bits(self) -> u64 {
+            self.to_bits() as u64
+        }
+    }
+
+    impl Bits for f64 {
+        fn bits(self) -> u64 {
+            self.to_bits()
+        }
+    }
+
+    /// Runs two copies of one program in lockstep — `routed` through the
+    /// production Push, `sorted` through the oracle Phase C — and pins
+    /// them equal after every Push: stats, activation, and every private
+    /// table bit for bit.
+    fn assert_fan_out_matches_oracle<P>(make: impl Fn() -> P, view: &GraphView, what: &str)
+    where
+        P: VertexProgram,
+        P::Value: Bits,
+    {
+        let routed = TypedJob::new(0, make(), view.clone());
+        let sorted = TypedJob::new(1, make(), view.clone());
+        let np = view.num_partitions() as PartitionId;
+        let mut pushes = 0;
+        while !routed.is_converged() {
+            for pid in routed.pending() {
+                for job in [&routed, &sorted] {
+                    job.process_chunk(pid, 0, 1);
+                    job.mark_processed(pid);
+                }
+            }
+            let got = routed.push_and_advance();
+            let want = sorted.push_with(TypedJob::fan_out_mirrors_sorted);
+            pushes += 1;
+            assert_eq!(got, want, "{what}: PushStats at push {pushes}");
+            assert_eq!(routed.pending(), sorted.pending(), "{what}: pending");
+            for pid in 0..np {
+                assert_eq!(
+                    routed.unprocessed_vertices(pid),
+                    sorted.unprocessed_vertices(pid),
+                    "{what}: active replicas of partition {pid}"
+                );
+                assert_eq!(
+                    routed.partition_change(pid).to_bits(),
+                    sorted.partition_change(pid).to_bits(),
+                    "{what}: change of partition {pid}"
+                );
+                let (a, b) = (
+                    routed.parts[pid as usize].lock(),
+                    sorted.parts[pid as usize].lock(),
+                );
+                let bits = |xs: &[P::Value]| xs.iter().map(|x| x.bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a.values), bits(&b.values), "{what}: values of {pid}");
+                assert_eq!(bits(&a.deltas), bits(&b.deltas), "{what}: deltas of {pid}");
+            }
+            assert!(pushes < 10_000, "{what}: no convergence");
+        }
+        assert!(sorted.is_converged(), "{what}: oracle still running");
+        assert!(pushes > 0, "{what}: nothing to compare");
+    }
+
+    /// Three deltas on top of `ps` (whose edges must be distinct, so a
+    /// removal names one edge) that reshape the replica topology: ts 10
+    /// strips a replicated vertex of every edge its master partition
+    /// holds (the master moves), ts 20 fans one vertex out to vertices
+    /// its master partition has never seen (new mirrors appear), ts 30
+    /// takes half of that fan-out away again.  Returns the store and a
+    /// source vertex that keeps out-edges throughout.
+    fn reshaped_store(ps: cgraph_graph::PartitionSet) -> (Arc<SnapshotStore>, VertexId) {
+        use cgraph_graph::{Edge, GraphDelta};
+        let n = ps.num_vertices();
+        let np = ps.num_partitions();
+        let mover = (0..n).find(|&v| ps.replicas_of(v).len() > 1);
+        let removals: Vec<(VertexId, VertexId)> = mover.map_or(Vec::new(), |v| {
+            let edges = ps.partition(ps.master_of(v)).edges_global();
+            let pairs = edges.iter().map(|e| (e.src, e.dst));
+            pairs.filter(|&(s, d)| s == v || d == v).collect()
+        });
+        let hub = (0..n)
+            .filter(|&v| removals.iter().all(|&(s, d)| s != v && d != v))
+            .find(|&v| ps.master_of(v) != NO_PARTITION)
+            .expect("a placed vertex the removals leave alone");
+        let strangers: Vec<VertexId> = (0..n)
+            .filter(|&t| t != hub && !ps.replicas_of(t).contains(&ps.master_of(hub)))
+            .take(6)
+            .collect();
+        let fan: Vec<Edge> = strangers
+            .iter()
+            .map(|&t| Edge::weighted(hub, t, 2.5))
+            .collect();
+
+        let mut store = SnapshotStore::new(ps);
+        store.apply(10, &GraphDelta::removing(removals)).unwrap();
+        store.apply(20, &GraphDelta::adding(fan.clone())).unwrap();
+        let back = fan.iter().step_by(2).map(|e| (e.src, e.dst));
+        store.apply(30, &GraphDelta::removing(back)).unwrap();
+        let store = Arc::new(store);
+
+        if np > 1 {
+            let (base, moved, fanned) = (store.base_view(), store.view_at(10), store.view_at(20));
+            let v = mover.expect("a multi-partition fixture replicates some vertex");
+            assert_ne!(moved.master_of(v), base.master_of(v), "master of {v} moved");
+            assert!(
+                !strangers.is_empty(),
+                "fixture leaves room for new replicas"
+            );
+            for &t in &strangers {
+                let grown = fanned.replicas_of(t).len() > moved.replicas_of(t).len();
+                assert!(grown, "vertex {t} gained a replica");
+            }
+        }
+        (store, hub)
+    }
+
+    #[test]
+    fn routed_fan_out_is_bit_identical_to_the_sorted_oracle() {
+        let mut rmat = generate::rmat(8, 6, generate::RmatParams::default(), 11);
+        rmat.sort_and_dedup();
+        for (graph, el) in [("rmat", rmat), ("cycle", generate::cycle(120))] {
+            for np in [1, 3, 8, 40] {
+                let ps = VertexCutPartitioner::new(np).partition(&el);
+                let (store, src) = reshaped_store(ps);
+                let views = [
+                    ("base", store.base_view()),
+                    ("ts10", store.view_at(10)),
+                    ("ts20", store.view_at(20)),
+                    ("latest", store.latest()),
+                ];
+                for (at, view) in &views {
+                    let what = |prog: &str| format!("{prog} on {graph}/{np} parts @{at}");
+                    assert_fan_out_matches_oracle(|| Bfs { source: src }, view, &what("BFS"));
+                    assert_fan_out_matches_oracle(|| sssp(src), view, &what("SSSP"));
+                    assert_fan_out_matches_oracle(|| sswp(src), view, &what("SSWP"));
+                    assert_fan_out_matches_oracle(wcc, view, &what("WCC"));
+                    assert_fan_out_matches_oracle(|| reach(src), view, &what("Reach"));
+                    assert_fan_out_matches_oracle(|| PageRank, view, &what("PageRank"));
+                }
+            }
         }
     }
 }

@@ -25,6 +25,8 @@
 //!   truncate/flip mutators) the crash-recovery suites drive.
 //! * [`snapshot`] — the incremental snapshot store for evolving graphs
 //!   (paper §3.2.1, Fig. 5).
+//! * [`plan`] — the per-view [`ReplicaPlan`]: master→mirror routing
+//!   resolved once per snapshot and shared by every job bound to it.
 //! * [`wal`] — the append-only, CRC-checksummed segment format that makes
 //!   the snapshot store durable and crash-recoverable.
 //!
@@ -48,6 +50,7 @@ pub mod generate;
 pub mod io;
 pub mod obs;
 pub mod partition;
+pub mod plan;
 pub mod snapshot;
 pub mod stats;
 pub mod types;
@@ -60,6 +63,7 @@ pub use edge::{Edge, EdgeList};
 pub use fault::{FaultInjector, StoreFaultBoundary};
 pub use obs::StoreObserver;
 pub use partition::{Partition, PartitionSet, VertexMeta};
+pub use plan::{MirrorSlot, ReplicaPlan};
 pub use snapshot::{
     CompactionPolicy, FootprintProfile, GraphDelta, GraphView, PlacementStats, ShardCapacity,
     ShardPlacement, ShardedSnapshotStore, SnapshotShard, SnapshotStore,

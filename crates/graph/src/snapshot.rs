@@ -103,6 +103,7 @@ use crate::edge::{Edge, EdgeList};
 use crate::fault::{FaultHandle, FaultInjector, StoreFaultBoundary};
 use crate::obs::{ObsHandle, StoreObserver};
 use crate::partition::{Partition, PartitionSet};
+use crate::plan::{PlanCache, ReplicaPlan};
 use crate::types::{PartitionId, VersionId, VertexId, NO_PARTITION};
 use crate::wal::{
     self, scan_segment, Frame, FrameCursor, FrameHead, PayloadLoc, SegmentId, StoreError, StoreWal,
@@ -638,6 +639,10 @@ pub struct ShardedSnapshotStore {
     /// Recovery replay stats from [`open`](Self::open), reported to the
     /// observer when one attaches (open runs before any hook exists).
     replay: Option<ReplayStats>,
+    /// Replica plans handed to jobs (see [`GraphView::replica_plan`]).
+    /// Filled on a job's bind only; `apply`, compaction and recovery
+    /// never read or write it.
+    plans: PlanCache,
 }
 
 /// What [`ShardedSnapshotStore::open`] replayed, held until an observer
@@ -698,6 +703,7 @@ impl ShardedSnapshotStore {
             faults: FaultHandle::none(),
             spilled_bytes: vec![0; shards],
             replay: None,
+            plans: PlanCache::default(),
         }
     }
 
@@ -2243,6 +2249,7 @@ impl ShardedSnapshotStore {
             faults: FaultHandle::none(),
             spilled_bytes: vec![0; num_shards],
             replay: Some(replay),
+            plans: PlanCache::default(),
         })
     }
 
@@ -2861,6 +2868,35 @@ impl GraphView {
     /// Whole-graph out/in degree of `v` in this view.
     pub fn degree_of(&self, v: VertexId) -> (u32, u32) {
         self.store.degree_at(self.record, v)
+    }
+
+    /// This view's master→mirror routing table, shared by everything
+    /// bound to the same snapshot.  Built on first request (one pass
+    /// over the view's replicas) and never by the store on its own; the
+    /// plan holds no reference to the store, so it never keeps a
+    /// snapshot — or the store `Arc` — alive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the view's replica table and partitions disagree.
+    pub fn replica_plan(&self) -> Arc<ReplicaPlan> {
+        self.bind_replica_plan().0
+    }
+
+    /// [`replica_plan`](Self::replica_plan), also reporting whether this
+    /// call built the plan (`true`) or shared a live one (`false`).
+    pub fn bind_replica_plan(&self) -> (Arc<ReplicaPlan>, bool) {
+        self.store.plans.bind(self.record, || {
+            let parts: Vec<&Partition> = (0..self.num_partitions() as PartitionId)
+                .map(|pid| &**self.partition(pid))
+                .collect();
+            ReplicaPlan::build(
+                &parts,
+                self.num_vertices(),
+                |v| self.master_of(v),
+                |v| self.replicas_of(v),
+            )
+        })
     }
 
     /// Materializes the whole graph at this view as an edge list

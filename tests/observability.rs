@@ -129,6 +129,38 @@ fn tracing_changes_no_bit_on_executor_stress_configs() {
     }
 }
 
+/// The replica-plan counters sit where the decisions are: one build for
+/// the first job bound to a view, one hit for each job that shares it,
+/// and Push reports its mirror fan-out — none of it without an observer.
+#[test]
+fn twelve_jobs_on_one_view_build_one_replica_plan() {
+    let counters = |observer: Option<Arc<Observer>>| {
+        let config = EngineConfig { observer, ..EngineConfig::default() };
+        let mut engine = Engine::new(shared_store(), config);
+        for src in 0..12 {
+            engine.submit(Bfs::new(src));
+        }
+        assert!(engine.run().completed);
+        let sync_ops = engine.metrics().sync_ops;
+        let get = |name: &str| engine.observer().registry().counter(name).get();
+        (
+            get("replica_plan_builds"),
+            get("replica_plan_hits"),
+            get("push_mirror_records"),
+            sync_ops,
+        )
+    };
+    let (builds, hits, mirror_records, sync_ops) = counters(Some(Observer::enabled()));
+    assert_eq!((builds, hits), (1, 11));
+    assert!(mirror_records > 0, "BFS from 12 sources crosses partitions");
+    assert!(
+        mirror_records < sync_ops,
+        "mirror records are part of sync_ops"
+    );
+    assert_eq!(counters(None), (0, 0, 0, sync_ops));
+    assert_eq!(counters(Some(Observer::disabled())), (0, 0, 0, sync_ops));
+}
+
 fn serve_report(store: &Arc<SnapshotStore>, observer: Option<Arc<Observer>>) -> ServeReport {
     let trace = generate_trace(&TraceConfig {
         hours: 4,

@@ -9,7 +9,7 @@ use cgraph::graph::snapshot::{
     ShardedSnapshotStore, SnapshotStore,
 };
 use cgraph::graph::vertex_cut::VertexCutPartitioner;
-use cgraph::graph::{Csr, Edge, EdgeList, Partitioner};
+use cgraph::graph::{Csr, Edge, EdgeList, GraphView, Partitioner};
 use cgraph::memsim::{CacheObject, LruCache};
 
 /// Arbitrary small edge lists over up to 24 vertices.
@@ -24,6 +24,62 @@ fn arb_edges() -> impl Strategy<Value = EdgeList> {
         el.sort_and_dedup();
         el
     })
+}
+
+/// One generated mutation round: edges to add, indices picking removals.
+type Round = (Vec<(u32, u32)>, Vec<usize>);
+
+/// Resolves `(adds, picks)` rounds against a live multiset so removals
+/// always name live edges; returns the deltas with timestamps 10, 20, ….
+fn resolve_stream(el: &EdgeList, rounds: &[Round]) -> Vec<(u64, GraphDelta)> {
+    let mut live: Vec<(u32, u32)> = el.edges().iter().map(|e| (e.src, e.dst)).collect();
+    let mut deltas = Vec::new();
+    for (i, (adds, picks)) in rounds.iter().enumerate() {
+        let additions: Vec<Edge> = adds
+            .iter()
+            .filter(|(s, d)| s != d)
+            .map(|&(s, d)| Edge::unit(s, d))
+            .collect();
+        let mut removals = Vec::new();
+        for &pick in picks {
+            if live.is_empty() {
+                break;
+            }
+            removals.push(live.remove(pick % live.len()));
+        }
+        live.extend(additions.iter().map(|e| (e.src, e.dst)));
+        deltas.push(((i as u64 + 1) * 10, GraphDelta { additions, removals }));
+    }
+    deltas
+}
+
+/// Pins a view's replica plan to its replica table: every master slot
+/// routes to exactly `replicas_of(v)` minus the master's own partition,
+/// each at the local index `local_of` finds, and mirror slots route
+/// nowhere.
+fn assert_plan_matches_replica_table(view: &GraphView) {
+    let plan = view.replica_plan();
+    let mut slots = 0;
+    for pid in 0..view.num_partitions() as u32 {
+        for (li, &v) in view.partition(pid).vertex_ids().iter().enumerate() {
+            let want: Vec<(u32, u32)> = if view.master_of(v) == pid {
+                let mirrors = view.replicas_of(v).iter().filter(|&&q| q != pid);
+                mirrors
+                    .map(|&q| (q, view.partition(q).local_of(v).expect("replica listed")))
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            assert_eq!(
+                plan.mirrors(pid, li as u32),
+                want.as_slice(),
+                "ts {} partition {pid} vertex {v}",
+                view.timestamp()
+            );
+            slots += want.len();
+        }
+    }
+    assert_eq!(plan.num_mirror_slots(), slots, "ts {}", view.timestamp());
 }
 
 proptest! {
@@ -393,5 +449,61 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// A view's replica plan is its replica table, however the view is
+    /// resolved: base, latest, historical, behind a checkpoint,
+    /// compacted after the fact, through spilled records, and on a store
+    /// recovered from its log.
+    #[test]
+    fn replica_plan_matches_replica_table(
+        el in arb_edges(),
+        stream in proptest::collection::vec(
+            (
+                proptest::collection::vec((0u32..24, 0u32..24), 0..10),
+                proptest::collection::vec(0usize..64, 0..6),
+            ),
+            1..5,
+        ),
+    ) {
+        let deltas = resolve_stream(&el, &stream);
+        let build = |policy: CompactionPolicy, shards: usize, cap: ShardCapacity| {
+            let ps = VertexCutPartitioner::new(4).partition(&el);
+            ShardedSnapshotStore::with_shards(ps, shards)
+                .with_compaction(policy)
+                .with_capacity(cap)
+        };
+        let fill = |mut s: ShardedSnapshotStore| {
+            for (ts, d) in &deltas {
+                s.apply(*ts, d).unwrap();
+            }
+            s
+        };
+        let unlimited = ShardCapacity::UNLIMITED;
+        let tight = ShardCapacity::bytes(512);
+        let mut compacted = fill(build(CompactionPolicy::Off, 3, unlimited));
+        compacted.compact().unwrap();
+        static DIR_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "cgraph-plan-prop-{}-{}",
+            std::process::id(),
+            DIR_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        drop(fill(build(CompactionPolicy::EveryK(2), 2, tight).persist_to(&dir).unwrap()));
+        let stores = [
+            fill(build(CompactionPolicy::Off, 1, unlimited)),
+            fill(build(CompactionPolicy::EveryK(2), 3, unlimited)),
+            compacted,
+            fill(build(CompactionPolicy::EveryK(2), 2, tight)),
+            ShardedSnapshotStore::open(&dir).unwrap(),
+        ];
+        for store in stores.map(std::sync::Arc::new) {
+            for ts in std::iter::once(0).chain(deltas.iter().map(|(ts, _)| *ts)) {
+                assert_plan_matches_replica_table(&store.view_at(ts));
+            }
+            assert_plan_matches_replica_table(&store.latest());
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

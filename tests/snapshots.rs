@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use cgraph::algos::{reference, Bfs, Wcc};
 use cgraph::baselines::BaselinePreset;
-use cgraph::core::{Engine, EngineConfig};
+use cgraph::core::{Engine, EngineConfig, TypedJob};
 use cgraph::graph::snapshot::{GraphDelta, SnapshotStore};
 use cgraph::graph::vertex_cut::VertexCutPartitioner;
 use cgraph::graph::{generate, Csr, Edge, Partitioner};
@@ -220,5 +220,53 @@ fn bigger_deltas_reduce_sharing_and_raise_cost() {
     assert!(
         large > small,
         "large delta {large} should cost more than {small}"
+    );
+}
+
+/// Jobs bound to one view route Push through one shared replica plan,
+/// however their binds interleave with jobs on other views.
+#[test]
+fn jobs_on_one_view_share_one_replica_plan() {
+    let store = evolving_store(7);
+    let first = TypedJob::new(0, Bfs::new(0), store.latest());
+    let other = TypedJob::new(1, Wcc, store.view_at(10));
+    let second = TypedJob::new(2, Wcc, store.latest());
+    assert!(Arc::ptr_eq(first.replica_plan(), second.replica_plan()));
+    assert!(!Arc::ptr_eq(first.replica_plan(), other.replica_plan()));
+    assert!(Arc::ptr_eq(
+        other.replica_plan(),
+        &store.view_at(15).replica_plan()
+    ));
+}
+
+/// A long stream of versions, each bound once: the store keeps only the
+/// newest plan alive, and no plan keeps the store alive — once a
+/// version's engine is gone the store `Arc` is exclusive again, which is
+/// what lets a driver `apply` the next delta in place.
+#[test]
+fn replica_plans_neither_pile_up_nor_pin_the_store() {
+    let el = generate::rmat(8, 4, generate::RmatParams::default(), 5);
+    let n = el.num_vertices();
+    let mut store = Arc::new(SnapshotStore::new(
+        VertexCutPartitioner::new(6).partition(&el),
+    ));
+    let mut plans = Vec::new();
+    for version in 1..=200u32 {
+        let delta = GraphDelta::adding([Edge::unit(version % n, (version * 7 + 1) % n)]);
+        Arc::get_mut(&mut store)
+            .expect("the previous version's engine is gone, so nothing else holds the store")
+            .apply(version as u64, &delta)
+            .unwrap();
+        let mut engine = Engine::new(Arc::clone(&store), EngineConfig::default());
+        let job = engine.submit(Bfs::new(0));
+        assert!(engine.run().completed);
+        assert!(engine.results::<Bfs>(job).is_some());
+        plans.push(Arc::downgrade(&store.latest().replica_plan()));
+    }
+    let alive = plans.iter().filter(|plan| plan.strong_count() > 0).count();
+    assert_eq!(alive, 1, "only the newest version's plan is still held");
+    assert!(
+        plans.last().unwrap().strong_count() == 1,
+        "and only by the store"
     );
 }
