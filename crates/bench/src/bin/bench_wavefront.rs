@@ -5,23 +5,22 @@
 //! an out-of-core hierarchy (disk-bound loads — the regime the
 //! prefetch pipeline targets), prints the table, and writes
 //! `BENCH_wavefront.json` so CI can track the perf trajectory point by
-//! point.  `io_workers > 0` rows route rounds through the
-//! channel-staged concurrent executor; results are bit-identical to
-//! the fork-join rows, only the wall clock moves.
+//! point.  `io_workers > 0` rows run the pipeline's fetch stage on I/O
+//! worker threads behind bounded channels; results are bit-identical to
+//! the `io_workers = 0` (inline fetch) rows, only the wall clock moves.
 //!
 //! Two extra checks ride along:
 //!
-//! - **Wall gate** — the concurrent executor (4 compute workers, 4 I/O
-//!   workers) must beat the serial executor (1 worker, fork-join) by
-//!   ≥1.5× wall clock at `k=4 s=4 d=2`, best of 3 runs each, with
-//!   identical loads/metrics/modeled time.  Enforced at default scale
-//!   and above on hosts with ≥4 cores; recorded-and-skipped (JSON
-//!   `gates` row set) elsewhere.
+//! - **Tracing-overhead gate** — a live `Observer` must change no
+//!   result and cost ≤5% wall at `k=4 s=4 d=2 io=2`.  Enforced at
+//!   default scale and above on hosts with ≥4 cores; recorded-and-
+//!   skipped (JSON `gates` row set) elsewhere.
 //! - **Steady-state allocation smoke** — a counting global allocator
-//!   steps a concurrent-executor engine round by round and asserts the
-//!   net live-byte growth across post-warmup rounds stays within a
-//!   small bound: the round buffers, channel payloads, and chunk queue
-//!   all recycle instead of reallocating per round.
+//!   steps an engine round by round, with the fetch stage inline and
+//!   threaded, and asserts the net live-byte growth across post-warmup
+//!   rounds stays within a small bound: the round buffers, fetch
+//!   payloads, and chunk queue all recycle instead of reallocating per
+//!   round.
 //!
 //! Accepts the standard `--full` / `--tiny` scale flags; `--out PATH`
 //! overrides the JSON location.
@@ -69,42 +68,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Best-of-`reps` wall seconds for one executor configuration, plus
-/// the (identical-across-reps) run report of the last rep.
-fn best_wall(
+/// Steps an engine with `io_workers` fetch threads round by round and
+/// asserts the post-warmup rounds hold net live-byte growth within
+/// `bound` bytes: the per-round fetch/completion payloads, reorder
+/// slots, and chunk queue recycle rather than reallocate.
+fn steady_state_alloc_smoke(
     store: &Arc<SnapshotStore>,
-    workers: usize,
     h: HierarchyConfig,
     io_workers: usize,
-    reps: usize,
-) -> (f64, cgraph_core::RunReport) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..reps {
-        let start = std::time::Instant::now();
-        let report = run_wavefront_placed(
-            store,
-            workers,
-            h,
-            4,
-            4,
-            2,
-            io_workers,
-            ShardPlacement::RoundRobin,
-            &paper_mix(),
-        );
-        best = best.min(start.elapsed().as_secs_f64());
-        assert!(report.completed, "gate run must converge");
-        last = Some(report);
-    }
-    (best, last.expect("at least one rep"))
-}
-
-/// Steps a concurrent-executor engine round by round and asserts the
-/// post-warmup rounds hold net live-byte growth within `bound` bytes:
-/// the per-round fetch/completion payloads, reorder slots, and chunk
-/// queue recycle rather than reallocate.
-fn steady_state_alloc_smoke(store: &Arc<SnapshotStore>, h: HierarchyConfig, bound: i64) {
+    bound: i64,
+) {
     let mut engine = Engine::new(
         Arc::clone(store),
         EngineConfig {
@@ -112,13 +85,13 @@ fn steady_state_alloc_smoke(store: &Arc<SnapshotStore>, h: HierarchyConfig, boun
             wavefront: 4,
             shards: 4,
             prefetch_depth: 2,
-            io_workers: 2,
+            io_workers,
             hierarchy: h,
             ..EngineConfig::default()
         },
     );
     // Four identical long-running jobs: every round is a multi-slot
-    // concurrent wave and no job finishes (and frees) mid-measurement.
+    // wave and no job finishes (and frees) mid-measurement.
     for _ in 0..4 {
         engine.submit_at(PageRank::default(), 0);
     }
@@ -137,8 +110,8 @@ fn steady_state_alloc_smoke(store: &Arc<SnapshotStore>, h: HierarchyConfig, boun
     let growth = LIVE_BYTES.load(Ordering::Relaxed) - live0;
     let calls = ALLOC_CALLS.load(Ordering::Relaxed) - calls0;
     println!(
-        "\nsteady-state allocation smoke: {measured} rounds after warmup, \
-         net live bytes {growth:+}, {calls} allocation calls"
+        "\nsteady-state allocation smoke (io={io_workers}): {measured} rounds after \
+         warmup, net live bytes {growth:+}, {calls} allocation calls"
     );
     if measured >= 2 {
         assert!(
@@ -179,8 +152,8 @@ fn main() {
         (4, 4, 1, 0),
         (2, 4, 2, 0),
         (4, 4, 2, 0),
-        // Concurrent-executor rows: same modeled costs and loads as
-        // their io=0 twins, real threads on the wall clock.
+        // Threaded-fetch rows: same modeled costs and loads as their
+        // io=0 twins, I/O threads on the wall clock.
         (4, 4, 0, 4),
         (4, 4, 2, 2),
         (4, 4, 2, 4),
@@ -208,8 +181,8 @@ fn main() {
         &rows,
     );
 
-    // Concurrency is transparent to everything but the wall clock: each
-    // io>0 row must reproduce its io=0 twin exactly.
+    // The fetch thread count is transparent to everything but the wall
+    // clock: each io>0 row must reproduce its io=0 twin exactly.
     for p in points.iter().filter(|p| p.io_workers > 0) {
         let twin = points
             .iter()
@@ -218,7 +191,7 @@ fn main() {
                     && (q.wavefront, q.shards, q.prefetch_depth)
                         == (p.wavefront, p.shards, p.prefetch_depth)
             })
-            .expect("every concurrent row has a fork-join twin");
+            .expect("every io>0 row has an io=0 twin");
         assert_eq!(p.loads, twin.loads, "io={} changed loads", p.io_workers);
         assert_eq!(
             p.modeled_ms.to_bits(),
@@ -255,57 +228,10 @@ fn main() {
         reduction * 100.0
     );
 
-    // --- wall gate: real threads must beat the serial executor ---
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (serial_wall, serial_report) = best_wall(&store, 1, h, 0, 3);
-    let (conc_wall, conc_report) = best_wall(&store, 4, h, 4, 3);
-    assert_eq!(
-        serial_report.loads, conc_report.loads,
-        "gate runs must perform identical loads"
-    );
-    assert_eq!(
-        serial_report.metrics, conc_report.metrics,
-        "gate runs must accumulate identical metrics"
-    );
-    // Modeled time varies with the *worker count* (compute parallelism
-    // is part of the cost model) but never with the *executor*: the
-    // concurrent gate run must model exactly what fork-join models at
-    // the same 4 workers.
-    let (_, forkjoin_report) = best_wall(&store, 4, h, 0, 1);
-    assert_eq!(
-        forkjoin_report.modeled_seconds.to_bits(),
-        conc_report.modeled_seconds.to_bits(),
-        "the executor must not change the modeled time at equal workers"
-    );
-    let speedup = serial_wall / conc_wall;
-    println!(
-        "\nconcurrent executor at k=4 s=4 d=2: wall {:.1} ms vs serial {:.1} ms \
-         ({speedup:.2}x, best of 3, {cores} core(s) available)",
-        conc_wall * 1e3,
-        serial_wall * 1e3
-    );
-    let gate = WallGate::resolve(
-        "concurrent-executor",
-        1.5,
-        speedup,
-        cores,
-        scale.shrink <= 5,
-    );
-    if gate.enforced() {
-        assert!(
-            speedup >= 1.5,
-            "concurrent executor (4 compute + 4 I/O workers) must be >=1.5x the serial \
-             executor at k=4 s=4 d=2, got {speedup:.2}x"
-        );
-    } else {
-        println!(
-            "(wall gate {}: {cores} core(s), shrink {})",
-            gate.status, scale.shrink
-        );
-    }
 
     // --- tracing-overhead gate: a live Observer must be results-neutral
-    // and cost <=5% wall at the same k=4 s=4 d=2 concurrent config ---
+    // and cost <=5% wall at k=4 s=4 d=2 with a threaded fetch stage ---
     let best_observed = |observer: fn() -> Option<Arc<Observer>>| {
         let mut best = f64::INFINITY;
         let mut last = None;
@@ -364,9 +290,11 @@ fn main() {
         );
     }
 
-    steady_state_alloc_smoke(&store, h, 64 * 1024);
+    for io_workers in [0, 2] {
+        steady_state_alloc_smoke(&store, h, io_workers, 64 * 1024);
+    }
 
-    let json = wavefront_sweep_json(ds.name(), scale.shrink, &points, &[gate, trace_gate]);
+    let json = wavefront_sweep_json(ds.name(), scale.shrink, &points, &[trace_gate]);
     std::fs::write(&out_path, json).expect("write BENCH_wavefront.json");
     println!("wrote {out_path}");
 }

@@ -316,9 +316,9 @@ pub fn run_wavefront_cfg(
 
 /// [`run_wavefront_cfg`] with an explicit modeled-lane placement (the
 /// `EngineConfig::placement` knob; a physically sharded store keeps
-/// dictating its own) and an I/O-worker count (`io_workers > 0` routes
-/// rounds through the channel-staged concurrent executor; `0` is the
-/// classic fork-join path — bit-identical either way).
+/// dictating its own) and an I/O-worker count (`io_workers > 0` runs
+/// the fetch stage on I/O threads behind bounded channels; `0` runs it
+/// inline on the main thread — bit-identical either way).
 #[allow(clippy::too_many_arguments)]
 pub fn run_wavefront_placed(
     store: &Arc<SnapshotStore>,
@@ -393,7 +393,7 @@ pub struct SweepPoint {
     pub prefetch_depth: usize,
     /// Compute worker threads of the run.
     pub workers: usize,
-    /// Dedicated I/O worker threads (0 = the fork-join executor).
+    /// Fetch-stage I/O worker threads (0 = inline fetch).
     pub io_workers: usize,
     /// Pipeline-modeled milliseconds.
     pub modeled_ms: f64,
@@ -461,7 +461,7 @@ pub fn wavefront_sweep(
 /// a passing gate from one the host hardware could not express.
 #[derive(Clone, Debug)]
 pub struct WallGate {
-    /// Gate label, e.g. `concurrent-executor`.
+    /// Gate label, e.g. `tracing-overhead`.
     pub name: String,
     /// Required wall-clock speedup.
     pub threshold: f64,
@@ -1818,14 +1818,14 @@ mod tests {
         for p in &points {
             assert!(p.modeled_ms > 0.0 && p.loads > 0);
         }
-        // The channel-staged executor row is transparent to everything
-        // but the wall clock.
+        // The threaded-fetch row is transparent to everything but the
+        // wall clock.
         assert_eq!(points[2].loads, points[1].loads);
         assert_eq!(
             points[2].modeled_ms.to_bits(),
             points[1].modeled_ms.to_bits()
         );
-        let gate = WallGate::resolve("concurrent-executor", 1.5, 2.0, 2, true);
+        let gate = WallGate::resolve("tracing-overhead", 1.5, 2.0, 2, true);
         assert_eq!(gate.status, "skipped-cores");
         assert!(!gate.enforced());
         assert!(WallGate::resolve("g", 1.5, 2.0, 8, true).enforced());
@@ -1838,7 +1838,7 @@ mod tests {
         assert!(json.contains("\"prefetch_depth\": 2"));
         assert!(json.contains("\"io_workers\": 2"));
         assert!(json.contains("\"cores\": "));
-        assert!(json.contains("\"gate\": \"concurrent-executor\""));
+        assert!(json.contains("\"gate\": \"tracing-overhead\""));
         assert!(json.contains("\"status\": \"skipped-cores\""));
         assert_eq!(json.matches("wavefront").count(), 3);
         assert!(!json.contains("},\n  ]"), "no trailing comma");

@@ -103,25 +103,26 @@ pub struct EngineConfig {
     /// (the default) Load stays the synchronous fused stage of PR 1 —
     /// `shards = 1, prefetch_depth = 0` reproduces PR 1 bit-for-bit.
     /// Depths > 0 never change algorithm results or traffic counters,
-    /// only the overlap the round's modeled time credits (and the probe
-    /// scans' parallel wall-clock drain).
+    /// only the overlap the round's modeled time credits (and how far
+    /// ahead of the installing slot the fetch stage may run).
     pub prefetch_depth: usize,
     /// Safety valve: abort `run` after this many partition loads (a
     /// round never splits, so a wide wavefront may finish the round it
     /// started when the valve trips).
     pub max_loads: u64,
-    /// Dedicated I/O worker threads for the concurrent executor
-    /// ([`crate::exec::crew`]).  At 0 (the default) rounds execute on
-    /// the classic fork-join path.  At ≥ 1, multi-slot waves run the
-    /// actor-style pipeline: long-lived I/O workers (at most one per
-    /// lane) stream completed loads over bounded channels into the
-    /// main-thread install stage, which feeds a persistent trigger
-    /// pool of [`workers`](Self::workers) threads.  Results, traffic
-    /// counters, and modeled times are bit-identical to the fork-join
-    /// path at any setting — only wall-clock behavior changes.
+    /// Threads of the round pipeline's fetch stage
+    /// ([`crate::exec::crew`]).  At 0 (the default) each slot's probe
+    /// scans run inline on the main thread; at ≥ 1, long-lived I/O
+    /// workers (at most one per lane) run them and stream completed
+    /// loads over bounded channels into the main-thread install stage.
+    /// Never selects a different executor: install, the persistent
+    /// trigger pool of [`workers`](Self::workers) threads and Push are
+    /// the same code at every value, and results, traffic counters and
+    /// modeled times are bit-identical — only wall-clock behavior
+    /// changes.
     pub io_workers: usize,
-    /// Bound (in messages) of the concurrent executor's fetch and
-    /// completion channels; clamped to ≥ 1.  Small capacities throttle
+    /// Bound (in messages) of the fetch stage's fetch and completion
+    /// channels (live at `io_workers ≥ 1`); clamped to ≥ 1.  Small capacities throttle
     /// how far I/O workers run ahead; correctness and deadlock freedom
     /// hold at any value (the install loop never blocks on a full
     /// queue).
@@ -194,8 +195,8 @@ pub struct RunReport {
 }
 
 pub(crate) struct JobEntry {
-    /// Shared so the concurrent executor's long-lived worker threads can
-    /// hold per-round handles; every mutation goes through `&self`
+    /// Shared so the executor's long-lived worker threads can hold
+    /// per-round handles; every mutation goes through `&self`
     /// interior mutability, and the engine remains the only scheduler.
     pub(crate) runtime: Arc<dyn JobRuntime>,
     pub(crate) done: bool,
@@ -237,11 +238,12 @@ pub struct Engine {
     pub(crate) round: RoundBuffers,
     pub(crate) loads: u64,
     pub(crate) pipeline_seconds: f64,
-    /// Lazily spawned concurrent executor crew (`io_workers > 0` only).
+    /// The executor's worker threads, spawned by the first round.
     pub(crate) crew: Option<ExecCrew>,
-    /// Set when a concurrent-executor worker died (panicking user code,
-    /// disconnected channel): the crew has been shut down gracefully and
-    /// the engine refuses further rounds.  See [`Engine::exec_error`].
+    /// Set when an executor worker died (panicking user code,
+    /// disconnected channel) or could not be started: the crew has been
+    /// shut down gracefully and the engine refuses further rounds.  See
+    /// [`Engine::exec_error`].
     pub(crate) fault: Option<ExecError>,
     /// The seeded fault plane, when the config carried one
     /// ([`crate::fault`]); `None` keeps admission a single branch.
@@ -303,25 +305,23 @@ impl Engine {
         }
     }
 
-    /// The crew the concurrent executor path runs on, spawning it on
-    /// first use: at most one I/O worker per lane, `workers` trigger
+    /// The crew rounds run on, spawning it on first use — so an engine
+    /// that never executes a round owns no thread: at most one I/O
+    /// worker per lane (none at `io_workers = 0`), `workers` trigger
     /// threads, channels bounded at `channel_capacity`, and a dispatch
     /// window of `prefetch_depth + 1` slots (the modeled release
     /// constraint, enforced for real).
-    pub(crate) fn ensure_crew(&mut self) -> ExecCrew {
+    pub(crate) fn ensure_crew(&mut self) -> Result<ExecCrew, ExecError> {
         match self.crew.take() {
-            Some(crew) => crew,
-            None => {
-                let nio = self.config.io_workers.min(self.prefetch.shards()).max(1);
-                ExecCrew::spawn(
-                    nio,
-                    self.config.workers.max(1),
-                    self.config.channel_capacity.max(1),
-                    self.prefetch.depth() + 1,
-                    &self.obs,
-                    self.faults.clone(),
-                )
-            }
+            Some(crew) => Ok(crew),
+            None => ExecCrew::spawn(
+                self.config.io_workers.min(self.prefetch.shards()),
+                self.config.workers,
+                self.config.channel_capacity,
+                self.prefetch.depth() + 1,
+                &self.obs,
+                self.faults.clone(),
+            ),
         }
     }
 
@@ -436,11 +436,11 @@ impl Engine {
         true
     }
 
-    /// The concurrent executor's parked failure, if a worker thread died
-    /// (panicking user code inside `process_chunk` or a probe scan) or a
-    /// crew channel disconnected.  The engine shuts the crew down
-    /// gracefully at the fault — channels closed, surviving workers
-    /// joined — and every later [`step_round`](Self::step_round) /
+    /// The executor's parked failure, if a worker thread died (panicking
+    /// user code inside `process_chunk` or a probe scan), a crew channel
+    /// disconnected, or a worker could not be started.  The engine shuts
+    /// the crew down gracefully at the fault — channels closed, surviving
+    /// workers joined — and every later [`step_round`](Self::step_round) /
     /// [`run`](Self::run) refuses to execute instead of hanging on or
     /// re-panicking over a half-dead pipeline.
     pub fn exec_error(&self) -> Option<ExecError> {
@@ -472,8 +472,7 @@ impl Engine {
             }
         };
         // Fault admission: every planned slot fetch passes through the
-        // plane on the main thread, before the round dispatches — the
-        // same gate for the fork-join and concurrent-crew paths.
+        // plane on the main thread, before the round dispatches.
         if !self.admit_fetches(&picks) {
             // A fetch exhausted its budget: its jobs were quarantined
             // (mutating the planner, so this round's plan is stale) and

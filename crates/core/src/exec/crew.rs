@@ -1,11 +1,5 @@
-//! The long-lived executor crew: per-shard I/O workers and trigger
-//! compute workers behind bounded channels.
-//!
-//! PR 1–5 *modeled* the three-stage disk→install→trigger pipeline but
-//! executed it with fork-join `TaskPool` passes: every round spawned
-//! scoped threads, drained them, and joined — so modeled overlap never
-//! became measured overlap.  The crew replaces that with an actor-style
-//! topology that lives as long as the engine:
+//! The long-lived executor crew: the fetch stage's I/O workers and the
+//! trigger stage's compute workers, both living as long as the engine.
 //!
 //! ```text
 //!             fetch queues (bounded sync_channel, capacity k)
@@ -20,6 +14,12 @@
 //!   compute workers 0..w ── process_chunk, commutative stat merge
 //! ```
 //!
+//! With zero I/O workers (`EngineConfig::io_workers = 0`) the top half
+//! of the picture is absent: no I/O thread and no fetch queue exists,
+//! and [`ExecCrew::dispatch`] runs the slot's probe scans on the calling
+//! thread and hands the completed load straight back.  The install and
+//! trigger stages do not know the difference.
+//!
 //! Ordering guarantees (why determinism survives the concurrency):
 //!
 //! * **Fetch stage** — an I/O worker only *reads* (probe scans of the
@@ -30,14 +30,14 @@
 //!   observes the same value no matter when its worker runs it.
 //! * **Install stage** — completions arrive in any order but pass
 //!   through a reorder buffer and install strictly in plan order on the
-//!   main thread, so the `ChargeLedger` sees the exact charge sequence
-//!   of the serial executor: identical counters, identical modeled
-//!   stage times.
+//!   main thread, so the `ChargeLedger` sees one charge sequence at
+//!   every thread count: identical counters, identical modeled stage
+//!   times.
 //! * **Trigger stage** — chunk results fold into per-entry `u64`
 //!   counters under one mutex; integer addition is commutative, so the
 //!   totals are independent of completion order.  The conversion to
 //!   `f64` stage seconds happens afterwards on the main thread in entry
-//!   order — the serial executor's exact float-accumulation order.
+//!   order, so the float-accumulation order is the plan's.
 //!
 //! Deadlock freedom at any channel capacity ≥ 1: the main thread
 //! dispatches fetches with `try_send` (never blocking on a full fetch
@@ -80,9 +80,9 @@ use crate::fault::FaultPlane;
 use crate::job::{JobRuntime, ProcessStats};
 use crate::obs::{EventKind, Observer, Recorder, NONE};
 
-/// A concurrent-executor failure: a worker thread died (panicked user
-/// code) or a channel it served disconnected.  Surfaced by
-/// [`crate::Engine::exec_error`] after the engine shuts the crew down
+/// An executor failure: a worker thread died (panicked user code), a
+/// channel it served disconnected, or the OS refused a thread.  Surfaced
+/// by [`crate::Engine::exec_error`] after the engine shuts the crew down
 /// gracefully; never a panic or a hang on the main thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecError {
@@ -90,6 +90,9 @@ pub enum ExecError {
     WorkerPanic(&'static str),
     /// A channel disconnected outside shutdown; the label says which.
     Disconnected(&'static str),
+    /// The OS refused to start a worker thread; the label says which
+    /// kind.  The engine never ran the round that needed it.
+    Spawn(&'static str),
 }
 
 impl std::fmt::Display for ExecError {
@@ -97,6 +100,7 @@ impl std::fmt::Display for ExecError {
         match self {
             ExecError::WorkerPanic(what) => write!(f, "executor worker panicked: {what}"),
             ExecError::Disconnected(what) => write!(f, "executor channel disconnected: {what}"),
+            ExecError::Spawn(what) => write!(f, "executor could not start {what}"),
         }
     }
 }
@@ -105,6 +109,9 @@ impl std::error::Error for ExecError {}
 
 /// Outcome of a non-blocking fetch dispatch.
 pub(crate) enum Dispatch {
+    /// No I/O workers: the probes ran on the calling thread and the
+    /// completed load comes straight back.
+    Inline(FetchMsg),
     /// Accepted by the lane's I/O worker queue.
     Sent,
     /// Queue full; the message is handed back for the caller to stash.
@@ -122,21 +129,33 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// One slot's fetch order: the I/O worker runs the slot's stage-one
-/// probe scans and sends the message back on the completion channel
-/// with `counts` filled.  Buffers travel with the message and are
-/// recycled through [`RoundBuffers`](super::wavefront::RoundBuffers)'
-/// fetch pool, so a steady-state round allocates no channel payloads.
+/// One slot's fetch order: the fetch stage runs the slot's stage-one
+/// probe scans and hands the message back (over the completion channel
+/// when an I/O worker ran them) with `counts` filled.  Buffers travel
+/// with the message and are recycled through
+/// [`RoundBuffers`](super::wavefront::RoundBuffers)' fetch pool, so a
+/// steady-state round allocates no channel payloads.
 #[derive(Default)]
 pub(crate) struct FetchMsg {
     /// Plan-order slot index within the round (reorder-buffer key).
     pub seq: usize,
     /// The slot's structure partition.
     pub pid: PartitionId,
-    /// The slot's interested jobs: engine index + runtime handle.
-    pub jobs: Vec<(usize, Arc<dyn JobRuntime>)>,
-    /// Probe results, aligned with `jobs` (filled by the I/O worker).
+    /// The slot's interested jobs, in slot order.
+    pub jobs: Vec<Arc<dyn JobRuntime>>,
+    /// Probe results, aligned with `jobs` (filled by [`FetchMsg::probe`]).
     pub counts: Vec<u64>,
+}
+
+impl FetchMsg {
+    /// The fetch stage's work: one unprocessed-vertex scan per
+    /// interested job.  Pure reads of state the round only mutates at
+    /// its tail, so the counts do not depend on the calling thread.
+    fn probe(&mut self) {
+        self.counts.clear();
+        self.counts
+            .extend(self.jobs.iter().map(|rt| rt.unprocessed_vertices(self.pid)));
+    }
 }
 
 /// One trigger-stage work unit routed to the compute workers.
@@ -246,11 +265,10 @@ impl Drop for ChunkPanicGuard<'_> {
 }
 
 /// The engine's long-lived execution crew.  Spawned lazily on the first
-/// concurrent round; dropped (channels closed, threads joined) with the
-/// engine.
+/// round; dropped (channels closed, threads joined) with the engine.
 pub(crate) struct ExecCrew {
     /// One bounded fetch queue per I/O worker; lane `l` is owned by
-    /// worker `l % nio`.
+    /// worker `l % nio`.  Empty when `nio = 0`.
     fetch_txs: Vec<SyncSender<FetchMsg>>,
     /// Completed loads, any order; `None` only mid-shutdown.
     done_rx: Option<Receiver<FetchMsg>>,
@@ -267,16 +285,20 @@ pub(crate) struct ExecCrew {
 }
 
 impl ExecCrew {
-    /// Spawns `nio` I/O workers and `compute` trigger workers over
-    /// channels bounded at `capacity` messages, with a `window`-slot
-    /// fetch dispatch window.  Each worker receives its own
-    /// [`Recorder`] from `obs` (permanently off on a disabled
+    /// Spawns `nio` I/O workers (possibly none) and `compute` trigger
+    /// workers over channels bounded at `capacity` messages, with a
+    /// `window`-slot fetch dispatch window.  Each worker receives its
+    /// own [`Recorder`] from `obs` (permanently off on a disabled
     /// observer), created here on the spawning thread and moved into
     /// the worker — recorders are single-writer by construction.
     /// `faults` (the engine's fault plane, if any) arms the injected
     /// worker-death drill: a trigger worker panics on the plane's
     /// configured `(partition, chunk)` exactly as crashing user code
     /// would, exercising the typed-failure path end to end.
+    ///
+    /// This is the only place executor threads start.  When the OS
+    /// refuses one, the workers already running are shut down and joined
+    /// (the partial crew drops) and the refusal comes back typed.
     pub(crate) fn spawn(
         nio: usize,
         compute: usize,
@@ -284,54 +306,46 @@ impl ExecCrew {
         window: usize,
         obs: &Observer,
         faults: Option<Arc<FaultPlane>>,
-    ) -> Self {
-        let nio = nio.max(1);
-        let compute = compute.max(1);
+    ) -> Result<Self, ExecError> {
         let capacity = capacity.max(1);
-        let window = window.max(1);
         let (done_tx, done_rx) = std::sync::mpsc::sync_channel::<FetchMsg>(capacity);
-        let mut fetch_txs = Vec::with_capacity(nio);
-        let mut handles = Vec::with_capacity(nio + compute);
+        let mut crew = ExecCrew {
+            fetch_txs: Vec::with_capacity(nio),
+            done_rx: Some(done_rx),
+            chunks: Arc::new(ChunkQueue::new()),
+            round: Arc::new(RoundState {
+                inner: Mutex::new(RoundInner { totals: Vec::new(), remaining: 0, failed: None }),
+                done: Condvar::new(),
+            }),
+            handles: Vec::with_capacity(nio + compute.max(1)),
+            nio,
+            window: window.max(1),
+            outstanding: 0,
+        };
         for w in 0..nio {
             let (tx, rx) = std::sync::mpsc::sync_channel::<FetchMsg>(capacity);
-            fetch_txs.push(tx);
+            crew.fetch_txs.push(tx);
             let done_tx = done_tx.clone();
             let rec = obs.recorder(&format!("cgraph-io-{w}"));
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("cgraph-io-{w}"))
-                    .spawn(move || io_loop(rx, done_tx, rec))
-                    .expect("spawn I/O worker"),
-            );
+            let handle = std::thread::Builder::new()
+                .name(format!("cgraph-io-{w}"))
+                .spawn(move || io_loop(rx, done_tx, rec))
+                .map_err(|_| ExecError::Spawn("an I/O worker"))?;
+            crew.handles.push(handle);
         }
         drop(done_tx);
-        let chunks = Arc::new(ChunkQueue::new());
-        let round = Arc::new(RoundState {
-            inner: Mutex::new(RoundInner { totals: Vec::new(), remaining: 0, failed: None }),
-            done: Condvar::new(),
-        });
-        for w in 0..compute {
-            let queue = Arc::clone(&chunks);
-            let state = Arc::clone(&round);
+        for w in 0..compute.max(1) {
+            let queue = Arc::clone(&crew.chunks);
+            let state = Arc::clone(&crew.round);
             let rec = obs.recorder(&format!("cgraph-trigger-{w}"));
             let plane = faults.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("cgraph-trigger-{w}"))
-                    .spawn(move || compute_loop(queue, state, rec, plane))
-                    .expect("spawn trigger worker"),
-            );
+            let handle = std::thread::Builder::new()
+                .name(format!("cgraph-trigger-{w}"))
+                .spawn(move || compute_loop(queue, state, rec, plane))
+                .map_err(|_| ExecError::Spawn("a trigger worker"))?;
+            crew.handles.push(handle);
         }
-        ExecCrew {
-            fetch_txs,
-            done_rx: Some(done_rx),
-            chunks,
-            round,
-            handles,
-            nio,
-            window,
-            outstanding: 0,
-        }
+        Ok(crew)
     }
 
     /// Fetch dispatch window in slots.
@@ -358,12 +372,19 @@ impl ExecCrew {
         inner.failed = None;
     }
 
-    /// Non-blocking fetch dispatch to the lane's owning I/O worker; the
+    /// The fetch stage's entry, and the one place the I/O worker count
+    /// decides anything: with none, the probes run here on the calling
+    /// thread and the completed load is handed back.  Otherwise a
+    /// non-blocking dispatch to the lane's owning I/O worker; the
     /// message is handed back when the worker's queue is full so the
     /// caller can stash it and drain completions instead of blocking.
     /// A disconnected queue — the worker panicked mid-round — reports
     /// [`Dispatch::Dead`] instead of panicking the main thread.
-    pub(crate) fn try_dispatch(&self, lane: usize, msg: FetchMsg) -> Dispatch {
+    pub(crate) fn dispatch(&self, lane: usize, mut msg: FetchMsg) -> Dispatch {
+        if self.nio == 0 {
+            msg.probe();
+            return Dispatch::Inline(msg);
+        }
         match self.fetch_txs[lane % self.nio].try_send(msg) {
             Ok(()) => Dispatch::Sent,
             Err(TrySendError::Full(msg)) => Dispatch::Full(msg),
@@ -464,12 +485,7 @@ impl Drop for ExecCrew {
 fn io_loop(rx: Receiver<FetchMsg>, done_tx: SyncSender<FetchMsg>, rec: Recorder) {
     while let Ok(mut msg) = rx.recv() {
         let t0 = rec.start();
-        msg.counts.clear();
-        msg.counts.extend(
-            msg.jobs
-                .iter()
-                .map(|(_, rt)| rt.unprocessed_vertices(msg.pid)),
-        );
+        msg.probe();
         if rec.on() {
             let total: u64 = msg.counts.iter().sum();
             rec.complete(EventKind::FetchComplete, NONE, msg.pid, NONE, t0, total);
@@ -522,19 +538,73 @@ mod tests {
     use crate::job::{JobId, PushStats};
     use cgraph_graph::GraphView;
 
+    fn spawn(nio: usize, compute: usize, capacity: usize, window: usize) -> ExecCrew {
+        ExecCrew::spawn(nio, compute, capacity, window, &Observer::disabled(), None)
+            .expect("the test host can start a handful of threads")
+    }
+
     #[test]
     fn idle_crew_shuts_down() {
-        let crew = ExecCrew::spawn(2, 2, 1, 1, &crate::obs::Observer::disabled(), None);
-        assert_eq!(crew.nio, 2);
-        assert_eq!(crew.window(), 1);
-        drop(crew);
+        for nio in [0, 2] {
+            let crew = spawn(nio, 2, 1, 1);
+            assert_eq!(crew.nio, nio);
+            assert_eq!(crew.handles.len(), nio + 2);
+            assert_eq!(crew.window(), 1);
+            drop(crew);
+        }
     }
 
     #[test]
     fn crew_clamps_degenerate_parameters() {
-        let crew = ExecCrew::spawn(0, 0, 0, 0, &crate::obs::Observer::disabled(), None);
-        assert_eq!(crew.nio, 1);
+        // Zero I/O workers is a configuration (inline fetch), not a
+        // degenerate value; the trigger pool and the window are clamped.
+        let crew = spawn(0, 0, 0, 0);
+        assert_eq!(crew.nio, 0);
+        assert!(crew.fetch_txs.is_empty());
+        assert_eq!(crew.handles.len(), 1);
         assert_eq!(crew.window(), 1);
+    }
+
+    #[test]
+    fn engine_that_never_runs_a_round_owns_no_thread() {
+        use crate::program::{VertexInfo, VertexProgram};
+        use cgraph_graph::vertex_cut::VertexCutPartitioner;
+        use cgraph_graph::{generate, Partitioner, Weight};
+
+        /// Converged at submission: nothing is ever pending.
+        struct Idle;
+        impl VertexProgram for Idle {
+            type Value = u32;
+            fn init(&self, _: &VertexInfo) -> (u32, u32) {
+                (0, 0)
+            }
+            fn identity(&self) -> u32 {
+                0
+            }
+            fn acc(&self, a: u32, b: u32) -> u32 {
+                a.max(b)
+            }
+            fn is_active(&self, _: &u32, _: &u32) -> bool {
+                false
+            }
+            fn compute(&self, _: &VertexInfo, v: u32, _: u32) -> (u32, Option<u32>) {
+                (v, None)
+            }
+            fn edge_contrib(&self, b: u32, _: Weight, _: &VertexInfo) -> u32 {
+                b
+            }
+        }
+
+        let ps = VertexCutPartitioner::new(2).partition(&generate::cycle(8));
+        let config = crate::EngineConfig { io_workers: 2, ..Default::default() };
+        let mut engine = crate::Engine::from_partitions(ps, config);
+        engine.submit(Idle);
+        assert!(engine.crew.is_none(), "submission must not start threads");
+        assert!(engine.run().completed);
+        assert!(
+            engine.crew.is_none(),
+            "a run of zero rounds must not either"
+        );
     }
 
     /// A runtime whose chunks panic on demand — only the methods the
@@ -599,7 +669,7 @@ mod tests {
         // round must come back with a typed error (not wedge on the
         // condvar, not abort the test process) and the crew must still
         // drop cleanly afterwards.
-        let mut crew = ExecCrew::spawn(1, 2, 1, 1, &crate::obs::Observer::disabled(), None);
+        let mut crew = spawn(1, 2, 1, 1);
         crew.begin_round(1);
         let runtime: Arc<dyn JobRuntime> = Arc::new(FaultyRuntime { panic_on: 2 });
         for chunk in 0..4 {
@@ -616,7 +686,7 @@ mod tests {
 
     #[test]
     fn clean_chunks_still_fold_after_guard_refactor() {
-        let mut crew = ExecCrew::spawn(1, 2, 1, 1, &crate::obs::Observer::disabled(), None);
+        let mut crew = spawn(1, 2, 1, 1);
         crew.begin_round(2);
         let runtime: Arc<dyn JobRuntime> = Arc::new(FaultyRuntime { panic_on: usize::MAX });
         for chunk in 0..3 {

@@ -14,24 +14,23 @@
 //!   traffic and compute are charged and attributed to jobs; unifies the
 //!   charging code previously duplicated between the CGraph engine's
 //!   Load/Push paths and the baseline streaming engine.
-//! * [`wavefront`] — the pipelined Load–Trigger–Push round executor: a
-//!   wave of up to `k` scheduler-planned slots is loaded, their chunk
-//!   tasks drain through one shared worker pass, and the round's modeled
-//!   time overlaps slot *i+1*'s Load with slot *i*'s Trigger (two-stage
-//!   flow-shop makespan).  At `k = 1` the executor reproduces the
-//!   original single-slot engine exactly.
+//! * [`wavefront`] — the one Load–Trigger–Push round executor: a wave
+//!   of up to `k` scheduler-planned slots runs fetch → plan-ordered
+//!   install → trigger → push, and the round's modeled time overlaps
+//!   slot *i+1*'s Load with slot *i*'s Trigger (two-stage flow-shop
+//!   makespan).  `k = 1` is a wave of one slot, not a separate path.
 //! * [`prefetch`] — the asynchronous-prefetch stage-one scheduler: the
 //!   [`PrefetchQueue`] issues wave slots' disk fetches on per-shard I/O
 //!   lanes up to `prefetch_depth` slots early and prices rounds with the
 //!   three-stage pipeline makespan (disk-fetch → memory-install →
 //!   trigger).  At depth 0 it degenerates to the two-stage model above.
-//! * [`crew`] — the long-lived concurrent executor behind
-//!   `EngineConfig::io_workers`: dedicated per-shard I/O worker threads
-//!   stream completed loads over bounded channels into the main-thread
-//!   install stage, which feeds a persistent trigger-worker pool — the
-//!   modeled pipeline above, executed for real.  Results and modeled
-//!   costs are bit-identical to the fork-join path at any worker or
-//!   channel configuration (see the module docs for the ordering
+//! * [`crew`] — the threads the executor runs on, spawned by an engine's
+//!   first round and joined when it drops: a persistent trigger-worker
+//!   pool that drains chunk tasks, and `EngineConfig::io_workers`
+//!   per-shard I/O workers that run the fetch stage behind bounded
+//!   channels (with none, the fetch stage runs inline on the main
+//!   thread).  Results and modeled costs are bit-identical at any worker
+//!   or channel configuration (see the module docs for the ordering
 //!   argument).
 
 pub mod crew;

@@ -20,18 +20,15 @@
 //! flow-shop of [`super::wavefront::flowshop_makespan`] — which is why
 //! `prefetch_depth = 0` reproduces PR 1 bit-for-bit.
 //!
-//! With `EngineConfig::io_workers > 0` this window is no longer only
-//! modeled: [`super::crew`] runs the fetch stage on real per-shard I/O
-//! worker threads behind bounded channels, and its dispatch loop
-//! enforces the same `depth + 1`-slot release constraint (slot `i`'s
-//! fetch is dispatched only once slot `i - 1 - depth` has installed),
-//! so the producer/consumer handoff obeys exactly the buffer bound
-//! this model prices.
+//! The window is not only modeled: the executor's dispatch loop
+//! ([`super::wavefront`]) enforces the same `depth + 1`-slot release
+//! constraint (slot `i`'s fetch is dispatched only once slot
+//! `i - 1 - depth` has installed), so with `EngineConfig::io_workers > 0`
+//! — the fetch stage on real per-shard I/O worker threads behind bounded
+//! channels — the producer/consumer handoff obeys exactly the buffer
+//! bound this model prices.
 
 use cgraph_graph::{PartitionId, ShardPlacement};
-
-use crate::job::JobRuntime;
-use crate::workers::{run_probe_tasks, ProbeTask};
 
 /// Makespan of a fixed-sequence three-stage pipeline whose first stage
 /// has per-lane capacity and a bounded issue window.
@@ -83,9 +80,8 @@ pub fn pipeline_makespan(
 
 /// The stage-one scheduler of the wavefront executor: owns the lane
 /// placement (mirroring the sharded snapshot store's partition→shard
-/// assignment) and the prefetch window, issues the wave's probe scans
-/// through the worker pool, and prices waves under the three-stage
-/// pipeline model.
+/// assignment) and the prefetch window, and prices waves under the
+/// three-stage pipeline model.
 #[derive(Clone, Debug)]
 pub struct PrefetchQueue {
     shards: usize,
@@ -131,19 +127,6 @@ impl PrefetchQueue {
     /// The I/O lane partition `pid` fetches on.
     pub fn lane_of(&self, pid: PartitionId) -> usize {
         self.placement.shard_of(pid, self.shards)
-    }
-
-    /// Issues a wave's stage-one probe scans (per-(slot, job) unprocessed
-    /// counts) through the worker pool in one parallel drain, writing the
-    /// counts to `out` in probe order.
-    pub fn probe_wave(
-        &self,
-        workers: usize,
-        runtimes: &[&dyn JobRuntime],
-        probes: &[ProbeTask],
-        out: &mut Vec<u64>,
-    ) {
-        run_probe_tasks(workers, runtimes, probes, out);
     }
 
     /// Modeled makespan of a wave whose slot `i` fetches `fetch[i]`

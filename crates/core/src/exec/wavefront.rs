@@ -1,71 +1,66 @@
 //! The pipelined Load–Trigger–Push round executor.
 //!
-//! One round executes a scheduler-planned *wavefront* of slots:
+//! One round executes a scheduler-planned *wavefront* of slots through
+//! one staged pipeline:
 //!
-//! 1. **Load** — each planned slot's structure partition and private
-//!    tables are charged through the [`ChargeLedger`](super::ChargeLedger)
-//!    in plan order, structures staying pinned for the whole round.  With
-//!    an active [`PrefetchQueue`](super::PrefetchQueue) the wave's
-//!    stage-one probe scans run ahead of the serial charge loop, and the
-//!    slot's disk fetch is priced on its snapshot-store shard's I/O lane
-//!    rather than the shared channel.
-//! 2. **Trigger** — every slot's chunk tasks drain through a shared
-//!    worker pass, so cores finishing one slot's jobs immediately pick
-//!    up the next slot's chunks instead of idling behind a straggler.
-//! 3. **Push** — each job whose iteration completed synchronizes replicas
-//!    and advances, and the slot planner is patched incrementally.
+//! 1. **Fetch** — each slot's stage-one probe scans (the per-job
+//!    unprocessed counts straggler splitting needs), dispatched in plan
+//!    order, never more than `prefetch_depth + 1` slots beyond the
+//!    installing slot — the modeled release constraint, enforced for
+//!    real.
+//! 2. **Ordered install** — on the main thread, strictly in plan order:
+//!    the slot's structure partition and private tables are charged
+//!    through the [`ChargeLedger`](super::ChargeLedger) (structures stay
+//!    pinned for the whole round) and its chunk tasks are handed to the
+//!    trigger workers.
+//! 3. **Trigger** — the persistent trigger workers of [`super::crew`]
+//!    drain chunks as they arrive, so cores finishing one slot's jobs
+//!    immediately pick up the next slot's chunks instead of idling
+//!    behind a straggler.
+//! 4. **Push** — each job whose iteration completed synchronizes
+//!    replicas and advances, and the slot planner is patched
+//!    incrementally.
 //!
-//! # Execution paths
+//! # Configurations, not paths
 //!
-//! With a wavefront of width 1 the executor degenerates to the original
-//! single-slot engine: identical access sequence, identical batching,
-//! identical per-batch chunk drains — bit-for-bit the legacy behavior.
-//! Wider waves run on one of two executors selected by
-//! `EngineConfig::io_workers`:
-//!
-//! * **Fork-join** (`io_workers = 0`, the default): all slots charge
-//!   serially, then one scoped [`TaskPool`] pass drains every chunk.
-//! * **Concurrent pipeline** (`io_workers ≥ 1`): the actor-style crew
-//!   of [`super::crew`].  Long-lived per-shard I/O worker threads own
-//!   their lanes' fetch queues (bounded `sync_channel`s); the main
-//!   thread dispatches slot fetches in plan order — never more than
-//!   `prefetch_depth + 1` slots beyond the installing slot, the modeled
-//!   release constraint enforced for real — and I/O workers run each
-//!   slot's probe scans before streaming the completed load back over
-//!   the bounded completion channel.  The main-thread install stage
-//!   reorders completions back into plan order, runs the ledger charge
-//!   loop, and feeds chunk tasks to the persistent trigger workers.
+//! `EngineConfig::io_workers` is consulted in exactly one place, the
+//! fetch stage ([`ExecCrew::dispatch`]): with zero I/O threads the probes
+//! run inline on the main thread and the completed load drops straight
+//! into the reorder buffer; with one or more they travel bounded
+//! channels to per-shard I/O worker threads and come back in any order.
+//! Everything downstream is the same code.  A width-1 wave is a wave of
+//! one slot: nothing to reorder, nothing to overlap, same pipeline.
 //!
 //! # Why determinism survives the concurrency
 //!
 //! Every merge point is ordered or commutative:
 //!
 //! * Probe scans are pure reads of state only mutated at the round tail
-//!   (after all fetches and chunks drain), so their values are
-//!   schedule-independent.
+//!   (after all fetches and chunks drain), so their values do not depend
+//!   on which thread runs them or when.
 //! * Ledger charging — the only mutation that decides modeled times and
 //!   traffic counters — happens solely on the main thread, in plan
-//!   order, behind the reorder buffer: the exact serial sequence.
+//!   order, behind the reorder buffer.
 //! * Chunk statistics accumulate as `u64` additions (commutative,
 //!   exact) per pooled entry; the `f64` stage-time conversion happens
-//!   afterwards on the main thread in entry order, reproducing the
-//!   serial float-accumulation order bit-for-bit.
-//! * Vertex-state folds inside `process_chunk` use the same per-
-//!   partition locks and accumulator algebra as the fork-join path —
-//!   chunk-level parallelism was already result-neutral, and the crew
-//!   only changes *when* chunks run, not how their results merge.
+//!   afterwards on the main thread in entry order, so the float
+//!   accumulation order is fixed by the plan.
+//! * Vertex-state folds inside `process_chunk` take per-partition locks
+//!   and use an accumulator algebra that is result-neutral under any
+//!   chunk interleaving; the pipeline only decides *when* chunks run,
+//!   not how their results merge.
 //!
 //! # Modeled time
 //!
-//! With width > 1 and `prefetch_depth = 0` the modeled round time is the
-//! two-machine flow shop of PR 1 ([`flowshop_makespan`]): slot *i+1*'s
-//! fused Load overlapping slot *i*'s Trigger.  With `prefetch_depth > 0`
-//! Load splits into disk-fetch (per-shard lanes, issued up to `depth`
-//! slots early) and memory-install (shared channel), and the round is
-//! priced by the three-stage
-//! [`pipeline_makespan`](super::prefetch::pipeline_makespan).  The
-//! executor choice never changes modeled figures — both paths drive the
-//! ledger identically.
+//! A round is priced by the two-machine flow shop
+//! ([`flowshop_makespan`]): slot *i+1*'s fused Load overlapping slot
+//! *i*'s Trigger.  On a multi-slot wave with `prefetch_depth > 0`, Load
+//! splits into disk-fetch (per-shard lanes, issued up to `depth` slots
+//! early) and memory-install (shared channel), and the round is priced
+//! by the three-stage
+//! [`pipeline_makespan`](super::prefetch::pipeline_makespan).  A width-1
+//! wave has nothing to prefetch behind and always takes the two-stage
+//! price.  No thread count changes a modeled figure.
 
 use std::sync::Arc;
 
@@ -74,9 +69,9 @@ use cgraph_memsim::{CacheObject, Metrics};
 use crate::engine::Engine;
 use crate::exec::crew::{Dispatch, ExecCrew, ExecError, FetchMsg};
 use crate::exec::planner::SlotKey;
-use crate::job::{JobRuntime, ProcessStats};
+use crate::job::ProcessStats;
 use crate::obs::{EventKind, NONE};
-use crate::workers::{plan_chunks_into, ChunkTask, ProbeTask, TaskPool};
+use crate::workers::{plan_chunks_into, ChunkTask};
 
 /// Makespan of a fixed-sequence two-stage pipeline: stage-one times
 /// `loads` (serialized, e.g. the shared memory channel) feed stage-two
@@ -99,10 +94,10 @@ pub fn flowshop_makespan(loads: &[f64], triggers: &[f64]) -> f64 {
 }
 
 /// Reusable per-round scratch: the wave description, the stage-time
-/// vectors, and the concurrent executor's recycled channel payloads.
-/// Kept on the [`Engine`] across rounds so the hot loop stops recloning
-/// job lists and rebuilding batch vectors every round — after the first
-/// round at a given wave shape, a round allocates nothing here (the
+/// vectors, and the recycled fetch-stage payloads.  Kept on the
+/// [`Engine`] across rounds so the hot loop stops recloning job lists
+/// and rebuilding batch vectors every round — after the first round at
+/// a given wave shape, a round allocates nothing here (the
 /// fetch/completion messages and their buffers round-trip through
 /// `fetch_pool` instead of being reallocated per round).
 #[derive(Default)]
@@ -111,10 +106,6 @@ pub(crate) struct RoundBuffers {
     slots: Vec<(SlotKey, usize, usize)>,
     /// Every planned slot's interested jobs, flattened.
     jobs: Vec<usize>,
-    /// Stage-one probe tasks (fork-join active prefetch only).
-    probes: Vec<ProbeTask>,
-    /// Probe results aligned with `jobs` (fork-join active prefetch only).
-    unprocessed: Vec<u64>,
     /// Per-slot fused Load seconds (two-stage model).
     load: Vec<f64>,
     /// Per-slot disk-fetch seconds (three-stage model).
@@ -127,19 +118,15 @@ pub(crate) struct RoundBuffers {
     lanes: Vec<usize>,
     /// Deduplicated jobs due a Push check this round.
     push_jobs: Vec<usize>,
-    /// One batch's unprocessed counts (straggler detection).
-    batch_unprocessed: Vec<u64>,
-    /// Concurrent path: reorder buffer for completed loads.
+    /// Reorder buffer for completed loads.
     ready: Vec<Option<FetchMsg>>,
-    /// Concurrent path: recycled fetch/completion message payloads.
+    /// Recycled fetch/completion message payloads.
     fetch_pool: Vec<FetchMsg>,
-    /// Concurrent path: pooled `(slot, job)` entry origins, in the
-    /// fork-join executor's exact entry order.
+    /// Pooled `(slot, job)` entry origins, in install order.
     origins: Vec<(usize, usize)>,
-    /// Concurrent path: per-entry chunk statistics, aligned with
-    /// `origins`.
+    /// Per-entry chunk statistics, aligned with `origins`.
     stats: Vec<ProcessStats>,
-    /// Concurrent path: one batch's planned chunk tasks.
+    /// One batch's planned chunk tasks.
     chunk_scratch: Vec<ChunkTask>,
 }
 
@@ -147,8 +134,6 @@ impl RoundBuffers {
     fn begin(&mut self, nslots: usize) {
         self.slots.clear();
         self.jobs.clear();
-        self.probes.clear();
-        self.unprocessed.clear();
         self.load.clear();
         self.fetch.clear();
         self.install.clear();
@@ -156,7 +141,6 @@ impl RoundBuffers {
         self.trigger.resize(nslots, 0.0);
         self.lanes.clear();
         self.push_jobs.clear();
-        self.batch_unprocessed.clear();
         self.origins.clear();
         self.stats.clear();
     }
@@ -167,17 +151,14 @@ impl Engine {
     /// planner's ordered view) and returns the round's modeled seconds
     /// under the pipeline cost model.
     pub(crate) fn exec_round(&mut self, picks: &[usize]) -> f64 {
-        // Width 1 must reproduce the legacy engine bit-for-bit, so only
-        // multi-slot waves may take the concurrent executor.
-        if picks.len() > 1 && self.config.io_workers > 0 {
-            self.exec_round_concurrent(picks)
-        } else {
-            self.exec_round_forkjoin(picks)
-        }
-    }
+        let workers = self.config.workers;
+        let cost = self.config.cost;
+        // The prefetch window only prices multi-slot waves: a single
+        // slot has nothing to overlap, so it keeps the two-stage price
+        // even when `prefetch_depth > 0`.
+        let prefetching = picks.len() > 1 && self.prefetch.is_active();
 
-    /// Collects the planned wave into the round buffers.
-    fn collect_wave(&mut self, picks: &[usize], round: &mut RoundBuffers) {
+        let mut round = std::mem::take(&mut self.round);
         round.begin(picks.len());
         for &idx in picks {
             let (key, jobs) = self.planner.slot(idx);
@@ -185,189 +166,21 @@ impl Engine {
             round.jobs.extend_from_slice(jobs);
             round.slots.push((key, start, round.jobs.len()));
         }
-    }
 
-    /// The classic fork-join executor: serial charge loop, then one
-    /// scoped [`TaskPool`] drain (per batch at width 1).
-    fn exec_round_forkjoin(&mut self, picks: &[usize]) -> f64 {
-        let workers = self.config.workers;
-        let batch_size = workers.max(1);
-        let cost = self.config.cost;
-        // Width 1 must reproduce the legacy engine bit-for-bit, including
-        // its per-batch chunk drains (which fix the thread-pool task sets);
-        // wider waves pool every slot's tasks into one drain.
-        let pipelined = picks.len() > 1;
-        // The prefetch queue only engages on multi-slot waves: a single
-        // slot has nothing to overlap, and `depth = 0` must stay on the
-        // two-stage path exactly.
-        let prefetching = pipelined && self.prefetch.is_active();
-
-        let mut round = std::mem::take(&mut self.round);
-        self.collect_wave(picks, &mut round);
-
-        // --- Prefetch: issue the wave's stage-one probe scans through
-        // the worker pool in one parallel drain, before the serial charge
-        // loop consumes the counts batch by batch. ---
-        if prefetching {
-            for &((pid, _), start, end) in &round.slots {
-                for job_slot in start..end {
-                    round.probes.push(ProbeTask { job_slot, pid });
-                }
-            }
-            let runtimes: Vec<&dyn JobRuntime> =
-                round.jobs.iter().map(|&j| &*self.jobs[j].runtime).collect();
-            self.prefetch
-                .probe_wave(workers, &runtimes, &round.probes, &mut round.unprocessed);
-        }
-
-        let mut results: Vec<(usize, usize, ProcessStats)> = Vec::new();
-        let mut pool = TaskPool::new();
-        let mut batch_rt: Vec<(usize, &dyn JobRuntime)> = Vec::new();
-
-        // --- Load (and, at width 1, per-batch Trigger) ---
-        for (si, &((pid, version), start, end)) in round.slots.iter().enumerate() {
-            let slot_t0 = self.rec.start();
-            let before = *self.ledger.metrics();
-            let structure = CacheObject::Structure { pid, version };
-            let sbytes = self.jobs[round.jobs[start]]
-                .runtime
-                .view()
-                .partition(pid)
-                .structure_bytes();
-            let lane = self.prefetch.lane_of(pid);
-            round.lanes.push(lane);
-            let spills_possible = self.store.has_spills();
-            let mut pinned = false;
-            let mut off = start;
-            while off < end {
-                let batch_end = (off + batch_size).min(end);
-                // Each job in the batch touches the structure partition;
-                // after the first touch it is pinned resident for the
-                // whole round (§3.2.3).
-                for &j in &round.jobs[off..batch_end] {
-                    let outcome = self.ledger.charge_access_on(lane, j, structure, sbytes);
-                    // Capacity-spilled snapshot state: when the fetch
-                    // actually reaches disk *and* this job's view
-                    // resolves the partition through a spilled record,
-                    // the load pays one extra re-fetch from (modeled)
-                    // spill storage on the owning lane — inside the
-                    // Load interval, so the pipeline's fetch stage
-                    // prices it.  Cache-resident structures never pay.
-                    if spills_possible
-                        && outcome.bytes_from_disk > 0
-                        && self.jobs[j].runtime.view().partition_spilled(pid)
-                    {
-                        self.ledger.charge_spill_fetch(lane, j, sbytes);
-                    }
-                    if !pinned {
-                        self.ledger.pin(&structure);
-                        pinned = true;
-                    }
-                }
-                // Load the batch's private tables (structure stays
-                // pinned; only job-specific tables rotate).
-                for &j in &round.jobs[off..batch_end] {
-                    let tbytes = self.jobs[j].runtime.private_table_bytes(pid);
-                    self.ledger.charge_access_on(
-                        lane,
-                        j,
-                        CacheObject::PrivateTable { job: j as u32, pid },
-                        tbytes,
-                    );
-                }
-                round.batch_unprocessed.clear();
-                if prefetching {
-                    round
-                        .batch_unprocessed
-                        .extend_from_slice(&round.unprocessed[off..batch_end]);
-                } else {
-                    round.batch_unprocessed.extend(
-                        round.jobs[off..batch_end]
-                            .iter()
-                            .map(|&j| self.jobs[j].runtime.unprocessed_vertices(pid)),
-                    );
-                }
-                batch_rt.clear();
-                batch_rt.extend(
-                    round.jobs[off..batch_end]
-                        .iter()
-                        .map(|&j| (j, &*self.jobs[j].runtime)),
-                );
-                pool.plan_slot_batch(
-                    si,
-                    pid,
-                    &batch_rt,
-                    &round.batch_unprocessed,
-                    workers.max(batch_end - off),
-                    self.config.straggler_split,
-                );
-                if !pipelined {
-                    results.extend(pool.run(workers));
-                }
-                off = batch_end;
-            }
-            // Trigger compute has not been charged yet, so this interval
-            // is pure data access: the slot's Load leg — fused for the
-            // two-stage model, split disk/memory for the three-stage one.
-            let delta = self.ledger.metrics().since(&before);
-            if prefetching {
-                let stages = cost.stage_seconds(&delta, workers);
-                round.fetch.push(stages.fetch);
-                round.install.push(stages.install);
-            } else {
-                round.load.push(cost.access_seconds(&delta));
-            }
-            // Fork-join slots have no separate fetch leg, so the whole
-            // charge loop (plus per-batch chunk drains at width 1)
-            // reports as one Install span.
-            self.rec.complete(
-                EventKind::Install,
-                NONE,
-                pid,
-                self.round_no,
-                slot_t0,
-                (end - start) as u64,
-            );
-        }
-
-        // --- Trigger: drain every slot's tasks in one scoped pass ---
-        if pipelined {
-            results = pool.run(workers);
-        }
-        drop(pool);
-        drop(batch_rt);
-        for (si, j, stats) in results {
-            self.ledger.charge_compute(j, stats);
-            let as_metrics = Metrics {
-                vertex_ops: stats.vertex_ops,
-                edge_ops: stats.edge_ops,
-                ..Metrics::default()
-            };
-            round.trigger[si] += cost.compute_seconds(&as_metrics) / workers.max(1) as f64;
-        }
-        self.finish_round(round, prefetching)
-    }
-
-    /// The concurrent executor: per-shard I/O workers stream completed
-    /// loads over bounded channels into the main-thread install stage,
-    /// which feeds the persistent trigger workers.  Charge sequence,
-    /// chunk plan, and float-accumulation order replicate
-    /// [`Self::exec_round_forkjoin`] exactly — see the module docs.
-    fn exec_round_concurrent(&mut self, picks: &[usize]) -> f64 {
-        let workers = self.config.workers;
-        let cost = self.config.cost;
-        let prefetching = self.prefetch.is_active();
-
-        let mut round = std::mem::take(&mut self.round);
-        self.collect_wave(picks, &mut round);
-        let mut crew = self.ensure_crew();
-
-        match self.pump_concurrent_round(&mut round, &mut crew) {
-            Ok(()) => {
-                // --- Trigger merge: charge compute in pooled-entry
-                // order (the fork-join order). ---
-                for (idx, stats) in round.stats.iter().enumerate() {
-                    let (si, j) = round.origins[idx];
+        // A failed pump drops the crew on its way out of the closure:
+        // every channel closes and the surviving workers are joined
+        // instead of the main thread panicking or hanging.
+        let pumped = self.ensure_crew().and_then(|mut crew| {
+            self.pump_round(&mut round, &mut crew, prefetching)?;
+            Ok(crew)
+        });
+        match pumped {
+            Ok(crew) => {
+                self.crew = Some(crew);
+                // Trigger merge: charge compute in pooled-entry order on
+                // the main thread, which fixes the float accumulation
+                // order of `round.trigger` whatever order chunks ran in.
+                for (stats, &(si, j)) in round.stats.iter().zip(&round.origins) {
                     self.ledger.charge_compute(j, *stats);
                     let as_metrics = Metrics {
                         vertex_ops: stats.vertex_ops,
@@ -376,16 +189,12 @@ impl Engine {
                     };
                     round.trigger[si] += cost.compute_seconds(&as_metrics) / workers.max(1) as f64;
                 }
-                self.crew = Some(crew);
                 self.finish_round(round, prefetching)
             }
             Err(fault) => {
-                // Graceful shutdown instead of a panic or a hang:
-                // dropping the crew closes every channel and joins the
-                // surviving workers; the typed error parks on the
-                // engine, which refuses further rounds (the round's
-                // partial ledger state is unreachable behind the fault).
-                drop(crew);
+                // The typed error parks on the engine, which refuses
+                // further rounds (the round's partial ledger state is
+                // unreachable behind the fault).
                 self.round = round;
                 self.fault = Some(fault);
                 0.0
@@ -393,13 +202,14 @@ impl Engine {
         }
     }
 
-    /// The failable half of the concurrent round: fetch dispatch, the
-    /// ordered install loop, and the trigger drain.  Any dead worker or
-    /// disconnected channel surfaces here as a typed [`ExecError`].
-    fn pump_concurrent_round(
+    /// The failable half of a round: fetch dispatch, the ordered install
+    /// loop, and the trigger drain.  Any dead worker or disconnected
+    /// channel surfaces here as a typed [`ExecError`].
+    fn pump_round(
         &mut self,
         round: &mut RoundBuffers,
         crew: &mut ExecCrew,
+        prefetching: bool,
     ) -> Result<(), ExecError> {
         let nslots = round.slots.len();
         crew.begin_round(round.jobs.len());
@@ -426,14 +236,18 @@ impl Engine {
                         msg.jobs.extend(
                             round.jobs[start..end]
                                 .iter()
-                                .map(|&j| (j, Arc::clone(&self.jobs[j].runtime))),
+                                .map(|&j| Arc::clone(&self.jobs[j].runtime)),
                         );
                         msg
                     }
                 };
                 let lane = self.prefetch.lane_of(msg.pid);
                 let issue_pid = msg.pid;
-                match crew.try_dispatch(lane, msg) {
+                match crew.dispatch(lane, msg) {
+                    Dispatch::Inline(msg) => {
+                        round.ready[next_dispatch] = Some(msg);
+                        next_dispatch += 1;
+                    }
                     Dispatch::Sent => {
                         self.rec.instant(
                             EventKind::FetchIssue,
@@ -480,7 +294,7 @@ impl Engine {
             }
             let mut msg = round.ready[installed].take().expect("checked above");
             let install_t0 = self.rec.start();
-            self.install_slot(installed, &msg, round, crew);
+            self.install_slot(installed, &msg, round, crew, prefetching);
             if self.rec.on() {
                 let (_, start, end) = round.slots[installed];
                 self.rec.complete(
@@ -512,20 +326,19 @@ impl Engine {
         crew.finish_round(&mut round.stats)
     }
 
-    /// Installs one completed load: the slot's ledger charge loop (the
-    /// fork-join executor's exact sequence) plus chunk-task handoff to
-    /// the crew's trigger workers.
+    /// Installs one completed load: the slot's ledger charge loop plus
+    /// chunk-task handoff to the trigger workers.
     fn install_slot(
         &mut self,
         si: usize,
         msg: &FetchMsg,
         round: &mut RoundBuffers,
         crew: &mut ExecCrew,
+        prefetching: bool,
     ) {
         let workers = self.config.workers;
         let batch_size = workers.max(1);
         let cost = self.config.cost;
-        let prefetching = self.prefetch.is_active();
         let ((pid, version), start, end) = round.slots[si];
         debug_assert_eq!(pid, msg.pid);
         let before = *self.ledger.metrics();
@@ -540,10 +353,22 @@ impl Engine {
         let spills_possible = self.store.has_spills();
         let mut pinned = false;
         let mut off = start;
+        // More jobs than workers share the slot in batches of `workers`:
+        // the structure stays pinned while private tables rotate.
         while off < end {
             let batch_end = (off + batch_size).min(end);
+            // Each job in the batch touches the structure partition;
+            // after the first touch it is pinned resident for the whole
+            // round (§3.2.3).
             for &j in &round.jobs[off..batch_end] {
                 let outcome = self.ledger.charge_access_on(lane, j, structure, sbytes);
+                // Capacity-spilled snapshot state: when the fetch
+                // actually reaches disk *and* this job's view resolves
+                // the partition through a spilled record, the load pays
+                // one extra re-fetch from (modeled) spill storage on the
+                // owning lane — inside the Load interval, so the
+                // pipeline's fetch stage prices it.  Cache-resident
+                // structures never pay.
                 if spills_possible
                     && outcome.bytes_from_disk > 0
                     && self.jobs[j].runtime.view().partition_spilled(pid)
@@ -564,19 +389,15 @@ impl Engine {
                     tbytes,
                 );
             }
-            // The I/O worker already ran this slot's probe scans; their
-            // values are position-aligned with the slot's job list.
-            round.batch_unprocessed.clear();
-            round
-                .batch_unprocessed
-                .extend_from_slice(&msg.counts[(off - start)..(batch_end - start)]);
             let base = round.origins.len();
             for &j in &round.jobs[off..batch_end] {
                 round.origins.push((si, j));
             }
+            // The fetch stage already ran this slot's probe scans; their
+            // values are position-aligned with the slot's job list.
             plan_chunks_into(
                 pid,
-                &round.batch_unprocessed,
+                &msg.counts[(off - start)..(batch_end - start)],
                 workers.max(batch_end - off),
                 self.config.straggler_split,
                 &mut round.chunk_scratch,
@@ -593,6 +414,9 @@ impl Engine {
             }
             off = batch_end;
         }
+        // Trigger compute is charged after the round drains, so this
+        // interval is pure data access: the slot's Load leg — fused for
+        // the two-stage model, split disk/memory for the three-stage one.
         let delta = self.ledger.metrics().since(&before);
         if prefetching {
             let stages = cost.stage_seconds(&delta, workers);
@@ -603,8 +427,8 @@ impl Engine {
         }
     }
 
-    /// The round tail shared by both executors: mark the wave processed,
-    /// run Push for every finished iteration, and price the round.
+    /// The round tail: mark the wave processed, run Push for every
+    /// finished iteration, and price the round.
     fn finish_round(&mut self, mut round: RoundBuffers, prefetching: bool) -> f64 {
         let workers = self.config.workers;
         let cost = self.config.cost;

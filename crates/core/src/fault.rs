@@ -6,8 +6,8 @@
 //! engine.  This module makes every I/O boundary in the workspace
 //! fallible *on demand*, from a reproducible schedule:
 //!
-//! * **Shard fetch** (the engine's Load stage, fork-join and concurrent
-//!   crew alike) — the fallible boundary.  Each planned slot's fetch is
+//! * **Shard fetch** (the engine's Load stage, at any `io_workers`) —
+//!   the fallible boundary.  Each planned slot's fetch is
 //!   admitted through [`FaultPlane::admit_fetch`] on the main thread
 //!   before the round executes: transient faults are retried under the
 //!   [`RetryPolicy`] (exponential backoff, deterministic jitter,
@@ -25,7 +25,7 @@
 //!   the recovery suite's territory, driven by the file harness
 //!   re-exported below).
 //! * **Trigger workers** — [`FaultConfig::panic_chunk`] injects a panic
-//!   into a chosen `process_chunk` call inside the concurrent crew,
+//!   into a chosen `process_chunk` call inside the trigger pool,
 //!   exercising the worker-death path (`Engine::exec_error`) end to
 //!   end.
 //!
@@ -231,7 +231,7 @@ pub struct FaultConfig {
     pub retry: RetryPolicy,
     /// Per-lane fetch circuit breakers.
     pub breaker: BreakerConfig,
-    /// Inject a panic into the concurrent crew's trigger stage when it
+    /// Inject a panic into the executor's trigger stage when it
     /// processes `(partition, chunk)` — the worker-death drill.
     pub panic_chunk: Option<(u32, usize)>,
 }

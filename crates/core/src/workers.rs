@@ -1,16 +1,14 @@
-//! The trigger-stage worker pool.
+//! Trigger-stage chunk planning, plus a one-shot scoped drain.
 //!
-//! For each loaded partition the engine builds one chunk-task per (job,
-//! chunk) pair and drains them over a shared queue with `workers` scoped
-//! threads.  Straggler splitting (paper §3.2.3, Fig. 6) falls out of the
-//! task list: the job with the most unprocessed vertices contributes more
-//! chunks, so free cores naturally assist it.
+//! For each loaded partition an engine builds one chunk-task per (job,
+//! chunk) pair.  Straggler splitting (paper §3.2.3, Fig. 6) falls out of
+//! the task list: the job with the most unprocessed vertices contributes
+//! more chunks, so free cores naturally assist it.
 //!
-//! [`TaskPool`] extends the same queue across *multiple* loaded slots:
-//! the wavefront executor accumulates every picked slot's chunk tasks
-//! and drains them in one scoped-thread pass, so cores freed by one
-//! slot's fast jobs immediately pipeline into the next slot's Trigger
-//! instead of idling behind the straggler.
+//! [`crate::Engine`] hands the planned chunks to its persistent trigger
+//! workers ([`crate::exec::crew`]); [`run_chunk_tasks`] is the
+//! self-contained drain for engines without a crew — the streaming
+//! baseline the tests compare against.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -81,67 +79,6 @@ pub fn run_chunk_tasks(
     totals
 }
 
-/// One stage-one prefetch probe: count the unprocessed active vertices
-/// job `job_slot` still has on partition `pid` — the per-slot Load
-/// preparation scan the prefetch queue runs through the pool ahead of
-/// the serial charge loop, instead of serially between chunk drains.
-#[derive(Clone, Copy, Debug)]
-pub struct ProbeTask {
-    /// Index into the job slice handed to [`run_probe_tasks`].
-    pub job_slot: usize,
-    /// Partition to probe.
-    pub pid: PartitionId,
-}
-
-/// A probe is one cache-friendly bitmap/replica scan, so a scoped-thread
-/// drain only pays off once a wave carries at least this many probes;
-/// below it the spawn overhead dominates and the serial path wins.
-const PARALLEL_PROBE_THRESHOLD: usize = 32;
-
-/// Executes the probes on up to `workers` threads, writing each probe's
-/// count to the matching index of `out` (cleared and resized first).
-/// Probes are pure reads, so the result is independent of threading.
-pub fn run_probe_tasks(
-    workers: usize,
-    jobs: &[&dyn JobRuntime],
-    tasks: &[ProbeTask],
-    out: &mut Vec<u64>,
-) {
-    out.clear();
-    out.resize(tasks.len(), 0);
-    if tasks.is_empty() {
-        return;
-    }
-    let threads = workers.max(1).min(tasks.len());
-    if threads == 1 || tasks.len() < PARALLEL_PROBE_THRESHOLD {
-        for (slot, t) in tasks.iter().enumerate() {
-            out[slot] = jobs[t.job_slot].unprocessed_vertices(t.pid);
-        }
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, u64)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, u64)> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= tasks.len() {
-                        break;
-                    }
-                    let t = tasks[i];
-                    local.push((i, jobs[t.job_slot].unprocessed_vertices(t.pid)));
-                }
-                collected.lock().extend(local);
-            });
-        }
-    });
-    for (i, count) in collected.into_inner() {
-        out[i] = count;
-    }
-}
-
 /// Builds the chunk-task list for one batch of jobs processing `pid`.
 ///
 /// Every job gets one chunk; when `straggler_split` is on and cores remain
@@ -191,73 +128,6 @@ pub fn plan_chunks_into(
     }
 }
 
-/// Accumulates chunk tasks from one or more loaded slots and drains them
-/// in a single [`run_chunk_tasks`] pass.
-///
-/// Each `(slot, job)` pair contributes one pooled runtime entry; results
-/// are handed back tagged with their origin so the executor can attribute
-/// compute to the right slot (for the pipeline cost model) and job (for
-/// per-job metrics).
-#[derive(Default)]
-pub struct TaskPool<'a> {
-    runtimes: Vec<&'a dyn JobRuntime>,
-    origins: Vec<(usize, usize)>,
-    tasks: Vec<ChunkTask>,
-}
-
-impl<'a> TaskPool<'a> {
-    /// An empty pool.
-    pub fn new() -> Self {
-        TaskPool::default()
-    }
-
-    /// Whether the pool currently holds no tasks.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// Plans one batch of `slot`'s jobs over partition `pid` (same
-    /// chunking policy as [`plan_chunks`]) and queues the tasks.
-    ///
-    /// `jobs` pairs each engine job index with its runtime; `unprocessed`
-    /// gives the matching active-replica counts for straggler detection.
-    pub fn plan_slot_batch(
-        &mut self,
-        slot: usize,
-        pid: PartitionId,
-        jobs: &[(usize, &'a dyn JobRuntime)],
-        unprocessed: &[u64],
-        budget: usize,
-        straggler_split: bool,
-    ) {
-        debug_assert_eq!(jobs.len(), unprocessed.len());
-        let base = self.runtimes.len();
-        for &(job, runtime) in jobs {
-            self.runtimes.push(runtime);
-            self.origins.push((slot, job));
-        }
-        for mut task in plan_chunks(pid, unprocessed, budget, straggler_split) {
-            task.job_slot += base;
-            self.tasks.push(task);
-        }
-    }
-
-    /// Drains every queued task over up to `workers` scoped threads and
-    /// returns `(slot, job, stats)` per pooled entry, leaving the pool
-    /// empty for reuse.
-    pub fn run(&mut self, workers: usize) -> Vec<(usize, usize, ProcessStats)> {
-        let totals = run_chunk_tasks(workers, &self.runtimes, &self.tasks);
-        self.runtimes.clear();
-        self.tasks.clear();
-        let origins = std::mem::take(&mut self.origins);
-        origins
-            .into_iter()
-            .zip(totals)
-            .map(|((slot, job), stats)| (slot, job, stats))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,66 +162,5 @@ mod tests {
         chunks.sort_unstable();
         assert_eq!(chunks, vec![0, 1, 2, 3]);
         assert!(tasks.iter().all(|t| t.pid == 3 && t.nchunks == 4));
-    }
-
-    #[test]
-    fn probe_results_match_serial_counts() {
-        use crate::job::TypedJob;
-        use crate::program::{VertexInfo, VertexProgram};
-        use cgraph_graph::snapshot::SnapshotStore;
-        use cgraph_graph::vertex_cut::VertexCutPartitioner;
-        use cgraph_graph::{generate, Partitioner, Weight};
-        use std::sync::Arc;
-
-        struct Bfs;
-        impl VertexProgram for Bfs {
-            type Value = u32;
-            fn init(&self, info: &VertexInfo) -> (u32, u32) {
-                if info.vid == 0 {
-                    (u32::MAX, 0)
-                } else {
-                    (u32::MAX, u32::MAX)
-                }
-            }
-            fn identity(&self) -> u32 {
-                u32::MAX
-            }
-            fn acc(&self, a: u32, b: u32) -> u32 {
-                a.min(b)
-            }
-            fn is_active(&self, value: &u32, delta: &u32) -> bool {
-                delta < value
-            }
-            fn compute(&self, _i: &VertexInfo, value: u32, delta: u32) -> (u32, Option<u32>) {
-                if delta < value {
-                    (delta, Some(delta))
-                } else {
-                    (value, None)
-                }
-            }
-            fn edge_contrib(&self, basis: u32, _w: Weight, _i: &VertexInfo) -> u32 {
-                basis.saturating_add(1)
-            }
-        }
-
-        let el = generate::cycle(32);
-        let ps = VertexCutPartitioner::new(4).partition(&el);
-        let store = Arc::new(SnapshotStore::new(ps));
-        let job = TypedJob::new(0, Bfs, store.base_view());
-        let jobs: Vec<&dyn JobRuntime> = vec![&job];
-        // Enough probes to clear the parallel threshold and exercise the
-        // scoped-thread drain.
-        let tasks: Vec<ProbeTask> = (0..48)
-            .map(|i| ProbeTask { job_slot: 0, pid: i % 4 })
-            .collect();
-        let mut parallel = Vec::new();
-        run_probe_tasks(4, &jobs, &tasks, &mut parallel);
-        let serial: Vec<u64> = tasks
-            .iter()
-            .map(|t| job.unprocessed_vertices(t.pid))
-            .collect();
-        assert_eq!(parallel, serial);
-        run_probe_tasks(4, &jobs, &[], &mut parallel);
-        assert!(parallel.is_empty());
     }
 }

@@ -1,15 +1,22 @@
-//! Concurrent-executor differential stress: the channel-staged pipeline
-//! (`EngineConfig::io_workers`) must be bit-identical to the fork-join
-//! executor at every I/O-worker count, prefetch depth, and channel
-//! capacity — including capacity 1, where any ordering bug in the
-//! dispatch loop shows up as a deadlock (caught by CI's per-binary
+//! Executor differential stress: the round pipeline must produce the
+//! same bits whether its fetch stage runs inline on the main thread
+//! (`EngineConfig::io_workers = 0`) or on I/O worker threads behind
+//! bounded channels — at every I/O-worker count, prefetch depth, and
+//! channel capacity, including capacity 1, where any ordering bug in
+//! the dispatch loop shows up as a deadlock (caught by CI's per-binary
 //! timeout) instead of a wrong answer.
+//!
+//! Both sides of those comparisons are one pipeline, so they cannot
+//! catch a change that moves every configuration together.  The golden
+//! table does: digests recorded at `io_workers = 0` while such engines
+//! still ran on a separate fork-join executor, which every later
+//! executor must keep reproducing.
 //!
 //! The mix uses integer-valued programs only (BFS, SSSP, WCC,
 //! reachability): their accumulators are exact min/or folds, so results,
 //! traffic counters, *and* the modeled-seconds bit pattern must all
-//! match exactly.  CI runs this binary with default threading and with
-//! `--test-threads=1`.
+//! match exactly.  CI runs this binary with default threading, with
+//! `--test-threads=1`, and pinned to one CPU.
 
 use std::sync::Arc;
 
@@ -51,9 +58,9 @@ struct RunDigest {
     late_bfs: Vec<u32>,
     loads: u64,
     metrics: Metrics,
-    /// Bit pattern of the modeled pipeline seconds: the concurrent
-    /// executor must reproduce the serial charge/accumulation order
-    /// exactly, so even the float result is bit-identical.
+    /// Bit pattern of the modeled pipeline seconds: charging and float
+    /// accumulation follow plan order at every thread count, so even
+    /// the float result is bit-identical.
     modeled_bits: u64,
 }
 
@@ -72,25 +79,30 @@ fn run_cfg(
     depth: usize,
     capacity: usize,
 ) -> RunDigest {
+    let config = EngineConfig {
+        wavefront: 4,
+        prefetch_depth: depth,
+        io_workers,
+        channel_capacity: capacity,
+        ..EngineConfig::default()
+    };
+    // Arrivals spread over the chain: jobs bind to distinct snapshots.
+    run_mix(store, config, [0, 50, 120, 180, 240])
+}
+
+/// Runs the five-job integer mix under `config` (two trigger workers,
+/// the tight hierarchy) with the jobs arriving at `arrivals`.
+fn run_mix(store: &Arc<SnapshotStore>, config: EngineConfig, arrivals: [u64; 5]) -> RunDigest {
     let hierarchy = tight_hierarchy(store);
     let mut engine = Engine::new(
         Arc::clone(store),
-        EngineConfig {
-            workers: 2,
-            wavefront: 4,
-            prefetch_depth: depth,
-            io_workers,
-            channel_capacity: capacity,
-            hierarchy,
-            ..EngineConfig::default()
-        },
+        EngineConfig { workers: 2, hierarchy, ..config },
     );
-    // Arrivals spread over the chain: jobs bind to distinct snapshots.
-    let bfs = engine.submit_at(Bfs::new(0), 0);
-    let sssp = engine.submit_at(Sssp::new(1), 50);
-    let wcc = engine.submit_at(Wcc, 120);
-    let reach = engine.submit_at(Reachability::new(0), 180);
-    let late_bfs = engine.submit_at(Bfs::new(3), 240);
+    let bfs = engine.submit_at(Bfs::new(0), arrivals[0]);
+    let sssp = engine.submit_at(Sssp::new(1), arrivals[1]);
+    let wcc = engine.submit_at(Wcc, arrivals[2]);
+    let reach = engine.submit_at(Reachability::new(0), arrivals[3]);
+    let late_bfs = engine.submit_at(Bfs::new(3), arrivals[4]);
     let report = engine.run();
     assert!(report.completed, "stress run must converge");
     RunDigest {
@@ -105,6 +117,154 @@ fn run_cfg(
     }
 }
 
+/// A [`RunDigest`] boiled down to integers that fit in the source: one
+/// FNV-1a hash per result vector, the load count, every `Metrics` field
+/// in declaration order, and the modeled-seconds bit pattern.
+#[derive(PartialEq, Debug)]
+struct Golden {
+    results: [u64; 5],
+    loads: u64,
+    metrics: [u64; 8],
+    modeled_bits: u64,
+}
+
+fn fnv1a(words: impl Iterator<Item = u32>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in words.flat_map(u32::to_le_bytes) {
+        hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+fn golden_of(d: &RunDigest) -> Golden {
+    let m = &d.metrics;
+    Golden {
+        results: [
+            fnv1a(d.bfs.iter().copied()),
+            fnv1a(d.sssp.iter().map(|x| x.to_bits())),
+            fnv1a(d.wcc.iter().copied()),
+            fnv1a(d.reach.iter().map(|&b| b as u32)),
+            fnv1a(d.late_bfs.iter().copied()),
+        ],
+        loads: d.loads,
+        metrics: [
+            m.cache_accesses,
+            m.cache_misses,
+            m.memory_misses,
+            m.bytes_mem_to_cache,
+            m.bytes_disk_to_mem,
+            m.edge_ops,
+            m.vertex_ops,
+            m.sync_ops,
+        ],
+        modeled_bits: d.modeled_bits,
+    }
+}
+
+/// The golden table's configurations, in row order: `{wavefront 1, 4} ×
+/// {prefetch_depth 0, 2, 4} × {straggler_split on, off}` with the spread
+/// arrivals, then one width-1 run whose five jobs all bind the newest
+/// snapshot, so every slot carries more jobs than the two workers and
+/// installs in three batches.
+fn golden_runs(store: &Arc<SnapshotStore>) -> Vec<Golden> {
+    let mut rows = Vec::new();
+    for wavefront in [1usize, 4] {
+        for prefetch_depth in [0usize, 2, 4] {
+            for straggler_split in [true, false] {
+                let config = EngineConfig {
+                    wavefront,
+                    prefetch_depth,
+                    straggler_split,
+                    ..EngineConfig::default()
+                };
+                rows.push(golden_of(&run_mix(store, config, [0, 50, 120, 180, 240])));
+            }
+        }
+    }
+    let newest = store.latest_timestamp();
+    rows.push(golden_of(&run_mix(
+        store,
+        EngineConfig::default(),
+        [newest; 5],
+    )));
+    rows
+}
+
+/// Result hashes of the spread-arrival mix: a fixpoint, so every
+/// configuration lands on it.
+const SPREAD_RESULTS: [u64; 5] = [
+    13175581431524541843,
+    7835485012455485276,
+    15961700649430548660,
+    7141341811878823892,
+    8814264780652614313,
+];
+
+/// Width 1: the prefetch window has nothing to overlap, so all six
+/// `depth × split` rows are this one digest.
+const WIDTH_1: Golden = Golden {
+    results: SPREAD_RESULTS,
+    loads: 311,
+    metrics: [1476, 996, 112, 1859346, 200328, 18508, 10512, 25770],
+    modeled_bits: 4560344681071098644,
+};
+
+/// Width 4: depth moves only the modeled makespan, and straggler
+/// splitting moves nothing a digest can see (chunk sums are exact).
+const fn width_4(modeled_bits: u64) -> Golden {
+    Golden {
+        results: SPREAD_RESULTS,
+        loads: 216,
+        metrics: [1476, 955, 112, 1484288, 200328, 18508, 10512, 25770],
+        modeled_bits,
+    }
+}
+
+const MULTI_BATCH: Golden = Golden {
+    results: [
+        7300855051655278977,
+        9130679413312691554,
+        8045951541236446660,
+        13428295591774781924,
+        8814264780652614313,
+    ],
+    loads: 108,
+    metrics: [1474, 841, 96, 989376, 125396, 18604, 10635, 25768],
+    modeled_bits: 4558453073535118154,
+};
+
+/// Recorded at `io_workers = 0` on the last commit that ran such
+/// engines on a separate fork-join executor; the one pipeline must keep
+/// reproducing them.  The values depend on the `third_party/rand` stream
+/// behind `shared_store`: after an RNG swap, re-record from the table
+/// the failure message prints.
+const GOLDEN: &[Golden] = &[
+    WIDTH_1,
+    WIDTH_1,
+    WIDTH_1,
+    WIDTH_1,
+    WIDTH_1,
+    WIDTH_1,
+    width_4(4559705348280968797),
+    width_4(4559705348280968797),
+    width_4(4558528925624412044),
+    width_4(4558528925624412044),
+    width_4(4558274897356447397),
+    width_4(4558274897356447397),
+    MULTI_BATCH,
+];
+
+#[test]
+fn golden_digests_hold_at_inline_fetch() {
+    let rows = golden_runs(&shared_store());
+    let table: Vec<String> = rows.iter().map(|row| format!("    {row:?},")).collect();
+    assert!(
+        rows == GOLDEN,
+        "executor digests moved; the full new table is:\n{}",
+        table.join("\n")
+    );
+}
+
 #[test]
 fn channel_pipeline_matches_serial_at_every_worker_count_and_depth() {
     let store = shared_store();
@@ -114,7 +274,7 @@ fn channel_pipeline_matches_serial_at_every_worker_count_and_depth() {
             let concurrent = run_cfg(&store, io, depth, 2);
             assert_eq!(
                 concurrent, serial,
-                "io_workers={io} depth={depth} diverged from fork-join"
+                "io_workers={io} depth={depth} diverged from inline fetch"
             );
         }
     }
@@ -161,8 +321,9 @@ fn racing_engines_on_one_shared_store_stay_deterministic() {
 
 #[test]
 fn width_one_waves_stay_on_the_legacy_path() {
-    // A single-slot wave has nothing to pipeline: io_workers must be
-    // ignored and the classic executor reproduced exactly.
+    // A single-slot wave has nothing to reorder or overlap: the fetch
+    // thread count must not move a bit (the golden table pins these
+    // bits to the classic single-slot engine's).
     let store = shared_store();
     let run = |io: usize| {
         let mut engine = Engine::new(
@@ -193,45 +354,50 @@ fn width_one_waves_stay_on_the_legacy_path() {
 #[test]
 fn injected_worker_panic_surfaces_typed_without_hanging() {
     // The fault plane's worker-death drill: a panic injected into the
-    // crew's trigger stage at a fixed (partition, chunk) coordinate must
-    // travel the same unwind-guard path as crashing user code — a typed
+    // trigger stage at a fixed (partition, chunk) coordinate must travel
+    // the same unwind-guard path as crashing user code — a typed
     // `ExecError::WorkerPanic` parked on the engine, run not completed,
     // no hang even at channel capacity 1 (CI's per-binary timeout is the
-    // deadlock detector).
+    // deadlock detector) — with the fetch stage inline or threaded.
     let store = shared_store();
-    let plane = FaultPlane::new(FaultConfig {
-        // Chunk 0 of partition 0 is processed by every run that touches
-        // the partition, so the drill always fires.
-        panic_chunk: Some((0, 0)),
-        ..FaultConfig::default()
-    });
-    let mut engine = Engine::new(
-        Arc::clone(&store),
-        EngineConfig {
-            workers: 2,
-            wavefront: 4,
-            io_workers: 2,
-            channel_capacity: 1,
-            hierarchy: tight_hierarchy(&store),
-            faults: Some(plane),
-            ..EngineConfig::default()
-        },
-    );
-    engine.submit_at(Bfs::new(0), 0);
-    engine.submit_at(Sssp::new(1), 50);
-    let report = engine.run();
-    assert!(
-        !report.completed,
-        "a dead worker must not report completion"
-    );
-    assert_eq!(
-        engine.exec_error(),
-        Some(ExecError::WorkerPanic(
-            "process_chunk panicked in a trigger worker"
-        )),
-        "the injected panic must surface as the typed crew fault"
-    );
-    // The engine parked the fault: further stepping refuses instead of
-    // hanging or re-panicking over the half-dead pipeline.
-    assert!(!engine.step_round(), "faulted engine must refuse rounds");
+    for io_workers in [0usize, 2] {
+        let plane = FaultPlane::new(FaultConfig {
+            // Chunk 0 of partition 0 is processed by every run that
+            // touches the partition, so the drill always fires.
+            panic_chunk: Some((0, 0)),
+            ..FaultConfig::default()
+        });
+        let mut engine = Engine::new(
+            Arc::clone(&store),
+            EngineConfig {
+                workers: 2,
+                wavefront: 4,
+                io_workers,
+                channel_capacity: 1,
+                hierarchy: tight_hierarchy(&store),
+                faults: Some(plane),
+                ..EngineConfig::default()
+            },
+        );
+        engine.submit_at(Bfs::new(0), 0);
+        engine.submit_at(Sssp::new(1), 50);
+        let report = engine.run();
+        assert!(
+            !report.completed,
+            "io_workers={io_workers}: a dead worker must not report completion"
+        );
+        assert_eq!(
+            engine.exec_error(),
+            Some(ExecError::WorkerPanic(
+                "process_chunk panicked in a trigger worker"
+            )),
+            "io_workers={io_workers}: the injected panic must surface as the typed crew fault"
+        );
+        // The engine parked the fault: further stepping refuses instead
+        // of hanging or re-panicking over the half-dead pipeline.
+        assert!(
+            !engine.step_round(),
+            "io_workers={io_workers}: faulted engine must refuse rounds"
+        );
+    }
 }

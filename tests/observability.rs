@@ -126,6 +126,28 @@ fn tracing_changes_no_bit_on_executor_stress_configs() {
         );
         assert!(dump.events.iter().any(|e| e.kind == EventKind::Install));
         assert!(traced_obs.registry().counter("rounds").get() > 0);
+        // One pipeline, one trace vocabulary: per-chunk spans come from
+        // the trigger workers at every config; waiting on the reorder
+        // buffer needs I/O threads to wait for.
+        let chunk_threads: Vec<&str> = dump
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::TriggerChunk)
+            .map(|e| dump.threads[e.thread as usize].as_str())
+            .collect();
+        assert!(
+            !chunk_threads.is_empty(),
+            "io={io} depth={depth}: no per-chunk spans"
+        );
+        assert!(
+            chunk_threads
+                .iter()
+                .all(|name| name.starts_with("cgraph-trigger-")),
+            "io={io} depth={depth}: a chunk span from outside the trigger pool"
+        );
+        if io == 0 {
+            assert!(!dump.events.iter().any(|e| e.kind == EventKind::ReorderWait));
+        }
     }
 }
 
