@@ -78,8 +78,7 @@ fn bench_wavefront_sweep(c: &mut Criterion) {
 
 /// Shard/prefetch sweep: k = 4 waves on an out-of-core hierarchy
 /// (disk-bound loads) across `{shards} × {prefetch_depth}` — the
-/// three-stage pipeline's win over the fused two-stage Load.  The same
-/// grid is emitted machine-readably by the `bench_wavefront` binary.
+/// three-stage pipeline's win over the fused two-stage Load.
 fn bench_prefetch_sweep(c: &mut Criterion) {
     let scale = Scale { shrink: 7 };
     let ds = Dataset::TwitterSim;

@@ -49,11 +49,11 @@
 //!
 //! # Overhead
 //!
-//! `bench_wavefront` / `bench_serve` carry a traced-vs-untraced row
-//! gated at ≤5% wall overhead at default scale (recorded-and-skipped on
-//! small hosts, like every `WallGate`); the disabled configuration is
-//! indistinguishable from the pre-observability build in the same
-//! harness (≤1%, i.e. within run-to-run noise).
+//! The repo benchmark's traced repetition reports the traced-over-
+//! untraced wall ratio as `obs.trace_overhead` (`benchmark/`, every
+//! workload run with `--trace 1`); the disabled configuration is one
+//! branch on an always-`None` option per site, within run-to-run noise
+//! (≤1%).
 
 pub mod event;
 pub mod hist;

@@ -1539,9 +1539,9 @@ impl ShardedSnapshotStore {
     /// On a durable store a spill is *real*: the event is logged to the
     /// store segment and the record's resident payload copies are
     /// dropped, so any later read through the record rehydrates from
-    /// the shard segment (the disk time `bench_durability` measures
-    /// against the modeled cost).  In-memory stores keep the payloads —
-    /// spill stays the pure cost model it was.
+    /// the shard segment (real disk time, where the cost model only
+    /// prices it).  In-memory stores keep the payloads — spill stays
+    /// the pure cost model it was.
     fn enforce_shard(
         &mut self,
         s: usize,
@@ -2173,8 +2173,8 @@ impl ShardedSnapshotStore {
         }
 
         // The current index: seed from the newest checkpoints, fold
-        // only the post-checkpoint records — O(post-checkpoint), the
-        // recovery speedup `bench_durability` gates.
+        // only the post-checkpoint records — O(post-checkpoint), which
+        // the benchmark's `ingest_durable` reads as `op_tail_ms`.
         let mut current = CurrentIndex::default();
         let vertex_from = match records.iter().rposition(|r| r.checkpoint.is_some()) {
             Some(i) => {

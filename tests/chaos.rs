@@ -341,40 +341,28 @@ fn store_faults_are_fail_open_and_counted() {
 /// Serving under chaos: a journaled loop and a plain loop over the same
 /// trace and fault schedule produce the identical degraded report, and
 /// every offer is accounted for (completed, quarantined, or shed —
-/// never lost).
+/// never lost).  Two schedules: a hostile one with shedding armed, and
+/// the paper-style "5% of I/O operations fail transiently" one with
+/// shedding off, whose degradation contract is ≥ 99% completion.
 #[test]
 fn journaled_and_plain_serving_agree_under_chaos() {
     let store = shared_store(2);
-    let trace: Vec<JobSpan> = generate_trace(&TraceConfig {
-        hours: 3,
-        base_rate: 2.0,
-        peak_rate: 6.0,
-        mean_duration: 1.0,
-        seed: 0xBEEF,
-    });
-    let serve = |journal: bool| {
-        let plane = FaultPlane::new(FaultConfig {
-            seed: 0xD00D,
-            fetch_rate: 0.2,
-            spike_rate: 0.1,
-            spike_seconds: 1e-3,
-            ..FaultConfig::default()
-        });
+    let serve = |trace: &[JobSpan], faults: FaultConfig, max_backlog: usize, journal: bool| {
         let engine = Engine::new(
             Arc::clone(store),
             EngineConfig {
                 workers: 2,
                 wavefront: 4,
                 hierarchy: tight_hierarchy(store),
-                faults: Some(plane),
+                faults: Some(FaultPlane::new(faults)),
                 ..EngineConfig::default()
             },
         );
         let config = ServeConfig {
             admission_window: 0.01,
             time_scale: 1.0,
-            max_backlog: 64,
-            brownout_backlog: 32,
+            max_backlog,
+            brownout_backlog: max_backlog / 2,
             ..ServeConfig::default()
         };
         let mut sl = if journal {
@@ -387,24 +375,76 @@ fn journaled_and_plain_serving_agree_under_chaos() {
         } else {
             ServeLoop::new(engine, config)
         };
-        sl.offer_all(trace_arrivals(&trace, 0.02, 64));
+        sl.offer_all(trace_arrivals(trace, 0.02, 64));
         sl.serve()
     };
-    let plain = serve(false);
-    let journaled = serve(true);
-    assert_eq!(
-        plain, journaled,
-        "journaling must not perturb a chaos serve"
+    // Both loops over one schedule: identical reports, nothing lost.
+    // Returns the report and how many offers ran to convergence.
+    let agree = |trace: &[JobSpan], faults: FaultConfig, max_backlog: usize| {
+        let plain = serve(trace, faults, max_backlog, false);
+        let journaled = serve(trace, faults, max_backlog, true);
+        assert_eq!(
+            plain, journaled,
+            "journaling must not perturb a chaos serve"
+        );
+        let completed = plain
+            .per_job()
+            .iter()
+            .filter(|r| r.outcome == cgraph::core::JobOutcome::Completed)
+            .count() as u64;
+        assert_eq!(
+            completed + plain.quarantined + plain.rejected,
+            trace.len() as u64,
+            "every offer completes, quarantines, or sheds — none lost"
+        );
+        (plain, completed)
+    };
+
+    let diurnal = |hours, seed| -> Vec<JobSpan> {
+        generate_trace(&TraceConfig {
+            hours,
+            base_rate: 2.0,
+            peak_rate: 6.0,
+            mean_duration: 1.0,
+            seed,
+        })
+    };
+
+    agree(
+        &diurnal(3, 0xBEEF),
+        FaultConfig {
+            seed: 0xD00D,
+            fetch_rate: 0.2,
+            spike_rate: 0.1,
+            spike_seconds: 1e-3,
+            ..FaultConfig::default()
+        },
+        64,
     );
-    let completed = plain
-        .per_job()
-        .iter()
-        .filter(|r| r.outcome == cgraph::core::JobOutcome::Completed)
-        .count() as u64;
-    assert_eq!(
-        completed + plain.quarantined + plain.rejected,
-        trace.len() as u64,
-        "every offer completes, quarantines, or sheds — none lost"
+
+    let trace = diurnal(4, 0xFACE);
+    let offered = trace.len() as u64;
+    let (clean, clean_done) = agree(&trace, FaultConfig::default(), 0);
+    assert_eq!(clean_done, offered, "clean run must complete everything");
+    assert_eq!(clean.retries, 0, "a disabled plane must draw nothing");
+    let (faulted, faulted_done) = agree(
+        &trace,
+        FaultConfig {
+            seed: 0xC0FFEE,
+            fetch_rate: 0.05,
+            spike_rate: 0.05,
+            spike_seconds: 2e-3,
+            ..FaultConfig::default()
+        },
+        0,
+    );
+    assert!(
+        faulted_done * 100 >= offered * 99,
+        "must complete >=99% of jobs at a 5% transient fault rate, got {faulted_done}/{offered}"
+    );
+    assert!(
+        faulted.retries > 0,
+        "a 5% fault rate over this trace must burn at least one retry"
     );
 }
 

@@ -65,8 +65,8 @@ fn apply_cost_is_flat_in_chain_length() {
 /// reproduces the pre-layering representation: full state on every
 /// record) on total ingest time and resident override bytes.  The wall
 /// bound is loose — debug builds spend most of each apply rebuilding
-/// partitions, work both layouts share; `bench_ingest` pins the ~5×
-/// release-mode gap — but the resident-bytes win is deterministic.
+/// partitions, work both layouts share — but the resident-bytes win is
+/// deterministic.
 #[test]
 fn layered_ingest_beats_cumulative_layout() {
     let _serial = timing_lock();
@@ -90,8 +90,8 @@ fn layered_ingest_beats_cumulative_layout() {
 
 /// Latest-view lookups resolve through the current-state index: the
 /// per-lookup cost after 200 deltas matches the cost after 25 (O(1) in
-/// chain length, not a chain walk), measured by the same probe the
-/// ingest bench samples.
+/// chain length, not a chain walk), measured by `ingest_run`'s latest-view
+/// probe.
 #[test]
 fn latest_view_lookups_stay_constant_time() {
     let _serial = timing_lock();
