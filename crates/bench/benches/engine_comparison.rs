@@ -77,18 +77,18 @@ fn bench_wavefront_sweep(c: &mut Criterion) {
 }
 
 /// Shard/prefetch sweep: k = 4 waves on an out-of-core hierarchy
-/// (disk-bound loads) across `{shards} × {prefetch_depth}` — the
+/// (disk-bound loads) across `{store shards} × {prefetch_depth}` — the
 /// three-stage pipeline's win over the fused two-stage Load.
 fn bench_prefetch_sweep(c: &mut Criterion) {
     let scale = Scale { shrink: 7 };
     let ds = Dataset::TwitterSim;
     let ps = partitions_for(ds, scale);
     let h = out_of_core_hierarchy(&ps);
-    let store = Arc::new(SnapshotStore::new(ps));
     let mut group = c.benchmark_group("prefetch_sweep");
     group.sample_size(10);
     for (shards, depth) in [(1usize, 0usize), (4, 0), (4, 1), (4, 2)] {
-        let report = run_wavefront_cfg(&store, 2, h, 4, shards, depth, &paper_mix());
+        let store = Arc::new(SnapshotStore::with_shards(ps.clone(), shards));
+        let report = run_wavefront_cfg(&store, 2, h, 4, depth, &paper_mix());
         println!(
             "prefetch_sweep/s={shards}_d={depth}: modeled {:.3} ms over {} loads",
             report.modeled_seconds * 1e3,
@@ -96,9 +96,9 @@ fn bench_prefetch_sweep(c: &mut Criterion) {
         );
         group.bench_with_input(
             BenchmarkId::new("s_d", format!("{shards}_{depth}")),
-            &(shards, depth),
-            |b, &(shards, depth)| {
-                b.iter(|| run_wavefront_cfg(&store, 2, h, 4, shards, depth, &paper_mix()));
+            &depth,
+            |b, &depth| {
+                b.iter(|| run_wavefront_cfg(&store, 2, h, 4, depth, &paper_mix()));
             },
         );
     }

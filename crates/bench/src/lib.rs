@@ -299,18 +299,18 @@ pub fn run_wavefront(
     width: usize,
     mix: &[(BenchmarkJob, u64)],
 ) -> cgraph_core::RunReport {
-    run_wavefront_cfg(store, workers, hierarchy, width, 1, 0, mix)
+    run_wavefront_cfg(store, workers, hierarchy, width, 0, mix)
 }
 
-/// [`run_wavefront`] with the full pipeline configuration: `shards`
-/// stage-one I/O lanes and a `depth`-slot prefetch window.  At
-/// `shards = 1, depth = 0` this is exactly [`run_wavefront`].
+/// [`run_wavefront`] with a `depth`-slot prefetch window over the
+/// store's shards as stage-one I/O lanes (build the store
+/// `with_shards` to get lanes).  At `depth = 0` this is exactly
+/// [`run_wavefront`].
 pub fn run_wavefront_cfg(
     store: &Arc<SnapshotStore>,
     workers: usize,
     hierarchy: HierarchyConfig,
     width: usize,
-    shards: usize,
     depth: usize,
     mix: &[(BenchmarkJob, u64)],
 ) -> cgraph_core::RunReport {
@@ -320,7 +320,6 @@ pub fn run_wavefront_cfg(
             workers,
             hierarchy,
             wavefront: width,
-            shards,
             prefetch_depth: depth,
             ..EngineConfig::default()
         },

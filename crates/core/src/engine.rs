@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use cgraph_graph::snapshot::SnapshotStore;
-use cgraph_graph::{FootprintProfile, PartitionSet, ShardPlacement};
+use cgraph_graph::{FootprintProfile, PartitionSet};
 use cgraph_memsim::{CostModel, HierarchyConfig, JobMetrics, Metrics};
 
 use crate::exec::crew::{ExecCrew, ExecError};
@@ -56,21 +56,12 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Simulated cache/memory capacities.
     pub hierarchy: HierarchyConfig,
-    /// Cost model for modeled time.
-    pub cost: CostModel,
     /// Push charging strategy.
     pub sync: SyncStrategy,
     /// Whether to split the straggler job's vertices across free cores.
     pub straggler_split: bool,
     /// Partition-loading scheduler.
     pub scheduler: SchedulerKind,
-    /// Whole-wave scheduler lookahead: when set, rounds are planned via
-    /// [`Scheduler::plan_with_jobs`] so candidate waves are scored by
-    /// shared-job overlap (two slots serving the same job pair are
-    /// planned together even when a disjoint slot carries equal
-    /// priority) instead of the greedy repeated `pick`.  Off by default
-    /// — the default plan is bit-for-bit the classic schedule.
-    pub lookahead: bool,
     /// Wavefront width: how many slots the scheduler plans per round.
     ///
     /// At 1 (the default) the engine reproduces the classic single-slot
@@ -80,53 +71,24 @@ pub struct EngineConfig {
     /// [`crate::exec::wavefront`]).  Algorithm results are identical at
     /// any width; only the access schedule and modeled makespan change.
     pub wavefront: usize,
-    /// Snapshot-store shards modeled as independent stage-one (disk →
-    /// memory) I/O lanes.  A physically sharded store always wins: its
-    /// shard count and round-robin placement define the lanes, keeping
-    /// modeled parallelism and per-lane attribution aligned with the
-    /// actual chains (and comparable with `StreamEngine`'s).  This knob
-    /// only takes effect over a single-shard store, where it models the
-    /// lane layout a `with_shards` store of the same count would have.
-    /// At 1 (the default) there is a single lane — the PR 1 model.
-    pub shards: usize,
-    /// Partition→lane placement for the *modeled* lanes of an unsharded
-    /// store (defaults to round-robin, the PR 2 model).  A physically
-    /// sharded store always dictates both its lane count and its own
-    /// placement — including a locality table
-    /// ([`ShardPlacement::locality`]) — so this knob, like
-    /// [`shards`](Self::shards), only takes effect over a single-shard
-    /// store.
-    pub placement: ShardPlacement,
     /// Prefetch window depth: how many wave slots ahead the
-    /// [`crate::exec::PrefetchQueue`] may issue a slot's disk fetch on
-    /// its shard's lane while earlier slots install and compute.  At 0
-    /// (the default) Load stays the synchronous fused stage of PR 1 —
-    /// `shards = 1, prefetch_depth = 0` reproduces PR 1 bit-for-bit.
-    /// Depths > 0 never change algorithm results or traffic counters,
-    /// only the overlap the round's modeled time credits (and how far
-    /// ahead of the installing slot the fetch stage may run).
+    /// [`crate::exec::PrefetchQueue`] models a slot's disk fetch issuing
+    /// on its shard's lane while earlier slots install and compute.  The
+    /// lanes are the store's shards, placed by the store's placement.
+    /// At 0 (the default) Load stays the fused two-stage model — a
+    /// single-shard store at depth 0 reproduces PR 1 bit-for-bit.  Depth
+    /// only prices the overlap: it never changes what runs, algorithm
+    /// results or traffic counters.
     pub prefetch_depth: usize,
     /// Safety valve: abort `run` after this many partition loads (a
     /// round never splits, so a wide wavefront may finish the round it
     /// started when the valve trips).
     pub max_loads: u64,
-    /// Threads of the round pipeline's fetch stage
-    /// ([`crate::exec::crew`]).  At 0 (the default) each slot's probe
-    /// scans run inline on the main thread; at ≥ 1, long-lived I/O
-    /// workers (at most one per lane) run them and stream completed
-    /// loads over bounded channels into the main-thread install stage.
-    /// Never selects a different executor: install, the persistent
-    /// trigger pool of [`workers`](Self::workers) threads and Push are
-    /// the same code at every value, and results, traffic counters and
-    /// modeled times are bit-identical — only wall-clock behavior
-    /// changes.
+    /// Inert: nothing reads it.  The fetch stage always runs inline on
+    /// the main thread; the field survives only because the repo
+    /// benchmark's engine builder still assigns it, and goes when that
+    /// builder stops (ROADMAP item 11c).
     pub io_workers: usize,
-    /// Bound (in messages) of the fetch stage's fetch and completion
-    /// channels (live at `io_workers ≥ 1`); clamped to ≥ 1.  Small capacities throttle
-    /// how far I/O workers run ahead; correctness and deadlock freedom
-    /// hold at any value (the install loop never blocks on a full
-    /// queue).
-    pub channel_capacity: usize,
     /// Tracing/metrics observer threaded through the executor
     /// ([`crate::obs`]).  `None` (the default) resolves to
     /// [`Observer::disabled`], so every instrumentation site reduces to
@@ -157,18 +119,13 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 4,
             hierarchy: HierarchyConfig::default(),
-            cost: CostModel::default(),
             sync: SyncStrategy::BatchedSorted,
             straggler_split: true,
             scheduler: SchedulerKind::Priority { theta: 0.5 },
-            lookahead: false,
             wavefront: 1,
-            shards: 1,
-            placement: ShardPlacement::RoundRobin,
             prefetch_depth: 0,
             max_loads: u64::MAX,
             io_workers: 0,
-            channel_capacity: 2,
             observer: None,
             faults: None,
         }
@@ -229,6 +186,8 @@ pub(crate) struct JobEntry {
 /// ```
 pub struct Engine {
     pub(crate) config: EngineConfig,
+    /// The cost model modeled time is priced with.
+    pub(crate) cost: CostModel,
     pub(crate) store: Arc<SnapshotStore>,
     pub(crate) scheduler: Box<dyn Scheduler>,
     pub(crate) jobs: Vec<JobEntry>,
@@ -238,12 +197,11 @@ pub struct Engine {
     pub(crate) round: RoundBuffers,
     pub(crate) loads: u64,
     pub(crate) pipeline_seconds: f64,
-    /// The executor's worker threads, spawned by the first round.
+    /// The executor's trigger pool, spawned by the first round.
     pub(crate) crew: Option<ExecCrew>,
-    /// Set when an executor worker died (panicking user code,
-    /// disconnected channel) or could not be started: the crew has been
-    /// shut down gracefully and the engine refuses further rounds.  See
-    /// [`Engine::exec_error`].
+    /// Set when a trigger worker died (panicking user code) or could not
+    /// be started: the crew has been shut down gracefully and the engine
+    /// refuses further rounds.  See [`Engine::exec_error`].
     pub(crate) fault: Option<ExecError>,
     /// The seeded fault plane, when the config carried one
     /// ([`crate::fault`]); `None` keeps admission a single branch.
@@ -252,9 +210,9 @@ pub struct Engine {
     pub(crate) quarantines: u64,
     /// The resolved observer (the config's, or the shared disabled one).
     pub(crate) obs: Arc<Observer>,
-    /// Main-thread event recorder: fetch-issue / reorder-wait / install
-    /// / push spans.  Permanently off unless the config carried an
-    /// enabled observer.
+    /// Main-thread event recorder: install and push spans, fault
+    /// instants.  Permanently off unless the config carried an enabled
+    /// observer.
     pub(crate) rec: Recorder,
     /// Rounds executed so far — the round stamp on trace events.
     pub(crate) round_no: u32,
@@ -267,17 +225,13 @@ impl Engine {
             SchedulerKind::Priority { theta } => Box::new(PriorityScheduler::new(theta)),
             SchedulerKind::FixedOrder => Box::new(OrderScheduler),
         };
-        // A physically sharded store dictates the lanes *and* the
-        // placement, keeping the model and per-lane attribution aligned
-        // with the actual chains; `config.shards`/`config.placement`
-        // only model lanes over an unsharded store (both default to
-        // round-robin, so equal counts coincide).
-        let (lanes, placement) = if store.num_shards() > 1 {
-            (store.num_shards(), store.placement().clone())
-        } else {
-            (config.shards.max(1), config.placement.clone())
-        };
-        let prefetch = PrefetchQueue::with_placement(lanes, config.prefetch_depth, placement);
+        // The store dictates the lanes *and* the placement, keeping the
+        // model and per-lane attribution aligned with the actual chains.
+        let prefetch = PrefetchQueue::with_placement(
+            store.num_shards(),
+            config.prefetch_depth,
+            store.placement().clone(),
+        );
         let ledger = ChargeLedger::new(config.hierarchy);
         let obs = config.observer.clone().unwrap_or_else(Observer::disabled);
         let rec = obs.recorder("main");
@@ -286,6 +240,7 @@ impl Engine {
         let faults = config.faults.clone().filter(|plane| plane.is_enabled());
         Engine {
             config,
+            cost: CostModel::default(),
             store,
             scheduler,
             jobs: Vec::new(),
@@ -305,23 +260,13 @@ impl Engine {
         }
     }
 
-    /// The crew rounds run on, spawning it on first use — so an engine
-    /// that never executes a round owns no thread: at most one I/O
-    /// worker per lane (none at `io_workers = 0`), `workers` trigger
-    /// threads, channels bounded at `channel_capacity`, and a dispatch
-    /// window of `prefetch_depth + 1` slots (the modeled release
-    /// constraint, enforced for real).
+    /// The trigger pool rounds run on, spawning its `workers` threads
+    /// on first use — so an engine that never executes a round owns no
+    /// thread.
     pub(crate) fn ensure_crew(&mut self) -> Result<ExecCrew, ExecError> {
         match self.crew.take() {
             Some(crew) => Ok(crew),
-            None => ExecCrew::spawn(
-                self.config.io_workers.min(self.prefetch.shards()),
-                self.config.workers,
-                self.config.channel_capacity,
-                self.prefetch.depth() + 1,
-                &self.obs,
-                self.faults.clone(),
-            ),
+            None => ExecCrew::spawn(self.config.workers, &self.obs, self.faults.clone()),
         }
     }
 
@@ -436,11 +381,10 @@ impl Engine {
         true
     }
 
-    /// The executor's parked failure, if a worker thread died (panicking
-    /// user code inside `process_chunk` or a probe scan), a crew channel
-    /// disconnected, or a worker could not be started.  The engine shuts
-    /// the crew down gracefully at the fault — channels closed, surviving
-    /// workers joined — and every later [`step_round`](Self::step_round) /
+    /// The executor's parked failure, if a trigger worker died
+    /// (panicking user code inside `process_chunk`) or could not be
+    /// started.  The engine shuts the crew down gracefully at the fault —
+    /// chunk queue closed, surviving workers joined — and every later [`step_round`](Self::step_round) /
     /// [`run`](Self::run) refuses to execute instead of hanging on or
     /// re-panicking over a half-dead pipeline.
     pub fn exec_error(&self) -> Option<ExecError> {
@@ -458,18 +402,12 @@ impl Engine {
     fn exec_planned_round(&mut self) {
         let width = self.config.wavefront.max(1);
         let picks = {
-            let lanes = self.prefetch.shards();
-            let placement = self.prefetch.placement().clone();
             let runtimes: Vec<&dyn JobRuntime> =
                 self.jobs.iter().map(|entry| &*entry.runtime).collect();
-            let infos = self.planner.infos(&runtimes, lanes, &placement);
-            drop(runtimes);
-            if self.config.lookahead {
-                let slot_jobs = self.planner.slot_job_lists();
-                self.scheduler.plan_with_jobs(&infos, &slot_jobs, width)
-            } else {
-                self.scheduler.plan(&infos, width)
-            }
+            let infos =
+                self.planner
+                    .infos(&runtimes, self.prefetch.shards(), self.prefetch.placement());
+            self.scheduler.plan(&infos, width)
         };
         // Fault admission: every planned slot fetch passes through the
         // plane on the main thread, before the round dispatches.
@@ -612,9 +550,7 @@ impl Engine {
         // Width 1 keeps the classic linear figure bit-for-bit; wider
         // waves report the pipeline model their schedule actually earns.
         let modeled_seconds = if width <= 1 {
-            self.config
-                .cost
-                .total_seconds(&metrics, self.config.workers)
+            self.cost.total_seconds(&metrics, self.config.workers)
         } else {
             self.pipeline_seconds - start_pipeline
         };
@@ -710,7 +646,7 @@ impl Engine {
 
     /// The engine's cost model.
     pub fn cost_model(&self) -> &CostModel {
-        &self.config.cost
+        &self.cost
     }
 
     /// The engine configuration.
@@ -798,15 +734,13 @@ impl Engine {
     /// accumulated counters; per-run pipeline figures are in each run's
     /// [`RunReport`]).
     pub fn modeled_seconds(&self) -> f64 {
-        self.config
-            .cost
+        self.cost
             .total_seconds(self.ledger.metrics(), self.config.workers)
     }
 
     /// Modeled CPU utilization of everything run so far (Fig. 15).
     pub fn utilization(&self) -> f64 {
-        self.config
-            .cost
+        self.cost
             .utilization(self.ledger.metrics(), self.config.workers)
     }
 }

@@ -1,67 +1,34 @@
-//! The long-lived executor crew: the fetch stage's I/O workers and the
-//! trigger stage's compute workers, both living as long as the engine.
+//! The long-lived trigger pool: the compute workers that drain each
+//! round's chunk tasks, living as long as the engine.
 //!
 //! ```text
-//!             fetch queues (bounded sync_channel, capacity k)
-//!   main ──┬──────────────▶ I/O worker 0  (owns lanes 0, n, 2n, …)
-//!          ├──────────────▶ I/O worker 1  (owns lanes 1, n+1, …)
-//!          └──────────────▶ …
-//!                               │ completed loads (bounded sync_channel)
-//!                               ▼
-//!   main: install stage ── ordered reorder buffer, ledger charging
+//!   main: install stage ── plan-order ledger charging
 //!          │ chunk tasks (shared queue, capacity reused across rounds)
 //!          ▼
-//!   compute workers 0..w ── process_chunk, commutative stat merge
+//!   trigger workers 0..w ── process_chunk, commutative stat merge
 //! ```
 //!
-//! With zero I/O workers (`EngineConfig::io_workers = 0`) the top half
-//! of the picture is absent: no I/O thread and no fetch queue exists,
-//! and [`ExecCrew::dispatch`] runs the slot's probe scans on the calling
-//! thread and hands the completed load straight back.  The install and
-//! trigger stages do not know the difference.
+//! Ordering guarantee (why determinism survives the concurrency): chunk
+//! results fold into per-entry `u64` counters under one mutex; integer
+//! addition is commutative, so the totals are independent of completion
+//! order.  The conversion to `f64` stage seconds happens afterwards on
+//! the main thread in entry order, so the float-accumulation order is
+//! the plan's.
 //!
-//! Ordering guarantees (why determinism survives the concurrency):
-//!
-//! * **Fetch stage** — an I/O worker only *reads* (probe scans of the
-//!   slot's per-job unprocessed counts).  Those counts live in each
-//!   job's pending set, which the round mutates exclusively at its tail
-//!   (`mark_processed` / `push_and_advance`, both on the main thread
-//!   after every in-flight fetch and chunk has drained), so a probe
-//!   observes the same value no matter when its worker runs it.
-//! * **Install stage** — completions arrive in any order but pass
-//!   through a reorder buffer and install strictly in plan order on the
-//!   main thread, so the `ChargeLedger` sees one charge sequence at
-//!   every thread count: identical counters, identical modeled stage
-//!   times.
-//! * **Trigger stage** — chunk results fold into per-entry `u64`
-//!   counters under one mutex; integer addition is commutative, so the
-//!   totals are independent of completion order.  The conversion to
-//!   `f64` stage seconds happens afterwards on the main thread in entry
-//!   order, so the float-accumulation order is the plan's.
-//!
-//! Deadlock freedom at any channel capacity ≥ 1: the main thread
-//! dispatches fetches with `try_send` (never blocking on a full fetch
-//! queue) and blocks only on the completion channel, whose producers
-//! (the I/O workers) never wait on anything main holds; the chunk queue
-//! is unbounded-but-recycled, so compute workers always make progress
-//! and signal completion through a condvar main waits on last.
+//! The chunk queue is unbounded-but-recycled, so enqueuing never blocks
+//! the main thread; it waits only in [`ExecCrew::finish_round`], on a
+//! condvar signalled when the round's last chunk settles or one fails.
 //!
 //! # Worker failure
 //!
-//! A worker panic (user code inside `process_chunk` or a probe scan)
-//! must not hang or abort the engine, so every blocking edge is
-//! failure-aware:
+//! A worker panic (user code inside `process_chunk`) must not hang or
+//! abort the engine, so every blocking edge is failure-aware:
 //!
-//! * Compute workers run each chunk under an unwind guard: if
+//! * Trigger workers run each chunk under an unwind guard: if
 //!   `process_chunk` panics, the guard settles the chunk's outstanding
 //!   count, records the failure label, and wakes the round condvar, so
 //!   [`ExecCrew::finish_round`] returns [`ExecError::WorkerPanic`]
 //!   instead of waiting forever on a completion that will never come.
-//! * The main thread never waits on the completion channel blindly:
-//!   [`ExecCrew::recv_done`] polls I/O worker liveness, so a dead
-//!   worker (its queued fetches lost with it) surfaces as a typed
-//!   error instead of a hang, and a disconnected channel does the same
-//!   in [`ExecCrew::try_dispatch`].
 //! * Every mutex acquisition recovers from poisoning
 //!   (`PoisonError::into_inner`): the guarded state — `u64` counters, a
 //!   task deque, flags — is valid at every intermediate step, so a
@@ -69,10 +36,8 @@
 //!   main thread.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use cgraph_graph::PartitionId;
 
@@ -80,16 +45,14 @@ use crate::fault::FaultPlane;
 use crate::job::{JobRuntime, ProcessStats};
 use crate::obs::{EventKind, Observer, Recorder, NONE};
 
-/// An executor failure: a worker thread died (panicked user code), a
-/// channel it served disconnected, or the OS refused a thread.  Surfaced
-/// by [`crate::Engine::exec_error`] after the engine shuts the crew down
-/// gracefully; never a panic or a hang on the main thread.
+/// An executor failure: a trigger worker died (panicked user code) or
+/// the OS refused a thread.  Surfaced by [`crate::Engine::exec_error`]
+/// after the engine shuts the crew down gracefully; never a panic or a
+/// hang on the main thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecError {
-    /// A worker thread panicked; the label says which stage.
+    /// A worker thread panicked; the label says where.
     WorkerPanic(&'static str),
-    /// A channel disconnected outside shutdown; the label says which.
-    Disconnected(&'static str),
     /// The OS refused to start a worker thread; the label says which
     /// kind.  The engine never ran the round that needed it.
     Spawn(&'static str),
@@ -99,26 +62,12 @@ impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecError::WorkerPanic(what) => write!(f, "executor worker panicked: {what}"),
-            ExecError::Disconnected(what) => write!(f, "executor channel disconnected: {what}"),
             ExecError::Spawn(what) => write!(f, "executor could not start {what}"),
         }
     }
 }
 
 impl std::error::Error for ExecError {}
-
-/// Outcome of a non-blocking fetch dispatch.
-pub(crate) enum Dispatch {
-    /// No I/O workers: the probes ran on the calling thread and the
-    /// completed load comes straight back.
-    Inline(FetchMsg),
-    /// Accepted by the lane's I/O worker queue.
-    Sent,
-    /// Queue full; the message is handed back for the caller to stash.
-    Full(FetchMsg),
-    /// The lane's I/O worker is gone (panicked mid-round).
-    Dead(ExecError),
-}
 
 /// Locks a mutex, recovering the guard from a poisoned peer: all crew
 /// state behind mutexes is valid at every intermediate step, so a
@@ -127,35 +76,6 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// One slot's fetch order: the fetch stage runs the slot's stage-one
-/// probe scans and hands the message back (over the completion channel
-/// when an I/O worker ran them) with `counts` filled.  Buffers travel
-/// with the message and are recycled through
-/// [`RoundBuffers`](super::wavefront::RoundBuffers)' fetch pool, so a
-/// steady-state round allocates no channel payloads.
-#[derive(Default)]
-pub(crate) struct FetchMsg {
-    /// Plan-order slot index within the round (reorder-buffer key).
-    pub seq: usize,
-    /// The slot's structure partition.
-    pub pid: PartitionId,
-    /// The slot's interested jobs, in slot order.
-    pub jobs: Vec<Arc<dyn JobRuntime>>,
-    /// Probe results, aligned with `jobs` (filled by [`FetchMsg::probe`]).
-    pub counts: Vec<u64>,
-}
-
-impl FetchMsg {
-    /// The fetch stage's work: one unprocessed-vertex scan per
-    /// interested job.  Pure reads of state the round only mutates at
-    /// its tail, so the counts do not depend on the calling thread.
-    fn probe(&mut self) {
-        self.counts.clear();
-        self.counts
-            .extend(self.jobs.iter().map(|rt| rt.unprocessed_vertices(self.pid)));
-    }
 }
 
 /// One trigger-stage work unit routed to the compute workers.
@@ -264,33 +184,21 @@ impl Drop for ChunkPanicGuard<'_> {
     }
 }
 
-/// The engine's long-lived execution crew.  Spawned lazily on the first
-/// round; dropped (channels closed, threads joined) with the engine.
+/// The engine's long-lived trigger pool.  Spawned lazily on the first
+/// round; dropped (queue closed, threads joined) with the engine.
 pub(crate) struct ExecCrew {
-    /// One bounded fetch queue per I/O worker; lane `l` is owned by
-    /// worker `l % nio`.  Empty when `nio = 0`.
-    fetch_txs: Vec<SyncSender<FetchMsg>>,
-    /// Completed loads, any order; `None` only mid-shutdown.
-    done_rx: Option<Receiver<FetchMsg>>,
     chunks: Arc<ChunkQueue>,
     round: Arc<RoundState>,
     handles: Vec<JoinHandle<()>>,
-    nio: usize,
-    /// Dispatch window in slots (`prefetch depth + 1`): how many fetches
-    /// may be in flight beyond the slot currently installing — the
-    /// modeled prefetch release constraint, enforced for real.
-    window: usize,
     /// Chunk tasks enqueued but not yet drained this round.
     outstanding: usize,
 }
 
 impl ExecCrew {
-    /// Spawns `nio` I/O workers (possibly none) and `compute` trigger
-    /// workers over channels bounded at `capacity` messages, with a
-    /// `window`-slot fetch dispatch window.  Each worker receives its
-    /// own [`Recorder`] from `obs` (permanently off on a disabled
-    /// observer), created here on the spawning thread and moved into
-    /// the worker — recorders are single-writer by construction.
+    /// Spawns `compute` trigger workers (at least one).  Each worker
+    /// receives its own [`Recorder`] from `obs` (permanently off on a
+    /// disabled observer), created here on the spawning thread and moved
+    /// into the worker — recorders are single-writer by construction.
     /// `faults` (the engine's fault plane, if any) arms the injected
     /// worker-death drill: a trigger worker panics on the plane's
     /// configured `(partition, chunk)` exactly as crashing user code
@@ -300,40 +208,19 @@ impl ExecCrew {
     /// refuses one, the workers already running are shut down and joined
     /// (the partial crew drops) and the refusal comes back typed.
     pub(crate) fn spawn(
-        nio: usize,
         compute: usize,
-        capacity: usize,
-        window: usize,
         obs: &Observer,
         faults: Option<Arc<FaultPlane>>,
     ) -> Result<Self, ExecError> {
-        let capacity = capacity.max(1);
-        let (done_tx, done_rx) = std::sync::mpsc::sync_channel::<FetchMsg>(capacity);
         let mut crew = ExecCrew {
-            fetch_txs: Vec::with_capacity(nio),
-            done_rx: Some(done_rx),
             chunks: Arc::new(ChunkQueue::new()),
             round: Arc::new(RoundState {
                 inner: Mutex::new(RoundInner { totals: Vec::new(), remaining: 0, failed: None }),
                 done: Condvar::new(),
             }),
-            handles: Vec::with_capacity(nio + compute.max(1)),
-            nio,
-            window: window.max(1),
+            handles: Vec::with_capacity(compute.max(1)),
             outstanding: 0,
         };
-        for w in 0..nio {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<FetchMsg>(capacity);
-            crew.fetch_txs.push(tx);
-            let done_tx = done_tx.clone();
-            let rec = obs.recorder(&format!("cgraph-io-{w}"));
-            let handle = std::thread::Builder::new()
-                .name(format!("cgraph-io-{w}"))
-                .spawn(move || io_loop(rx, done_tx, rec))
-                .map_err(|_| ExecError::Spawn("an I/O worker"))?;
-            crew.handles.push(handle);
-        }
-        drop(done_tx);
         for w in 0..compute.max(1) {
             let queue = Arc::clone(&crew.chunks);
             let state = Arc::clone(&crew.round);
@@ -346,11 +233,6 @@ impl ExecCrew {
             crew.handles.push(handle);
         }
         Ok(crew)
-    }
-
-    /// Fetch dispatch window in slots.
-    pub(crate) fn window(&self) -> usize {
-        self.window
     }
 
     /// Chunk tasks enqueued and not yet drained this round (observability
@@ -370,55 +252,6 @@ impl ExecCrew {
         inner.totals.clear();
         inner.totals.resize(entries, ProcessStats::default());
         inner.failed = None;
-    }
-
-    /// The fetch stage's entry, and the one place the I/O worker count
-    /// decides anything: with none, the probes run here on the calling
-    /// thread and the completed load is handed back.  Otherwise a
-    /// non-blocking dispatch to the lane's owning I/O worker; the
-    /// message is handed back when the worker's queue is full so the
-    /// caller can stash it and drain completions instead of blocking.
-    /// A disconnected queue — the worker panicked mid-round — reports
-    /// [`Dispatch::Dead`] instead of panicking the main thread.
-    pub(crate) fn dispatch(&self, lane: usize, mut msg: FetchMsg) -> Dispatch {
-        if self.nio == 0 {
-            msg.probe();
-            return Dispatch::Inline(msg);
-        }
-        match self.fetch_txs[lane % self.nio].try_send(msg) {
-            Ok(()) => Dispatch::Sent,
-            Err(TrySendError::Full(msg)) => Dispatch::Full(msg),
-            Err(TrySendError::Disconnected(_)) => Dispatch::Dead(ExecError::WorkerPanic(
-                "an I/O worker's fetch queue is gone",
-            )),
-        }
-    }
-
-    /// Blocks for the next completed load (any plan order).  Safe to
-    /// block on: completion producers never wait on the main thread.
-    /// The wait polls I/O-worker liveness — a worker that panicked takes
-    /// its queued fetches with it, so the completion this call waits for
-    /// may never arrive; liveness polling turns that hang into a typed
-    /// error.  Workers only exit outside [`Drop`] by panicking, so a
-    /// finished handle mid-round is unambiguous.
-    pub(crate) fn recv_done(&self) -> Result<FetchMsg, ExecError> {
-        let rx = self
-            .done_rx
-            .as_ref()
-            .ok_or(ExecError::Disconnected("completion channel closed"))?;
-        loop {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(msg) => return Ok(msg),
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.handles[..self.nio].iter().any(|h| h.is_finished()) {
-                        return Err(ExecError::WorkerPanic("an I/O worker died mid-round"));
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(ExecError::Disconnected("every I/O worker is gone"));
-                }
-            }
-        }
     }
 
     /// Queues one chunk task for the compute workers.
@@ -470,28 +303,11 @@ impl ExecCrew {
 
 impl Drop for ExecCrew {
     fn drop(&mut self) {
-        // Close every intake: fetch queues (wakes I/O workers), the
-        // completion channel (unblocks any worker mid-send after a
-        // panic), and the chunk queue.
-        self.fetch_txs.clear();
-        self.done_rx = None;
+        // Closing the chunk queue wakes every idle worker; each drains
+        // what is left and exits.
         self.chunks.close();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
-        }
-    }
-}
-
-fn io_loop(rx: Receiver<FetchMsg>, done_tx: SyncSender<FetchMsg>, rec: Recorder) {
-    while let Ok(mut msg) = rx.recv() {
-        let t0 = rec.start();
-        msg.probe();
-        if rec.on() {
-            let total: u64 = msg.counts.iter().sum();
-            rec.complete(EventKind::FetchComplete, NONE, msg.pid, NONE, t0, total);
-        }
-        if done_tx.send(msg).is_err() {
-            break;
         }
     }
 }
@@ -538,31 +354,23 @@ mod tests {
     use crate::job::{JobId, PushStats};
     use cgraph_graph::GraphView;
 
-    fn spawn(nio: usize, compute: usize, capacity: usize, window: usize) -> ExecCrew {
-        ExecCrew::spawn(nio, compute, capacity, window, &Observer::disabled(), None)
+    fn spawn(compute: usize) -> ExecCrew {
+        ExecCrew::spawn(compute, &Observer::disabled(), None)
             .expect("the test host can start a handful of threads")
     }
 
     #[test]
     fn idle_crew_shuts_down() {
-        for nio in [0, 2] {
-            let crew = spawn(nio, 2, 1, 1);
-            assert_eq!(crew.nio, nio);
-            assert_eq!(crew.handles.len(), nio + 2);
-            assert_eq!(crew.window(), 1);
-            drop(crew);
-        }
+        let crew = spawn(2);
+        assert_eq!(crew.handles.len(), 2);
+        drop(crew);
     }
 
     #[test]
     fn crew_clamps_degenerate_parameters() {
-        // Zero I/O workers is a configuration (inline fetch), not a
-        // degenerate value; the trigger pool and the window are clamped.
-        let crew = spawn(0, 0, 0, 0);
-        assert_eq!(crew.nio, 0);
-        assert!(crew.fetch_txs.is_empty());
+        // A zero-width trigger pool is clamped to one worker.
+        let crew = spawn(0);
         assert_eq!(crew.handles.len(), 1);
-        assert_eq!(crew.window(), 1);
     }
 
     #[test]
@@ -596,8 +404,7 @@ mod tests {
         }
 
         let ps = VertexCutPartitioner::new(2).partition(&generate::cycle(8));
-        let config = crate::EngineConfig { io_workers: 2, ..Default::default() };
-        let mut engine = crate::Engine::from_partitions(ps, config);
+        let mut engine = crate::Engine::from_partitions(ps, crate::EngineConfig::default());
         engine.submit(Idle);
         assert!(engine.crew.is_none(), "submission must not start threads");
         assert!(engine.run().completed);
@@ -669,7 +476,7 @@ mod tests {
         // round must come back with a typed error (not wedge on the
         // condvar, not abort the test process) and the crew must still
         // drop cleanly afterwards.
-        let mut crew = spawn(1, 2, 1, 1);
+        let mut crew = spawn(2);
         crew.begin_round(1);
         let runtime: Arc<dyn JobRuntime> = Arc::new(FaultyRuntime { panic_on: 2 });
         for chunk in 0..4 {
@@ -686,7 +493,7 @@ mod tests {
 
     #[test]
     fn clean_chunks_still_fold_after_guard_refactor() {
-        let mut crew = spawn(1, 2, 1, 1);
+        let mut crew = spawn(2);
         crew.begin_round(2);
         let runtime: Arc<dyn JobRuntime> = Arc::new(FaultyRuntime { panic_on: usize::MAX });
         for chunk in 0..3 {

@@ -15,23 +15,22 @@
 //!   charging code previously duplicated between the CGraph engine's
 //!   Load/Push paths and the baseline streaming engine.
 //! * [`wavefront`] — the one Load–Trigger–Push round executor: a wave
-//!   of up to `k` scheduler-planned slots runs fetch → plan-ordered
-//!   install → trigger → push, and the round's modeled time overlaps
-//!   slot *i+1*'s Load with slot *i*'s Trigger (two-stage flow-shop
-//!   makespan).  `k = 1` is a wave of one slot, not a separate path.
-//! * [`prefetch`] — the asynchronous-prefetch stage-one scheduler: the
-//!   [`PrefetchQueue`] issues wave slots' disk fetches on per-shard I/O
-//!   lanes up to `prefetch_depth` slots early and prices rounds with the
-//!   three-stage pipeline makespan (disk-fetch → memory-install →
-//!   trigger).  At depth 0 it degenerates to the two-stage model above.
+//!   of up to `k` scheduler-planned slots runs fetch → install slot by
+//!   slot in plan order on the main thread, then trigger → push, and
+//!   the round's modeled time overlaps slot *i+1*'s Load with slot *i*'s
+//!   Trigger (two-stage flow-shop makespan).  `k = 1` is a wave of one
+//!   slot, not a separate path.
+//! * [`prefetch`] — the asynchronous-prefetch model of stage one: the
+//!   [`PrefetchQueue`] prices wave slots' disk fetches on the store's
+//!   per-shard I/O lanes, issued up to `prefetch_depth` slots early,
+//!   with the three-stage pipeline makespan (disk-fetch →
+//!   memory-install → trigger).  At depth 0 it degenerates to the
+//!   two-stage model above.
 //! * [`crew`] — the threads the executor runs on, spawned by an engine's
 //!   first round and joined when it drops: a persistent trigger-worker
-//!   pool that drains chunk tasks, and `EngineConfig::io_workers`
-//!   per-shard I/O workers that run the fetch stage behind bounded
-//!   channels (with none, the fetch stage runs inline on the main
-//!   thread).  Results and modeled costs are bit-identical at any worker
-//!   or channel configuration (see the module docs for the ordering
-//!   argument).
+//!   pool that drains chunk tasks.  Results and modeled costs are
+//!   bit-identical at any pool size (see the module docs for the
+//!   ordering argument).
 
 pub mod crew;
 pub mod ledger;

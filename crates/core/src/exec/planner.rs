@@ -141,14 +141,6 @@ impl SlotPlanner {
             .collect()
     }
 
-    /// Every pending slot's interested-job list, in the same key order
-    /// as [`infos`](Self::infos) — the whole-wave overlap input of the
-    /// lookahead scheduler.
-    pub fn slot_job_lists(&mut self) -> Vec<&[usize]> {
-        self.rebuild_index();
-        self.slots.values().map(Vec::as_slice).collect()
-    }
-
     /// Every tracked job's observed partition footprint (ascending,
     /// retired jobs included) — the co-access record
     /// [`ShardPlacement::locality`](cgraph_graph::ShardPlacement::locality)
@@ -316,16 +308,11 @@ mod tests {
         for (i, info) in infos.iter().enumerate() {
             let (key, jobs) = p.slot(i);
             assert_eq!((info.pid, info.version), key);
+            // Identical jobs on identical views: both pend everywhere,
+            // listed ascending.
+            assert_eq!(jobs, &[0, 1]);
             assert_eq!(info.num_jobs, jobs.len());
             assert_eq!(info.shard, info.pid as usize % 2, "round-robin lane");
-            // Identical jobs on identical views: both pend everywhere.
-            assert_eq!(info.num_jobs, 2);
-        }
-        // Job lists line up with the info order and are ascending.
-        let lists = p.slot_job_lists();
-        assert_eq!(lists.len(), infos.len());
-        for jobs in lists {
-            assert_eq!(jobs, &[0, 1]);
         }
     }
 

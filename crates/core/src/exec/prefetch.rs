@@ -20,13 +20,10 @@
 //! flow-shop of [`super::wavefront::flowshop_makespan`] — which is why
 //! `prefetch_depth = 0` reproduces PR 1 bit-for-bit.
 //!
-//! The window is not only modeled: the executor's dispatch loop
-//! ([`super::wavefront`]) enforces the same `depth + 1`-slot release
-//! constraint (slot `i`'s fetch is dispatched only once slot
-//! `i - 1 - depth` has installed), so with `EngineConfig::io_workers > 0`
-//! — the fetch stage on real per-shard I/O worker threads behind bounded
-//! channels — the producer/consumer handoff obeys exactly the buffer
-//! bound this model prices.
+//! The window is modeled only.  The executor ([`super::wavefront`])
+//! fetches each slot inline, just before installing it: a probe scan is
+//! one integer read per job, so no thread could win the overlap this
+//! model prices for a real disk.
 
 use cgraph_graph::{PartitionId, ShardPlacement};
 

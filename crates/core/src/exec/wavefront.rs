@@ -1,18 +1,16 @@
 //! The pipelined Load–Trigger–Push round executor.
 //!
 //! One round executes a scheduler-planned *wavefront* of slots through
-//! one staged pipeline:
+//! one staged pipeline, walking the slots in plan order on the main
+//! thread:
 //!
-//! 1. **Fetch** — each slot's stage-one probe scans (the per-job
-//!    unprocessed counts straggler splitting needs), dispatched in plan
-//!    order, never more than `prefetch_depth + 1` slots beyond the
-//!    installing slot — the modeled release constraint, enforced for
-//!    real.
-//! 2. **Ordered install** — on the main thread, strictly in plan order:
-//!    the slot's structure partition and private tables are charged
-//!    through the [`ChargeLedger`](super::ChargeLedger) (structures stay
-//!    pinned for the whole round) and its chunk tasks are handed to the
-//!    trigger workers.
+//! 1. **Fetch** — the slot's stage-one probe scans: one unprocessed-
+//!    vertex count per interested job, the input straggler splitting
+//!    needs.
+//! 2. **Install** — the slot's structure partition and private tables
+//!    are charged through the [`ChargeLedger`](super::ChargeLedger)
+//!    (structures stay pinned for the whole round) and its chunk tasks
+//!    are handed to the trigger workers.
 //! 3. **Trigger** — the persistent trigger workers of [`super::crew`]
 //!    drain chunks as they arrive, so cores finishing one slot's jobs
 //!    immediately pick up the next slot's chunks instead of idling
@@ -23,24 +21,22 @@
 //!
 //! # Configurations, not paths
 //!
-//! `EngineConfig::io_workers` is consulted in exactly one place, the
-//! fetch stage ([`ExecCrew::dispatch`]): with zero I/O threads the probes
-//! run inline on the main thread and the completed load drops straight
-//! into the reorder buffer; with one or more they travel bounded
-//! channels to per-shard I/O worker threads and come back in any order.
-//! Everything downstream is the same code.  A width-1 wave is a wave of
-//! one slot: nothing to reorder, nothing to overlap, same pipeline.
+//! Fetch runs inline at every configuration: a probe is one integer
+//! read per job, so there is nothing to hand to another thread, and the
+//! trigger pool owns the only worker threads.  A width-1 wave is a wave
+//! of one slot, and `prefetch_depth` changes how a round is priced
+//! (below), never what runs.  Everything is the same code.
 //!
 //! # Why determinism survives the concurrency
 //!
 //! Every merge point is ordered or commutative:
 //!
 //! * Probe scans are pure reads of state only mutated at the round tail
-//!   (after all fetches and chunks drain), so their values do not depend
-//!   on which thread runs them or when.
+//!   (after every chunk drains), so their values do not depend on how
+//!   far the trigger workers have got.
 //! * Ledger charging — the only mutation that decides modeled times and
 //!   traffic counters — happens solely on the main thread, in plan
-//!   order, behind the reorder buffer.
+//!   order.
 //! * Chunk statistics accumulate as `u64` additions (commutative,
 //!   exact) per pooled entry; the `f64` stage-time conversion happens
 //!   afterwards on the main thread in entry order, so the float
@@ -67,7 +63,7 @@ use std::sync::Arc;
 use cgraph_memsim::{CacheObject, Metrics};
 
 use crate::engine::Engine;
-use crate::exec::crew::{Dispatch, ExecCrew, ExecError, FetchMsg};
+use crate::exec::crew::{ExecCrew, ExecError};
 use crate::exec::planner::SlotKey;
 use crate::job::ProcessStats;
 use crate::obs::{EventKind, NONE};
@@ -94,12 +90,10 @@ pub fn flowshop_makespan(loads: &[f64], triggers: &[f64]) -> f64 {
 }
 
 /// Reusable per-round scratch: the wave description, the stage-time
-/// vectors, and the recycled fetch-stage payloads.  Kept on the
-/// [`Engine`] across rounds so the hot loop stops recloning job lists
-/// and rebuilding batch vectors every round — after the first round at
-/// a given wave shape, a round allocates nothing here (the
-/// fetch/completion messages and their buffers round-trip through
-/// `fetch_pool` instead of being reallocated per round).
+/// vectors, and the probe counts.  Kept on the [`Engine`] across rounds
+/// so the hot loop stops recloning job lists and rebuilding batch
+/// vectors every round — after the first round at a given wave shape, a
+/// round allocates nothing here.
 #[derive(Default)]
 pub(crate) struct RoundBuffers {
     /// Planned slots as `(key, start, end)` ranges into `jobs`.
@@ -118,10 +112,8 @@ pub(crate) struct RoundBuffers {
     lanes: Vec<usize>,
     /// Deduplicated jobs due a Push check this round.
     push_jobs: Vec<usize>,
-    /// Reorder buffer for completed loads.
-    ready: Vec<Option<FetchMsg>>,
-    /// Recycled fetch/completion message payloads.
-    fetch_pool: Vec<FetchMsg>,
+    /// The installing slot's probe counts, aligned with its job list.
+    counts: Vec<u64>,
     /// Pooled `(slot, job)` entry origins, in install order.
     origins: Vec<(usize, usize)>,
     /// Per-entry chunk statistics, aligned with `origins`.
@@ -152,7 +144,7 @@ impl Engine {
     /// under the pipeline cost model.
     pub(crate) fn exec_round(&mut self, picks: &[usize]) -> f64 {
         let workers = self.config.workers;
-        let cost = self.config.cost;
+        let cost = self.cost;
         // The prefetch window only prices multi-slot waves: a single
         // slot has nothing to overlap, so it keeps the two-stage price
         // even when `prefetch_depth > 0`.
@@ -168,7 +160,7 @@ impl Engine {
         }
 
         // A failed pump drops the crew on its way out of the closure:
-        // every channel closes and the surviving workers are joined
+        // the chunk queue closes and the surviving workers are joined
         // instead of the main thread panicking or hanging.
         let pumped = self.ensure_crew().and_then(|mut crew| {
             self.pump_round(&mut round, &mut crew, prefetching)?;
@@ -202,105 +194,32 @@ impl Engine {
         }
     }
 
-    /// The failable half of a round: fetch dispatch, the ordered install
-    /// loop, and the trigger drain.  Any dead worker or disconnected
-    /// channel surfaces here as a typed [`ExecError`].
+    /// The failable half of a round: the plan-order fetch → install
+    /// loop and the trigger drain.  A dead trigger worker surfaces here
+    /// as a typed [`ExecError`].
     fn pump_round(
         &mut self,
         round: &mut RoundBuffers,
         crew: &mut ExecCrew,
         prefetching: bool,
     ) -> Result<(), ExecError> {
-        let nslots = round.slots.len();
         crew.begin_round(round.jobs.len());
-        round.ready.clear();
-        round.ready.resize_with(nslots, || None);
-        let window = crew.window();
-
-        let mut installed = 0usize;
-        let mut next_dispatch = 0usize;
-        let mut stalled: Option<FetchMsg> = None;
-        while installed < nslots {
-            // Dispatch fetches in plan order, at most `window` slots
-            // beyond the installing slot, without ever blocking on a
-            // full fetch queue (deadlock freedom at capacity 1).
-            while next_dispatch < nslots && next_dispatch < installed + window {
-                let msg = match stalled.take() {
-                    Some(msg) => msg,
-                    None => {
-                        let ((pid, _), start, end) = round.slots[next_dispatch];
-                        let mut msg = round.fetch_pool.pop().unwrap_or_default();
-                        msg.seq = next_dispatch;
-                        msg.pid = pid;
-                        msg.jobs.clear();
-                        msg.jobs.extend(
-                            round.jobs[start..end]
-                                .iter()
-                                .map(|&j| Arc::clone(&self.jobs[j].runtime)),
-                        );
-                        msg
-                    }
-                };
-                let lane = self.prefetch.lane_of(msg.pid);
-                let issue_pid = msg.pid;
-                match crew.dispatch(lane, msg) {
-                    Dispatch::Inline(msg) => {
-                        round.ready[next_dispatch] = Some(msg);
-                        next_dispatch += 1;
-                    }
-                    Dispatch::Sent => {
-                        self.rec.instant(
-                            EventKind::FetchIssue,
-                            NONE,
-                            issue_pid,
-                            self.round_no,
-                            next_dispatch as u64,
-                        );
-                        next_dispatch += 1;
-                    }
-                    Dispatch::Full(msg) => {
-                        if self.rec.on() {
-                            self.obs.registry().counter("fetch_dispatch_stalls").inc();
-                        }
-                        stalled = Some(msg);
-                        break;
-                    }
-                    Dispatch::Dead(err) => return Err(err),
-                }
-            }
-            // Install strictly in plan order; block only on the
-            // completion channel, whose producers never wait on us.
-            if round.ready[installed].is_none() {
-                let wait_t0 = self.rec.start();
-                let msg = crew.recv_done()?;
-                if self.rec.on() {
-                    self.rec.complete(
-                        EventKind::ReorderWait,
-                        NONE,
-                        msg.pid,
-                        self.round_no,
-                        wait_t0,
-                        msg.seq as u64,
-                    );
-                    self.obs
-                        .registry()
-                        .histogram("reorder_wait_us")
-                        .record(self.obs.now_ns().saturating_sub(wait_t0) / 1000);
-                }
-                let seq = msg.seq;
-                debug_assert!(round.ready[seq].is_none(), "duplicate completion");
-                round.ready[seq] = Some(msg);
-                continue;
-            }
-            let mut msg = round.ready[installed].take().expect("checked above");
+        for si in 0..round.slots.len() {
+            let ((pid, _), start, end) = round.slots[si];
+            // Fetch: one probe scan per interested job, in slot order.
+            round.counts.clear();
+            round.counts.extend(
+                round.jobs[start..end]
+                    .iter()
+                    .map(|&j| self.jobs[j].runtime.unprocessed_vertices(pid)),
+            );
             let install_t0 = self.rec.start();
-            self.install_slot(installed, &msg, round, crew, prefetching);
+            self.install_slot(si, round, crew, prefetching);
             if self.rec.on() {
-                let (_, start, end) = round.slots[installed];
                 self.rec.complete(
                     EventKind::Install,
                     NONE,
-                    msg.pid,
+                    pid,
                     self.round_no,
                     install_t0,
                     (end - start) as u64,
@@ -310,12 +229,7 @@ impl Engine {
                     .histogram("install_us")
                     .record(self.obs.now_ns().saturating_sub(install_t0) / 1000);
             }
-            msg.jobs.clear();
-            msg.counts.clear();
-            round.fetch_pool.push(msg);
-            installed += 1;
         }
-        debug_assert!(stalled.is_none());
         if self.rec.on() {
             let r = self.obs.registry();
             r.histogram("chunk_tasks_per_round")
@@ -326,21 +240,19 @@ impl Engine {
         crew.finish_round(&mut round.stats)
     }
 
-    /// Installs one completed load: the slot's ledger charge loop plus
+    /// Installs one fetched slot: the slot's ledger charge loop plus
     /// chunk-task handoff to the trigger workers.
     fn install_slot(
         &mut self,
         si: usize,
-        msg: &FetchMsg,
         round: &mut RoundBuffers,
         crew: &mut ExecCrew,
         prefetching: bool,
     ) {
         let workers = self.config.workers;
         let batch_size = workers.max(1);
-        let cost = self.config.cost;
+        let cost = self.cost;
         let ((pid, version), start, end) = round.slots[si];
-        debug_assert_eq!(pid, msg.pid);
         let before = *self.ledger.metrics();
         let structure = CacheObject::Structure { pid, version };
         let sbytes = self.jobs[round.jobs[start]]
@@ -397,7 +309,7 @@ impl Engine {
             // values are position-aligned with the slot's job list.
             plan_chunks_into(
                 pid,
-                &msg.counts[(off - start)..(batch_end - start)],
+                &round.counts[(off - start)..(batch_end - start)],
                 workers.max(batch_end - off),
                 self.config.straggler_split,
                 &mut round.chunk_scratch,
@@ -431,7 +343,7 @@ impl Engine {
     /// finished iteration, and price the round.
     fn finish_round(&mut self, mut round: RoundBuffers, prefetching: bool) -> f64 {
         let workers = self.config.workers;
-        let cost = self.config.cost;
+        let cost = self.cost;
         for &((pid, version), start, end) in &round.slots {
             for &j in &round.jobs[start..end] {
                 self.jobs[j].runtime.mark_processed(pid);

@@ -6,8 +6,8 @@
 //! engine.  This module makes every I/O boundary in the workspace
 //! fallible *on demand*, from a reproducible schedule:
 //!
-//! * **Shard fetch** (the engine's Load stage, at any `io_workers`) —
-//!   the fallible boundary.  Each planned slot's fetch is
+//! * **Shard fetch** (the engine's Load stage) — the fallible
+//!   boundary.  Each planned slot's fetch is
 //!   admitted through [`FaultPlane::admit_fetch`] on the main thread
 //!   before the round executes: transient faults are retried under the
 //!   [`RetryPolicy`] (exponential backoff, deterministic jitter,

@@ -21,8 +21,8 @@
 //!   and the pipelined wavefront round executor.
 //! * [`scheduler`] — the correlations-aware priority scheduler
 //!   (`Pri(P) = N(P) + θ·D(P)·C(P)`, Eq. 1) and the fixed-order ablation,
-//!   extended to plan multi-slot wavefronts (optionally with whole-wave
-//!   shared-job lookahead, `EngineConfig::lookahead`).
+//!   extended to plan multi-slot wavefronts that spread exact priority
+//!   ties across store shards.
 //! * [`serve`] — the online serving layer: an admission-controlled
 //!   arrival stream released as version-keyed waves, interleaved with
 //!   execution round by round through [`Engine::step_round`].

@@ -13,17 +13,11 @@
 pub const NONE: u32 = u32::MAX;
 
 /// What a span event measured.  The discriminants are stable: they are
-/// the on-ring byte and the JSONL `kind` field.
+/// the on-ring byte and the JSONL `kind` field.  Bytes 0–2 belonged to
+/// the retired I/O-thread kinds and stay unassigned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
-    /// Main dispatch loop handed one partition fetch to an I/O worker.
-    FetchIssue = 0,
-    /// An I/O worker finished fetching (charging) one partition.
-    FetchComplete = 1,
-    /// Main loop blocked waiting for the next in-order fetch to land in
-    /// the reorder buffer.
-    ReorderWait = 2,
     /// Main loop installed one fetched partition: ledger charges plus
     /// trigger-chunk handoff.
     Install = 3,
@@ -68,9 +62,6 @@ impl EventKind {
     /// Stable human-readable name (Chrome trace `name`, JSONL `kind`).
     pub fn name(self) -> &'static str {
         match self {
-            EventKind::FetchIssue => "fetch_issue",
-            EventKind::FetchComplete => "fetch_complete",
-            EventKind::ReorderWait => "reorder_wait",
             EventKind::Install => "install",
             EventKind::TriggerChunk => "trigger_chunk",
             EventKind::Push => "push",
@@ -95,9 +86,6 @@ impl EventKind {
     /// uses (a garbled ring slot decodes to `None`, never to UB).
     pub fn from_u8(b: u8) -> Option<EventKind> {
         Some(match b {
-            0 => EventKind::FetchIssue,
-            1 => EventKind::FetchComplete,
-            2 => EventKind::ReorderWait,
             3 => EventKind::Install,
             4 => EventKind::TriggerChunk,
             5 => EventKind::Push,
@@ -217,5 +205,8 @@ mod tests {
             }
         }
         assert!(EventKind::from_u8(200).is_none());
+        for retired in 0u8..3 {
+            assert!(EventKind::from_u8(retired).is_none());
+        }
     }
 }

@@ -1,18 +1,17 @@
 //! `core::obs` — zero-cost-when-disabled tracing and metrics.
 //!
-//! The engine is a concurrent pipeline (per-shard I/O workers, a
-//! reorder-buffer install stage, compute crews, WAL fsyncs, capacity
-//! spills, admission waves); this module is its flight recorder.  Two
-//! planes share one [`Observer`]:
+//! The engine is a concurrent pipeline (a plan-order install stage, a
+//! trigger pool, WAL fsyncs, capacity spills, admission waves); this
+//! module is its flight recorder.  Two planes share one [`Observer`]:
 //!
 //! * **Event tracing** — each pipeline thread gets a [`Recorder`]
 //!   backed by its own bounded lock-free [`Ring`] of typed span
-//!   [`Event`]s (fetch issue/complete, reorder wait, install, trigger
-//!   chunk, apply rebuild, WAL append/fsync, spill/rehydrate, admission
-//!   defer/release), each stamped with (thread, job, shard, round,
-//!   monotonic ns).  [`Observer::dump`] drains every ring into a
-//!   [`TraceDump`] exportable as Chrome `trace_event` JSON
-//!   (`about://tracing`-loadable) or compact JSONL.
+//!   [`Event`]s (install, trigger chunk, push, apply rebuild, WAL
+//!   append/fsync, spill/rehydrate, admission defer/release), each
+//!   stamped with (thread, job, shard, round, monotonic ns).
+//!   [`Observer::dump`] drains every ring into a [`TraceDump`]
+//!   exportable as Chrome `trace_event` JSON (`about://tracing`-loadable)
+//!   or compact JSONL.
 //! * **Metrics** — a [`Registry`] of counters, gauges, and
 //!   log-bucketed [`Histogram`]s (p50/p99/max without storing samples),
 //!   exportable as a one-call JSON snapshot or a Prometheus text page.
@@ -442,7 +441,7 @@ mod tests {
         let a = obs.recorder("alpha");
         let b = obs.recorder("beta");
         let t0 = a.start();
-        b.instant(EventKind::FetchIssue, NONE, 1, 0, 0);
+        b.instant(EventKind::Push, NONE, NONE, 0, 0);
         a.complete(EventKind::Install, 3, 1, 0, t0, 9);
         let dump = obs.dump();
         assert_eq!(dump.threads, vec!["alpha".to_string(), "beta".to_string()]);

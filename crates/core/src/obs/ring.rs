@@ -1,8 +1,7 @@
 //! Per-thread bounded event ring.
 //!
-//! One [`Ring`] belongs to one producer thread (a `cgraph-io-N` /
-//! `cgraph-trigger-N` worker, the main dispatch loop, the serve loop,
-//! or the store bridge).  The producer writes events, a drainer reads
+//! One [`Ring`] belongs to one producer thread (a `cgraph-trigger-N`
+//! worker, the main install loop, the serve loop, or the store bridge).  The producer writes events, a drainer reads
 //! them out after the producer has quiesced (between rounds, or at
 //! export time).  Within that discipline the ring is lock-free and
 //! wait-free on the hot path:

@@ -107,10 +107,10 @@ mod tests {
 
     fn dump() -> TraceDump {
         TraceDump {
-            threads: vec!["main".to_string(), "cgraph-io-0".to_string()],
+            threads: vec!["main".to_string(), "cgraph-trigger-0".to_string()],
             events: vec![
                 Event {
-                    kind: EventKind::FetchComplete,
+                    kind: EventKind::TriggerChunk,
                     thread: 1,
                     job: NONE,
                     shard: 3,

@@ -50,42 +50,8 @@ pub trait Scheduler: Send {
         chosen
     }
 
-    /// Plans a wavefront like [`plan`](Self::plan), additionally given
-    /// each slot's interested-job list (`slot_jobs[i]` is ascending and
-    /// aligned with `slots[i]`) so the scheduler can score candidate
-    /// waves by whole-wave job overlap.  The default implementation
-    /// ignores the job lists and delegates to `plan`, so schedulers
-    /// without a lookahead policy behave identically either way.
-    fn plan_with_jobs(
-        &mut self,
-        slots: &[SlotInfo],
-        slot_jobs: &[&[usize]],
-        width: usize,
-    ) -> Vec<usize> {
-        debug_assert_eq!(slots.len(), slot_jobs.len());
-        let _ = slot_jobs;
-        self.plan(slots, width)
-    }
-
     /// Scheduler name for reports.
     fn name(&self) -> &'static str;
-}
-
-/// Number of common elements of two ascending job lists (merge count).
-fn shared_jobs(a: &[usize], b: &[usize]) -> usize {
-    let (mut i, mut j, mut n) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
 }
 
 /// The paper's correlations-aware priority scheduler:
@@ -166,56 +132,6 @@ impl Scheduler for PriorityScheduler {
             let local = tied_unused.unwrap_or(best);
             used_shards.push(slots[remaining[local]].shard);
             chosen.push(remaining.remove(local));
-        }
-        chosen
-    }
-
-    /// Whole-wave lookahead (`EngineConfig::lookahead`): the first slot
-    /// is exactly [`pick`](Self::pick), then each further slot maximizes
-    /// the number of its jobs already riding the wave — so two slots
-    /// serving the same job pair are planned together even when a
-    /// disjoint slot carries equal priority — with `Pri(P)` breaking
-    /// overlap ties and first-maximum (key order) breaking exact ties.
-    fn plan_with_jobs(
-        &mut self,
-        slots: &[SlotInfo],
-        slot_jobs: &[&[usize]],
-        width: usize,
-    ) -> Vec<usize> {
-        debug_assert_eq!(slots.len(), slot_jobs.len());
-        let width = width.clamp(1, slots.len());
-        let mut remaining: Vec<usize> = (0..slots.len()).collect();
-        let first = self.pick(slots);
-        let mut chosen = vec![first];
-        remaining.retain(|&i| i != first);
-        // The wave's job union, kept ascending for merge counting.
-        let mut wave_jobs: Vec<usize> = slot_jobs[first].to_vec();
-        while chosen.len() < width {
-            let dmax = remaining
-                .iter()
-                .map(|&i| slots[i].avg_degree)
-                .fold(0.0, f64::max);
-            let cmax = remaining
-                .iter()
-                .map(|&i| slots[i].avg_change)
-                .fold(0.0, f64::max);
-            let mut best = 0usize;
-            let mut best_score = (0usize, f64::NEG_INFINITY);
-            for (pos, &i) in remaining.iter().enumerate() {
-                let score = (
-                    shared_jobs(slot_jobs[i], &wave_jobs),
-                    self.priority(&slots[i], dmax, cmax),
-                );
-                if score.0 > best_score.0 || (score.0 == best_score.0 && score.1 > best_score.1) {
-                    best_score = score;
-                    best = pos;
-                }
-            }
-            let slot = remaining.remove(best);
-            wave_jobs.extend_from_slice(slot_jobs[slot]);
-            wave_jobs.sort_unstable();
-            wave_jobs.dedup();
-            chosen.push(slot);
         }
         chosen
     }
@@ -378,64 +294,6 @@ mod tests {
         let slots = [sharded(0, 0, 2), sharded(1, 0, 5), sharded(2, 1, 2)];
         let wave = s.plan(&slots, 3);
         assert_eq!(wave, vec![1, 2, 0], "priority first, then shard spread");
-    }
-
-    #[test]
-    fn shared_jobs_counts_merge_overlap() {
-        assert_eq!(shared_jobs(&[0, 2, 5], &[1, 2, 5, 9]), 2);
-        assert_eq!(shared_jobs(&[], &[1, 2]), 0);
-        assert_eq!(shared_jobs(&[3], &[3]), 1);
-    }
-
-    /// With job lists in play, the lookahead wave plans the slot sharing
-    /// the pick's jobs ahead of an equal-priority disjoint slot — the
-    /// whole-wave `N(P)` overlap the greedy repeated pick cannot see.
-    #[test]
-    fn lookahead_prefers_shared_jobs_over_disjoint_ties() {
-        let mut s = PriorityScheduler::new(0.0);
-        // Slot 0: jobs {0,1} (the pick, 2 jobs).  Slot 1: jobs {2,3}
-        // (2 jobs, disjoint).  Slot 2: jobs {0,1} (2 jobs, shared).
-        let slots = [
-            slot(0, 2, 1.0, 1.0),
-            slot(1, 2, 1.0, 1.0),
-            slot(2, 2, 1.0, 1.0),
-        ];
-        let jobs: [&[usize]; 3] = [&[0, 1], &[2, 3], &[0, 1]];
-        // Greedy repeated pick takes key order on the tie: 0 then 1.
-        assert_eq!(s.plan(&slots, 2), vec![0, 1]);
-        // Lookahead keeps the shared pair together: 0 then 2.
-        assert_eq!(s.plan_with_jobs(&slots, &jobs, 2), vec![0, 2]);
-        // Full width still covers every slot exactly once.
-        let full = s.plan_with_jobs(&slots, &jobs, 3);
-        assert_eq!(full[0], 0);
-        let mut sorted = full.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2]);
-    }
-
-    /// A strictly higher-priority slot still opens the wave, and overlap
-    /// only reorders the remainder.
-    #[test]
-    fn lookahead_first_slot_is_the_pick() {
-        let mut s = PriorityScheduler::new(0.0);
-        let slots = [
-            slot(0, 1, 1.0, 1.0),
-            slot(1, 5, 1.0, 1.0),
-            slot(2, 1, 1.0, 1.0),
-        ];
-        let jobs: [&[usize]; 3] = [&[7], &[0, 1, 2, 3, 4], &[0, 2]];
-        let wave = s.plan_with_jobs(&slots, &jobs, 2);
-        assert_eq!(wave[0], s.pick(&slots));
-        assert_eq!(wave, vec![1, 2], "overlap with the pick beats key order");
-    }
-
-    /// Schedulers without a lookahead policy fall back to `plan`.
-    #[test]
-    fn default_plan_with_jobs_delegates_to_plan() {
-        let slots = [slot(3, 9, 9.0, 9.0), slot(1, 1, 0.0, 0.0)];
-        let jobs: [&[usize]; 2] = [&[0], &[1]];
-        let mut s = OrderScheduler;
-        assert_eq!(s.plan_with_jobs(&slots, &jobs, 2), s.plan(&slots, 2));
     }
 
     #[test]

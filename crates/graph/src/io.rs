@@ -229,7 +229,7 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("cgraph-io-test");
+        let dir = std::env::temp_dir().join("cgraph-graph-io-test");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("g.bin");
         let el = sample();

@@ -18,8 +18,9 @@
 //! (append, fsync, spill, checkpoint) and are therefore serial per
 //! store.  The exception is [`StoreObserver::rehydrate`], which fires on
 //! whatever thread faults a spilled payload back in — under the
-//! concurrent executor that is any `cgraph-io-N` worker.  Implementations
-//! must be `Send + Sync` and treat `rehydrate` as concurrent.
+//! concurrent executor that is the main thread or any trigger worker.
+//! Implementations must be `Send + Sync` and treat `rehydrate` as
+//! concurrent.
 //!
 //! All durations are wall-clock microseconds measured at the call site;
 //! none of the hooks feed back into store behaviour, so an observer can

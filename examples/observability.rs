@@ -7,7 +7,7 @@
 //!
 //! * `trace.json` — Chrome `trace_event` JSON; load it in
 //!   `about://tracing` or <https://ui.perfetto.dev> to see the
-//!   fetch/install/trigger/push spans per thread,
+//!   install/trigger/push spans per thread,
 //! * `trace.jsonl` — the same events one-per-line for grep/jq,
 //! * `metrics.json` — the one-call registry snapshot (counters,
 //!   gauges, per-stage histograms with p50/p90/p99),
@@ -52,7 +52,6 @@ fn main() {
         EngineConfig {
             workers: 2,
             wavefront: 4,
-            io_workers: 2,
             observer: Some(Arc::clone(&obs)),
             ..EngineConfig::default()
         },

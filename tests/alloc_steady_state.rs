@@ -1,8 +1,6 @@
 //! Steady-state allocation bound: once an engine is warm, stepping it
-//! round by round must not grow the heap — the round buffers, fetch and
-//! completion payloads, reorder slots and chunk queue all recycle
-//! instead of reallocating per round, with the fetch stage inline
-//! (`io_workers = 0`) and on I/O threads (`io_workers = 2`).
+//! round by round must not grow the heap — the round buffers, probe
+//! counts and chunk queue all recycle instead of reallocating per round.
 //!
 //! The counter is process-wide, so this binary holds **exactly one**
 //! `#[test]`: a sibling test's allocations would land in the measured
@@ -59,42 +57,37 @@ const BOUND: i64 = 64 * 1024;
 fn steady_state_rounds_do_not_grow_the_heap() {
     let ps = partitions_for(Dataset::TwitterSim, Scale { shrink: 7 });
     let hierarchy = out_of_core_hierarchy(&ps);
-    let store = Arc::new(SnapshotStore::new(ps));
-    for io_workers in [0, 2] {
-        let mut engine = Engine::new(
-            Arc::clone(&store),
-            EngineConfig {
-                workers: 2,
-                wavefront: 4,
-                shards: 4,
-                prefetch_depth: 2,
-                io_workers,
-                hierarchy,
-                ..EngineConfig::default()
-            },
-        );
-        // Four identical long-running jobs: every round is a multi-slot
-        // wave and no job finishes (and frees) mid-measurement.
-        for _ in 0..4 {
-            engine.submit_at(PageRank::default(), 0);
-        }
-        // Warmup spawns the worker crew, sizes the round buffers, and
-        // faults in the cache working set.
-        for _ in 0..3 {
-            assert!(engine.step_round(), "PageRank outlasts the warm-up");
-        }
-        let live0 = LIVE_BYTES.load(Ordering::Relaxed);
-        let calls0 = ALLOC_CALLS.load(Ordering::Relaxed);
-        for _ in 0..8 {
-            assert!(engine.step_round(), "PageRank outlasts the measured rounds");
-        }
-        let growth = LIVE_BYTES.load(Ordering::Relaxed) - live0;
-        let calls = ALLOC_CALLS.load(Ordering::Relaxed) - calls0;
-        println!("io_workers={io_workers}: net live bytes {growth:+}, {calls} allocation calls");
-        assert!(
-            growth <= BOUND,
-            "steady-state rounds must not grow the heap at io_workers={io_workers}: \
-             {growth} bytes over 8 rounds and {calls} allocation calls (bound {BOUND})"
-        );
+    let mut engine = Engine::new(
+        Arc::new(SnapshotStore::with_shards(ps, 4)),
+        EngineConfig {
+            workers: 2,
+            wavefront: 4,
+            prefetch_depth: 2,
+            hierarchy,
+            ..EngineConfig::default()
+        },
+    );
+    // Four identical long-running jobs: every round is a multi-slot wave
+    // and no job finishes (and frees) mid-measurement.
+    for _ in 0..4 {
+        engine.submit_at(PageRank::default(), 0);
     }
+    // Warmup spawns the trigger pool, sizes the round buffers, and
+    // faults in the cache working set.
+    for _ in 0..3 {
+        assert!(engine.step_round(), "PageRank outlasts the warm-up");
+    }
+    let live0 = LIVE_BYTES.load(Ordering::Relaxed);
+    let calls0 = ALLOC_CALLS.load(Ordering::Relaxed);
+    for _ in 0..8 {
+        assert!(engine.step_round(), "PageRank outlasts the measured rounds");
+    }
+    let growth = LIVE_BYTES.load(Ordering::Relaxed) - live0;
+    let calls = ALLOC_CALLS.load(Ordering::Relaxed) - calls0;
+    println!("net live bytes {growth:+}, {calls} allocation calls");
+    assert!(
+        growth <= BOUND,
+        "steady-state rounds must not grow the heap: {growth} bytes over 8 rounds \
+         and {calls} allocation calls (bound {BOUND})"
+    );
 }

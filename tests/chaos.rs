@@ -1,8 +1,8 @@
 //! Chaos differential suite for the seeded fault plane.
 //!
 //! The core property: for a *random* fault schedule (any seed, any
-//! transient/spike/permanent rates) and any {shards × io_workers ×
-//! channel capacity × journal} configuration, every job that completes
+//! transient/spike/permanent rates) and any {shards × trigger workers ×
+//! journal} configuration, every job that completes
 //! under injection produces results **bit-identical** to the fault-free
 //! run — faults may delay, reroute, or quarantine work, but never
 //! corrupt it.  Jobs that do not complete are *quarantined* with a
@@ -83,21 +83,19 @@ enum Outcome {
     Quarantined(FaultBoundary),
 }
 
-/// Runs the four-job mix on `store` under `faults`, returning one
-/// outcome per job.  `faults: None` is the clean control.
+/// Runs the four-job mix on `store` with `workers` trigger threads under
+/// `faults`, returning one outcome per job.  `faults: None` is the clean
+/// control.
 fn run_mix(
     store: &Arc<SnapshotStore>,
-    io_workers: usize,
-    capacity: usize,
+    workers: usize,
     faults: Option<Arc<FaultPlane>>,
 ) -> Vec<Outcome> {
     let mut engine = Engine::new(
         Arc::clone(store),
         EngineConfig {
-            workers: 2,
+            workers,
             wavefront: 4,
-            io_workers,
-            channel_capacity: capacity,
             hierarchy: tight_hierarchy(store),
             faults,
             ..EngineConfig::default()
@@ -140,7 +138,7 @@ fn baseline(idx: usize) -> &'static Vec<Outcome> {
     static BASE: OnceLock<Vec<Vec<Outcome>>> = OnceLock::new();
     &BASE.get_or_init(|| {
         (0..SHARD_CHOICES.len())
-            .map(|i| run_mix(shared_store(i), 0, 2, None))
+            .map(|i| run_mix(shared_store(i), 2, None))
             .collect()
     })[idx]
 }
@@ -148,8 +146,10 @@ fn baseline(idx: usize) -> &'static Vec<Outcome> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any fault schedule, any executor shape: completed jobs match the
-    /// fault-free run bit-for-bit; everything else is typed quarantine.
+    /// Any fault schedule, any trigger-pool size: completed jobs match
+    /// the fault-free run (at two workers) bit-for-bit, because the
+    /// compared results are fixpoints; everything else is typed
+    /// quarantine.
     #[test]
     fn completed_jobs_match_fault_free_bit_for_bit(
         seed in 0u64..u64::MAX,
@@ -157,8 +157,7 @@ proptest! {
         spike_rate in 0.0f64..0.25,
         permanent_rate in 0.0f64..0.05,
         shard_idx in 0usize..SHARD_CHOICES.len(),
-        io_workers in (0usize..4).prop_map(|i| [0usize, 1, 2, 4][i]),
-        capacity in (0usize..3).prop_map(|i| [1usize, 2, 4][i]),
+        workers in (0usize..3).prop_map(|i| [1usize, 2, 4][i]),
     ) {
         let store = shared_store(shard_idx);
         let plane = FaultPlane::new(FaultConfig {
@@ -169,7 +168,7 @@ proptest! {
             spike_seconds: 1e-3,
             ..FaultConfig::default()
         });
-        let chaos = run_mix(store, io_workers, capacity, Some(Arc::clone(&plane)));
+        let chaos = run_mix(store, workers, Some(Arc::clone(&plane)));
         let clean = baseline(shard_idx);
         for (got, want) in chaos.iter().zip(clean) {
             match got {
@@ -189,7 +188,7 @@ proptest! {
     fn same_seed_replays_identically(
         seed in 0u64..u64::MAX,
         fetch_rate in 0.0f64..0.4,
-        io_workers in (0usize..2).prop_map(|i| [0usize, 2][i]),
+        workers in (0usize..3).prop_map(|i| [1usize, 2, 4][i]),
     ) {
         let store = shared_store(1);
         let cfg = FaultConfig {
@@ -201,7 +200,7 @@ proptest! {
         };
         let run = || {
             let plane = FaultPlane::new(cfg);
-            let out = run_mix(store, io_workers, 2, Some(Arc::clone(&plane)));
+            let out = run_mix(store, workers, Some(Arc::clone(&plane)));
             (out, plane.stats())
         };
         let (a, a_stats): (Vec<Outcome>, FaultStats) = run();
@@ -225,7 +224,7 @@ fn aggressive_faults_quarantine_typed_without_hang() {
         breaker: cgraph::core::BreakerConfig { trip_after: 0, ..Default::default() },
         ..FaultConfig::default()
     });
-    let outcomes = run_mix(store, 2, 1, Some(Arc::clone(&plane)));
+    let outcomes = run_mix(store, 2, Some(Arc::clone(&plane)));
     let quarantined = outcomes
         .iter()
         .filter(|o| matches!(o, Outcome::Quarantined(_)))
@@ -254,7 +253,6 @@ fn disabled_plane_is_bit_identical_to_no_plane() {
             EngineConfig {
                 workers: 2,
                 wavefront: 4,
-                io_workers: 2,
                 hierarchy: tight_hierarchy(store),
                 faults,
                 ..EngineConfig::default()
@@ -473,7 +471,6 @@ fn refaulting_probe_reopens_and_reroute_pricing_stays_lane_correct() {
             EngineConfig {
                 workers: 2,
                 wavefront: 4,
-                io_workers: 2,
                 hierarchy: tight_hierarchy(store),
                 faults: Some(Arc::clone(&plane)),
                 ..EngineConfig::default()

@@ -1,16 +1,11 @@
-//! Executor differential stress: the round pipeline must produce the
-//! same bits whether its fetch stage runs inline on the main thread
-//! (`EngineConfig::io_workers = 0`) or on I/O worker threads behind
-//! bounded channels — at every I/O-worker count, prefetch depth, and
-//! channel capacity, including capacity 1, where any ordering bug in
-//! the dispatch loop shows up as a deadlock (caught by CI's per-binary
-//! timeout) instead of a wrong answer.
-//!
-//! Both sides of those comparisons are one pipeline, so they cannot
-//! catch a change that moves every configuration together.  The golden
-//! table does: digests recorded at `io_workers = 0` while such engines
-//! still ran on a separate fork-join executor, which every later
-//! executor must keep reproducing.
+//! Executor stress: the round pipeline — fetch and plan-order install
+//! on the main thread, trigger on a condvar-driven worker pool — must
+//! keep producing the golden table's bits, one engine at a time and
+//! with every golden configuration racing the others on one shared
+//! store.  The table holds digests recorded while such engines still
+//! ran on a separate fork-join executor, so it catches a change that
+//! moves every configuration together; a lost wake-up in the pool
+//! shows up as a hang, caught by CI's per-binary timeout.
 //!
 //! The mix uses integer-valued programs only (BFS, SSSP, WCC,
 //! reachability): their accumulators are exact min/or folds, so results,
@@ -71,23 +66,6 @@ fn tight_hierarchy(store: &Arc<SnapshotStore>) -> HierarchyConfig {
         .map(|pid| view.partition(pid).structure_bytes())
         .sum();
     HierarchyConfig { cache_bytes: (total / 4).max(1), memory_bytes: total * 4 }
-}
-
-fn run_cfg(
-    store: &Arc<SnapshotStore>,
-    io_workers: usize,
-    depth: usize,
-    capacity: usize,
-) -> RunDigest {
-    let config = EngineConfig {
-        wavefront: 4,
-        prefetch_depth: depth,
-        io_workers,
-        channel_capacity: capacity,
-        ..EngineConfig::default()
-    };
-    // Arrivals spread over the chain: jobs bind to distinct snapshots.
-    run_mix(store, config, [0, 50, 120, 180, 240])
 }
 
 /// Runs the five-job integer mix under `config` (two trigger workers,
@@ -166,8 +144,8 @@ fn golden_of(d: &RunDigest) -> Golden {
 /// arrivals, then one width-1 run whose five jobs all bind the newest
 /// snapshot, so every slot carries more jobs than the two workers and
 /// installs in three batches.
-fn golden_runs(store: &Arc<SnapshotStore>) -> Vec<Golden> {
-    let mut rows = Vec::new();
+fn golden_configs(store: &Arc<SnapshotStore>) -> Vec<(EngineConfig, [u64; 5])> {
+    let mut configs = Vec::new();
     for wavefront in [1usize, 4] {
         for prefetch_depth in [0usize, 2, 4] {
             for straggler_split in [true, false] {
@@ -177,17 +155,19 @@ fn golden_runs(store: &Arc<SnapshotStore>) -> Vec<Golden> {
                     straggler_split,
                     ..EngineConfig::default()
                 };
-                rows.push(golden_of(&run_mix(store, config, [0, 50, 120, 180, 240])));
+                configs.push((config, [0, 50, 120, 180, 240]));
             }
         }
     }
-    let newest = store.latest_timestamp();
-    rows.push(golden_of(&run_mix(
-        store,
-        EngineConfig::default(),
-        [newest; 5],
-    )));
-    rows
+    configs.push((EngineConfig::default(), [store.latest_timestamp(); 5]));
+    configs
+}
+
+fn golden_runs(store: &Arc<SnapshotStore>) -> Vec<Golden> {
+    golden_configs(store)
+        .into_iter()
+        .map(|(config, arrivals)| golden_of(&run_mix(store, config, arrivals)))
+        .collect()
 }
 
 /// Result hashes of the spread-arrival mix: a fixpoint, so every
@@ -266,89 +246,24 @@ fn golden_digests_hold_at_inline_fetch() {
 }
 
 #[test]
-fn channel_pipeline_matches_serial_at_every_worker_count_and_depth() {
-    let store = shared_store();
-    for depth in [0usize, 2, 4] {
-        let serial = run_cfg(&store, 0, depth, 2);
-        for io in [1usize, 2, 4, 8] {
-            let concurrent = run_cfg(&store, io, depth, 2);
-            assert_eq!(
-                concurrent, serial,
-                "io_workers={io} depth={depth} diverged from inline fetch"
-            );
-        }
-    }
-}
-
-#[test]
-fn capacity_one_channels_neither_deadlock_nor_diverge() {
-    // Capacity 1 maximally stresses the dispatch loop's no-blocking
-    // invariant: a full fetch queue must stash-and-drain, never block.
-    let store = shared_store();
-    for depth in [0usize, 2, 4] {
-        let serial = run_cfg(&store, 0, depth, 1);
-        for io in [1usize, 4, 8] {
-            let concurrent = run_cfg(&store, io, depth, 1);
-            assert_eq!(
-                concurrent, serial,
-                "io_workers={io} depth={depth} capacity=1 diverged"
-            );
-        }
-    }
-}
-
-#[test]
 fn racing_engines_on_one_shared_store_stay_deterministic() {
-    // Several concurrent engines — different I/O-worker counts, depths,
-    // and channel bounds — race on the same Arc'd store from separate
-    // OS threads; every one must land on the serial digest.
+    // Every golden configuration races all the others on the same Arc'd
+    // store, each engine on its own OS thread with its own trigger pool;
+    // each must still land on its own golden row.
     let store = shared_store();
-    let serial = run_cfg(&store, 0, 2, 2);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = [(1usize, 1usize), (2, 2), (4, 1), (8, 4)]
+        let handles: Vec<_> = golden_configs(&store)
             .into_iter()
-            .map(|(io, capacity)| {
-                let store = Arc::clone(&store);
-                scope.spawn(move || run_cfg(&store, io, 2, capacity))
+            .map(|(config, arrivals)| {
+                let store = &store;
+                scope.spawn(move || golden_of(&run_mix(store, config, arrivals)))
             })
             .collect();
-        for handle in handles {
-            let digest = handle.join().expect("racing engine run panicked");
-            assert_eq!(digest, serial, "racing engine diverged from serial");
+        for (row, (handle, want)) in handles.into_iter().zip(GOLDEN).enumerate() {
+            let got = handle.join().expect("racing engine run panicked");
+            assert_eq!(&got, want, "racing engine on golden row {row} diverged");
         }
     });
-}
-
-#[test]
-fn width_one_waves_stay_on_the_legacy_path() {
-    // A single-slot wave has nothing to reorder or overlap: the fetch
-    // thread count must not move a bit (the golden table pins these
-    // bits to the classic single-slot engine's).
-    let store = shared_store();
-    let run = |io: usize| {
-        let mut engine = Engine::new(
-            Arc::clone(&store),
-            EngineConfig {
-                workers: 2,
-                wavefront: 1,
-                io_workers: io,
-                hierarchy: tight_hierarchy(&store),
-                ..EngineConfig::default()
-            },
-        );
-        let b = engine.submit(Bfs::new(0));
-        let s = engine.submit(Sssp::new(1));
-        let report = engine.run();
-        assert!(report.completed);
-        (
-            engine.results::<Bfs>(b).unwrap(),
-            engine.results::<Sssp>(s).unwrap(),
-            report.loads,
-            report.metrics,
-            report.modeled_seconds.to_bits(),
-        )
-    };
-    assert_eq!(run(8), run(0));
 }
 
 #[test]
@@ -357,47 +272,39 @@ fn injected_worker_panic_surfaces_typed_without_hanging() {
     // trigger stage at a fixed (partition, chunk) coordinate must travel
     // the same unwind-guard path as crashing user code — a typed
     // `ExecError::WorkerPanic` parked on the engine, run not completed,
-    // no hang even at channel capacity 1 (CI's per-binary timeout is the
-    // deadlock detector) — with the fetch stage inline or threaded.
+    // no hang (CI's per-binary timeout is the deadlock detector).
     let store = shared_store();
-    for io_workers in [0usize, 2] {
-        let plane = FaultPlane::new(FaultConfig {
-            // Chunk 0 of partition 0 is processed by every run that
-            // touches the partition, so the drill always fires.
-            panic_chunk: Some((0, 0)),
-            ..FaultConfig::default()
-        });
-        let mut engine = Engine::new(
-            Arc::clone(&store),
-            EngineConfig {
-                workers: 2,
-                wavefront: 4,
-                io_workers,
-                channel_capacity: 1,
-                hierarchy: tight_hierarchy(&store),
-                faults: Some(plane),
-                ..EngineConfig::default()
-            },
-        );
-        engine.submit_at(Bfs::new(0), 0);
-        engine.submit_at(Sssp::new(1), 50);
-        let report = engine.run();
-        assert!(
-            !report.completed,
-            "io_workers={io_workers}: a dead worker must not report completion"
-        );
-        assert_eq!(
-            engine.exec_error(),
-            Some(ExecError::WorkerPanic(
-                "process_chunk panicked in a trigger worker"
-            )),
-            "io_workers={io_workers}: the injected panic must surface as the typed crew fault"
-        );
-        // The engine parked the fault: further stepping refuses instead
-        // of hanging or re-panicking over the half-dead pipeline.
-        assert!(
-            !engine.step_round(),
-            "io_workers={io_workers}: faulted engine must refuse rounds"
-        );
-    }
+    let plane = FaultPlane::new(FaultConfig {
+        // Chunk 0 of partition 0 is processed by every run that touches
+        // the partition, so the drill always fires.
+        panic_chunk: Some((0, 0)),
+        ..FaultConfig::default()
+    });
+    let mut engine = Engine::new(
+        Arc::clone(&store),
+        EngineConfig {
+            workers: 2,
+            wavefront: 4,
+            hierarchy: tight_hierarchy(&store),
+            faults: Some(plane),
+            ..EngineConfig::default()
+        },
+    );
+    engine.submit_at(Bfs::new(0), 0);
+    engine.submit_at(Sssp::new(1), 50);
+    let report = engine.run();
+    assert!(
+        !report.completed,
+        "a dead worker must not report completion"
+    );
+    assert_eq!(
+        engine.exec_error(),
+        Some(ExecError::WorkerPanic(
+            "process_chunk panicked in a trigger worker"
+        )),
+        "the injected panic must surface as the typed crew fault"
+    );
+    // The engine parked the fault: further stepping refuses instead of
+    // hanging or re-panicking over the half-dead pipeline.
+    assert!(!engine.step_round(), "faulted engine must refuse rounds");
 }

@@ -4,7 +4,7 @@
 //! version of a random delta stream, a job **resumed** from the
 //! previous version's converged result is bit-identical to a job run
 //! **from scratch** against the same view — across {shards ×
-//! io_workers × placement × capacity} store/executor configurations.
+//! placement × capacity × trigger workers} store/executor configurations.
 //! Addition-only ranges must take the seeded path; any removal in the
 //! range must take the from-scratch fallback (and still match).
 //!
@@ -268,16 +268,15 @@ fn resolve_stream(el: &EdgeList, rounds: &[Round]) -> Vec<GraphDelta> {
 }
 
 /// Builds the store under one {shards, placement, capacity} layout and
-/// runs the chained differential for every program under one
-/// {io_workers, channel_capacity} executor shape.
+/// runs the chained differential for every program on `workers`
+/// trigger threads.
 fn differential_layout(
     el: &EdgeList,
     deltas: &[GraphDelta],
     shards: usize,
     placement: ShardPlacement,
     cap: ShardCapacity,
-    io_workers: usize,
-    channel_capacity: usize,
+    workers: usize,
 ) {
     use cgraph::graph::snapshot::ShardedSnapshotStore;
     let ps = VertexCutPartitioner::new(PARTS).partition(el);
@@ -287,7 +286,7 @@ fn differential_layout(
     }
     let store = Arc::new(store);
     let versions: Vec<u64> = (0..=deltas.len() as u64).map(|i| i * 10).collect();
-    let cfg = EngineConfig { workers: 2, io_workers, channel_capacity, ..EngineConfig::default() };
+    let cfg = EngineConfig { workers, ..EngineConfig::default() };
 
     macro_rules! chain {
         ($program:expr, $ty:ty) => {{
@@ -305,7 +304,7 @@ fn differential_layout(
                     assert_eq!(
                         got,
                         want,
-                        "{} resumed@{ts} diverged (shards {shards}, io {io_workers})",
+                        "{} resumed@{ts} diverged (shards {shards}, workers {workers})",
                         stringify!($ty)
                     );
                 }
@@ -333,12 +332,12 @@ proptest! {
         layout in 0usize..3,
     ) {
         let deltas = resolve_stream(&el, &rounds);
-        let (shards, placement, cap, io_workers, channel_capacity) = match layout {
-            0 => (1, ShardPlacement::RoundRobin, ShardCapacity::UNLIMITED, 1, 2),
-            1 => (2, ShardPlacement::Hash, ShardCapacity::UNLIMITED, 2, 1),
-            _ => (3, ShardPlacement::RoundRobin, ShardCapacity::bytes(1), 2, 4),
+        let (shards, placement, cap, workers) = match layout {
+            0 => (1, ShardPlacement::RoundRobin, ShardCapacity::UNLIMITED, 1),
+            1 => (2, ShardPlacement::Hash, ShardCapacity::UNLIMITED, 2),
+            _ => (3, ShardPlacement::RoundRobin, ShardCapacity::bytes(1), 4),
         };
-        differential_layout(&el, &deltas, shards, placement, cap, io_workers, channel_capacity);
+        differential_layout(&el, &deltas, shards, placement, cap, workers);
     }
 }
 

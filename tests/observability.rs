@@ -1,18 +1,21 @@
 //! Observability differential + schema suite.
 //!
-//! Four guarantees, per the `core::obs` contract:
+//! Five guarantees, per the `core::obs` contract:
 //!
 //! 1. **Read-only tracing** — running the executor-stress configs and a
 //!    serve loop with a live [`Observer`] changes no result bit, no
 //!    traffic counter, and no modeled-seconds bit versus the disabled
 //!    (and absent) observer.
-//! 2. **Histogram honesty** — log-bucketed quantiles stay within the
+//! 2. **Trace order** — the same traced runs obey the round pipeline's
+//!    ordering rules ([`trace_order_violation`]): no install and no
+//!    trigger chunk of a round runs into that round's Push.
+//! 3. **Histogram honesty** — log-bucketed quantiles stay within the
 //!    documented `[oracle, oracle * (1 + 1/16)]` envelope of the exact
 //!    nearest-rank quantile, under proptest.
-//! 3. **Bounded rings** — overflow drops the *oldest* events, keeps the
+//! 4. **Bounded rings** — overflow drops the *oldest* events, keeps the
 //!    newest, and reports the loss through `dropped_events()` and the
 //!    trace export rather than silently.
-//! 4. **Export schemas** — Chrome `trace_event` JSON, JSONL, and the
+//! 5. **Export schemas** — Chrome `trace_event` JSON, JSONL, and the
 //!    metrics snapshot all round-trip through the strict JSON parser
 //!    with the fields dashboards and `about://tracing` rely on.
 
@@ -21,7 +24,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use cgraph::algos::{trace_arrivals, Bfs, Reachability, Sssp, Wcc};
-use cgraph::core::obs::{parse_json, EventKind, Histogram, JsonValue, NONE};
+use cgraph::core::obs::{parse_json, Event, EventKind, Histogram, JsonValue, NONE};
 use cgraph::core::{Engine, EngineConfig, Observer, ServeConfig, ServeLoop, ServeReport};
 use cgraph::graph::snapshot::SnapshotStore;
 use cgraph::graph::vertex_cut::VertexCutPartitioner;
@@ -68,17 +71,16 @@ struct RunDigest {
 
 fn run_cfg(
     store: &Arc<SnapshotStore>,
-    io_workers: usize,
+    workers: usize,
     depth: usize,
     observer: Option<Arc<Observer>>,
 ) -> RunDigest {
     let mut engine = Engine::new(
         Arc::clone(store),
         EngineConfig {
-            workers: 2,
+            workers,
             wavefront: 4,
             prefetch_depth: depth,
-            io_workers,
             hierarchy: tight_hierarchy(store),
             observer,
             ..EngineConfig::default()
@@ -101,52 +103,128 @@ fn run_cfg(
     }
 }
 
+/// The trace-order oracle for the round pipeline.  Each rule matches
+/// an event, opens a context, and forbids a follow-up inside it:
+///
+/// 1. an `install` of round *r* opens "round *r* is installing": that
+///    round's `push` may not start until the install has ended;
+/// 2. a `trigger_chunk` opens "a chunk is running": the first `push`
+///    starting after the chunk may not start until it has ended.  Chunks
+///    carry no round stamp, so this rule works on timestamps alone; it
+///    must stay true once Push itself runs on the trigger pool (ROADMAP
+///    item 2a).
+///
+/// An install whose round has no `push` (a round that failed before its
+/// tail) opens nothing.  Returns the first violation, naming its rule.
+fn trace_order_violation(events: &[Event]) -> Option<String> {
+    let end = |e: &Event| e.start_ns + e.dur_ns;
+    let pushes: Vec<&Event> = events
+        .iter()
+        .filter(|e| e.kind == EventKind::Push)
+        .collect();
+    let mut push_starts: Vec<u64> = pushes.iter().map(|p| p.start_ns).collect();
+    push_starts.sort_unstable();
+    for e in events {
+        match e.kind {
+            EventKind::Install => {
+                let push = pushes.iter().find(|p| p.round == e.round);
+                if let Some(push) = push.filter(|p| end(e) > p.start_ns) {
+                    return Some(format!("rule 1: install {e:?} overlaps its push {push:?}"));
+                }
+            }
+            EventKind::TriggerChunk => {
+                let next = push_starts.partition_point(|&start| start <= e.start_ns);
+                if let Some(&push_start) = push_starts.get(next).filter(|&&p| end(e) > p) {
+                    return Some(format!(
+                        "rule 2: chunk {e:?} runs past a push at {push_start}"
+                    ));
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// Checks [`trace_order_violation`] on a drained dump that lost nothing.
+fn assert_trace_order(dump: &cgraph::core::TraceDump, what: &str) {
+    assert_eq!(
+        dump.dropped_events, 0,
+        "{what}: the oracle needs every event"
+    );
+    if let Some(violation) = trace_order_violation(&dump.events) {
+        panic!("{what}: {violation}");
+    }
+}
+
+#[test]
+fn trace_order_rules_each_reject_a_hand_built_bad_trace() {
+    let event = |kind, round, start_ns, dur_ns| Event {
+        kind,
+        thread: 0,
+        job: NONE,
+        shard: NONE,
+        round,
+        start_ns,
+        dur_ns,
+        value: 0,
+    };
+    let good = vec![
+        event(EventKind::Install, 0, 100, 50),
+        event(EventKind::TriggerChunk, NONE, 120, 60),
+        event(EventKind::Push, 0, 200, 10),
+        event(EventKind::Install, 1, 220, 10),
+        event(EventKind::TriggerChunk, NONE, 225, 5),
+        event(EventKind::Push, 1, 240, 10),
+    ];
+    assert_eq!(trace_order_violation(&good), None);
+
+    // Rule 1: round 1's install is still running when its push starts.
+    let mut bad = good.clone();
+    bad[3].dur_ns = 30;
+    let violation = trace_order_violation(&bad).expect("rule 1 must fire");
+    assert!(violation.starts_with("rule 1"), "{violation}");
+
+    // Rule 2: a chunk started before round 0's push and outlives it.
+    let mut bad = good;
+    bad[1].dur_ns = 90;
+    let violation = trace_order_violation(&bad).expect("rule 2 must fire");
+    assert!(violation.starts_with("rule 2"), "{violation}");
+}
+
 #[test]
 fn tracing_changes_no_bit_on_executor_stress_configs() {
     let store = shared_store();
-    for (io, depth) in [(0usize, 0usize), (0, 2), (2, 2), (4, 2), (4, 4)] {
-        let plain = run_cfg(&store, io, depth, None);
-        let disabled = run_cfg(&store, io, depth, Some(Observer::disabled()));
-        let traced_obs = Observer::enabled();
-        let traced = run_cfg(&store, io, depth, Some(Arc::clone(&traced_obs)));
-        assert_eq!(
-            plain, disabled,
-            "io={io} depth={depth}: disabled observer diverged"
-        );
-        assert_eq!(
-            plain, traced,
-            "io={io} depth={depth}: live observer diverged"
-        );
-        // The traced run must actually have traced: spans in the rings,
-        // metrics in the registry.
-        let dump = traced_obs.dump();
-        assert!(
-            !dump.events.is_empty(),
-            "io={io} depth={depth}: no events captured"
-        );
-        assert!(dump.events.iter().any(|e| e.kind == EventKind::Install));
-        assert!(traced_obs.registry().counter("rounds").get() > 0);
-        // One pipeline, one trace vocabulary: per-chunk spans come from
-        // the trigger workers at every config; waiting on the reorder
-        // buffer needs I/O threads to wait for.
-        let chunk_threads: Vec<&str> = dump
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::TriggerChunk)
-            .map(|e| dump.threads[e.thread as usize].as_str())
-            .collect();
-        assert!(
-            !chunk_threads.is_empty(),
-            "io={io} depth={depth}: no per-chunk spans"
-        );
-        assert!(
-            chunk_threads
+    for depth in [0usize, 2, 4] {
+        for workers in [2usize, 4] {
+            let plain = run_cfg(&store, workers, depth, None);
+            let disabled = run_cfg(&store, workers, depth, Some(Observer::disabled()));
+            let traced_obs = Observer::enabled();
+            let traced = run_cfg(&store, workers, depth, Some(Arc::clone(&traced_obs)));
+            let what = format!("workers={workers} depth={depth}");
+            assert_eq!(plain, disabled, "{what}: disabled observer diverged");
+            assert_eq!(plain, traced, "{what}: live observer diverged");
+            // The traced run must actually have traced: spans in the
+            // rings, metrics in the registry.
+            let dump = traced_obs.dump();
+            assert!(!dump.events.is_empty(), "{what}: no events captured");
+            assert!(dump.events.iter().any(|e| e.kind == EventKind::Install));
+            assert!(traced_obs.registry().counter("rounds").get() > 0);
+            // Per-chunk spans come from the trigger pool and nowhere else.
+            let chunk_threads: Vec<&str> = dump
+                .events
                 .iter()
-                .all(|name| name.starts_with("cgraph-trigger-")),
-            "io={io} depth={depth}: a chunk span from outside the trigger pool"
-        );
-        if io == 0 {
-            assert!(!dump.events.iter().any(|e| e.kind == EventKind::ReorderWait));
+                .filter(|e| e.kind == EventKind::TriggerChunk)
+                .map(|e| dump.threads[e.thread as usize].as_str())
+                .collect();
+            assert!(!chunk_threads.is_empty(), "{what}: no per-chunk spans");
+            assert!(
+                chunk_threads
+                    .iter()
+                    .all(|name| name.starts_with("cgraph-trigger-")),
+                "{what}: a chunk span from outside the trigger pool"
+            );
+            assert_trace_order(&dump, &what);
         }
     }
 }
@@ -196,7 +274,6 @@ fn serve_report(store: &Arc<SnapshotStore>, observer: Option<Arc<Observer>>) -> 
         EngineConfig {
             workers: 2,
             wavefront: 4,
-            io_workers: 2,
             hierarchy: tight_hierarchy(store),
             observer,
             ..EngineConfig::default()
@@ -223,11 +300,12 @@ fn tracing_changes_no_bit_on_the_serve_loop() {
     // And the serve-layer signals were really recorded.
     assert!(obs.registry().counter("serve_arrivals").get() > 0);
     assert!(obs.registry().histogram("serve_queue_wait_us").count() > 0);
-    assert!(obs
-        .dump()
+    let dump = obs.dump();
+    assert!(dump
         .events
         .iter()
         .any(|e| e.kind == EventKind::AdmitRelease));
+    assert_trace_order(&dump, "serve loop");
 }
 
 proptest! {

@@ -306,43 +306,6 @@ fn serving_beats_stream_fifo_denominator() {
     );
 }
 
-/// Scheduler lookahead is results-transparent and plans no worse a
-/// schedule: identical algorithm outputs, load count within the greedy
-/// plan's, and the default-off path untouched.
-#[test]
-fn lookahead_agrees_on_results() {
-    let run = |lookahead: bool| {
-        let st = store();
-        let mut e = Engine::new(
-            Arc::clone(&st),
-            EngineConfig { wavefront: 4, lookahead, ..EngineConfig::default() },
-        );
-        let pr = e.submit_program(PageRank::default());
-        let bf = e.submit_program(Bfs::new(0));
-        let ss = e.submit_program(Sssp::new(3));
-        let report = e.run();
-        assert!(report.completed);
-        (
-            e.results::<PageRank>(pr).unwrap(),
-            e.results::<Bfs>(bf).unwrap(),
-            e.results::<Sssp>(ss).unwrap(),
-            report.loads,
-        )
-    };
-    let (pr_g, bf_g, ss_g, loads_greedy) = run(false);
-    let (pr_l, bf_l, ss_l, loads_look) = run(true);
-    assert_ranks_close(&pr_g, &pr_l, "lookahead PageRank");
-    assert_eq!(bf_g, bf_l);
-    assert_eq!(ss_g, ss_l);
-    // Overlap-first planning may reorder rounds but must not blow up
-    // the load count.
-    assert!(
-        (loads_look as f64) <= loads_greedy as f64 * 1.05,
-        "lookahead {loads_look} vs greedy {loads_greedy}"
-    );
-    assert!(!EngineConfig::default().lookahead, "lookahead defaults off");
-}
-
 /// Shard placement is transparent to execution at *every* variant —
 /// round-robin, hash, and a locality table profiled from a prior run —
 /// on an evolving store with jobs bound to old and new snapshots:

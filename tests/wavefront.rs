@@ -161,13 +161,13 @@ fn mix_results_cfg(
     shards: usize,
     depth: usize,
 ) -> (Vec<f64>, Vec<f32>, Vec<u32>, Vec<u32>) {
-    let mut e = Engine::from_partitions(
-        ps.clone(),
+    let hierarchy = tight(&ps);
+    let mut e = Engine::new(
+        Arc::new(SnapshotStore::with_shards(ps, shards)),
         EngineConfig {
             wavefront: width,
-            shards,
             prefetch_depth: depth,
-            hierarchy: tight(&ps),
+            hierarchy,
             ..EngineConfig::default()
         },
     );
@@ -259,29 +259,16 @@ fn sharded_store_engine_counters_identical_at_width_one() {
     assert_eq!(run(1), run(4));
 }
 
-/// Lane placement never diverges from the store: a physically sharded
-/// store dictates the engine's lanes (identical `shard_of` for every
-/// partition — the same placement `StreamEngine` attributes by), and
-/// `EngineConfig::shards` only models lanes over an unsharded store.
+/// Lane placement never diverges from the store: the store dictates the
+/// engine's lanes (identical `shard_of` for every partition — the same
+/// placement `StreamEngine` attributes by).
 #[test]
 fn engine_lanes_agree_with_store_placement() {
     let ps = partitions();
     let np = ps.num_partitions() as u32;
-    // Sharded store + conflicting config: the store's placement wins.
-    let store = Arc::new(SnapshotStore::with_shards(ps.clone(), 4));
-    let e = Engine::new(
-        Arc::clone(&store),
-        EngineConfig { shards: 2, ..EngineConfig::default() },
-    );
+    let store = Arc::new(SnapshotStore::with_shards(ps, 4));
+    let e = Engine::new(Arc::clone(&store), EngineConfig::default());
     assert_eq!(e.prefetch_queue().shards(), store.num_shards());
-    for pid in 0..np {
-        assert_eq!(e.prefetch_queue().lane_of(pid), store.shard_of(pid));
-    }
-    // Unsharded store: the config knob models the lanes, with the same
-    // round-robin layout a `with_shards` store of that count would use.
-    let flat = Arc::new(SnapshotStore::new(ps));
-    let e = Engine::new(flat, EngineConfig { shards: 4, ..EngineConfig::default() });
-    assert_eq!(e.prefetch_queue().shards(), 4);
     for pid in 0..np {
         assert_eq!(e.prefetch_queue().lane_of(pid), store.shard_of(pid));
     }
@@ -348,9 +335,9 @@ fn sharded_prefetch_models_at_least_15_percent_less() {
     let ds = Dataset::TwitterSim;
     let ps = partitions_for(ds, scale);
     let h = out_of_core_hierarchy(&ps);
-    let store = Arc::new(SnapshotStore::new(ps));
-    let fused = run_wavefront_cfg(&store, 2, h, 4, 4, 0, &paper_mix());
-    let prefetched = run_wavefront_cfg(&store, 2, h, 4, 4, 2, &paper_mix());
+    let store = Arc::new(SnapshotStore::with_shards(ps, 4));
+    let fused = run_wavefront_cfg(&store, 2, h, 4, 0, &paper_mix());
+    let prefetched = run_wavefront_cfg(&store, 2, h, 4, 2, &paper_mix());
     assert!(fused.completed && prefetched.completed);
     // Same plan, same access sequence, same counters: the prefetch
     // window changes only the modeled overlap.
@@ -379,10 +366,10 @@ fn prefetch_depth_is_monotone_in_modeled_time() {
     let ds = Dataset::TwitterSim;
     let ps = partitions_for(ds, scale);
     let h = out_of_core_hierarchy(&ps);
-    let store = Arc::new(SnapshotStore::new(ps));
+    let store = Arc::new(SnapshotStore::with_shards(ps, 4));
     let mut prev = f64::INFINITY;
     for depth in [0usize, 1, 2, 4] {
-        let r = run_wavefront_cfg(&store, 2, h, 4, 4, depth, &paper_mix());
+        let r = run_wavefront_cfg(&store, 2, h, 4, depth, &paper_mix());
         assert!(r.completed);
         assert!(
             r.modeled_seconds <= prev + 1e-12,
