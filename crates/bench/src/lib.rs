@@ -4,8 +4,8 @@
 //! paper's evaluation (§4).  This library holds what they share —
 //! dataset construction, simulated-hierarchy sizing, the engine zoo, the
 //! four-job benchmark mix (PageRank, SSSP, SCC, BFS), table printing —
-//! and the workload generators the two criterion benches and the
-//! integration suites under `tests/` reuse (wavefront runs, evolving
+//! and the workload generators the integration suites under `tests/`
+//! reuse (wavefront runs, evolving
 //! stores, ingest streams, the community graph).  Wall-clock measurement
 //! lives in `benchmark/`; behaviour is asserted under `tests/`.
 //!
@@ -290,8 +290,8 @@ pub fn run_engine(
 /// round and returns the run's report.  At `width > 1` the report's
 /// `modeled_seconds` uses the pipeline model (slot `i+1`'s Load
 /// overlapping slot `i`'s Trigger); at `width == 1` it is the classic
-/// linear figure — the pair is the k-sweep comparison of the
-/// `engine_comparison` bench.
+/// linear figure — the pair is the k-sweep comparison
+/// `tests/wavefront.rs` asserts.
 pub fn run_wavefront(
     store: &Arc<SnapshotStore>,
     workers: usize,
@@ -397,8 +397,7 @@ pub fn evolving_store(
     Arc::new(store)
 }
 
-/// A deterministic ingest stream for the O(Δ) snapshot-chain tests and
-/// the `components` bench.
+/// A deterministic ingest stream for the O(Δ) snapshot-chain tests.
 ///
 /// Each delta adds `per_delta` edges from two fixed, well-separated
 /// source vertices — so few partitions rebuild, and (because every delta

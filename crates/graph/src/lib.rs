@@ -16,7 +16,6 @@
 //! * [`generate`] — deterministic synthetic graph generators (R-MAT,
 //!   Erdős–Rényi, grids, …) plus the scaled-down stand-ins for the paper's
 //!   Table 1 datasets.
-//! * [`io`] — plain-text and binary edge-list round-tripping.
 //! * [`obs`] — the [`StoreObserver`] hook trait the snapshot store and
 //!   WAL report into (implemented by the engine's tracing layer).
 //! * [`fault`] — the store-side half of the shared fault plane: the
@@ -47,7 +46,6 @@ pub mod csr;
 pub mod edge;
 pub mod fault;
 pub mod generate;
-pub mod io;
 pub mod obs;
 pub mod partition;
 pub mod plan;

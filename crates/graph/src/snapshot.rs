@@ -33,11 +33,11 @@
 //!
 //! # Placement, capacity, and concurrency
 //!
-//! Three knobs turn the sharded store into a genuinely multi-node-shaped
-//! store.  All three default off and none of them ever changes what a
-//! view observes — placement moves chains between shards, capacity moves
-//! cold records to (modeled) spill storage, and concurrent apply only
-//! reorders *internal* work:
+//! Two knobs and one self-sized mechanism turn the sharded store into a
+//! genuinely multi-node-shaped store.  The knobs default off and none of
+//! the three ever changes what a view observes — placement moves chains
+//! between shards, capacity moves cold records to (modeled) spill
+//! storage, and concurrent apply only reorders *internal* work:
 //!
 //! - **Placement** ([`ShardPlacement`], default `RoundRobin`): how
 //!   partitions are assigned to shards, and therefore which stage-one
@@ -63,21 +63,21 @@
 //!   resolves a partition through a spilled record reports it via
 //!   [`GraphView::partition_spilled`], which the engines price as a
 //!   disk re-fetch on the owning shard's lane (the spill signal).
-//! - **Concurrent apply** ([`ShardedSnapshotStore::with_apply_workers`],
-//!   default 1 = the serial path): partition rebuilds — pure,
-//!   lock-free reads of the pre-delta state — fan out on scoped worker
-//!   threads claiming partitions from a shared cursor.  The whole
-//!   rebuild path is lock-free: each worker stacks its results in a
-//!   local vector and the main thread merges the pid-tagged results
-//!   after the scope joins.  Deltas whose estimated rebuild work is
-//!   too small to amortize a thread spawn stay serial
-//!   ([`ShardedSnapshotStore::with_apply_threshold`], default
-//!   [`DEFAULT_APPLY_EDGES_PER_WORKER`] edges per worker; `0` removes
-//!   the clamp for the differential suites).  The vertex-level
-//!   current-index merge stays single-threaded and ordered, so the
-//!   result is **bit-identical** to the serial apply at any worker
-//!   count (pinned by `tests/store_stress.rs` and the
-//!   `placement_is_transparent` proptest).
+//! - **Concurrent apply** (no knob): partition rebuilds — pure,
+//!   lock-free reads of the pre-delta state — run on the calling
+//!   thread plus `width − 1` scoped helpers, all claiming partitions
+//!   from one shared cursor, and the master patch splits the rebuilt
+//!   partitions into `width` chunks the same way.  `apply` sizes the
+//!   width itself: `min(host CPUs, affected partitions, rebuild
+//!   edges / 8192)`, at least 1, where host CPUs is
+//!   `available_parallelism()` (so a `taskset -c 0` process applies on
+//!   its own thread alone) and 8192 edges is roughly the rebuild work
+//!   that amortizes one scoped spawn.  Each thread stacks its results
+//!   locally and the calling thread merges them after the join; the
+//!   vertex-level current-index merge stays single-threaded and
+//!   ordered, so the result is **bit-identical** at any width (pinned
+//!   at forced widths by this module's unit tests and on the host's own
+//!   width by `tests/store_stress.rs`).
 //!
 //! # Durability
 //!
@@ -93,7 +93,7 @@
 //! rehydrate from the shard segment (read-through), so the modeled spill
 //! cost can be compared against measured disk time.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -269,18 +269,12 @@ impl Clone for PayloadCell {
 }
 
 impl PayloadCell {
-    /// A resident, purely in-memory payload.
-    fn resident(part: Arc<Partition>) -> Self {
+    /// A resident payload, knowing its on-disk location on a durable
+    /// store (`None` = purely in memory).
+    fn resident(part: Arc<Partition>, disk: Option<PayloadLoc>) -> Self {
         let cell = OnceLock::new();
         let _ = cell.set(part);
-        PayloadCell { part: cell, disk: None }
-    }
-
-    /// A resident payload that also knows its on-disk location.
-    fn resident_at(part: Arc<Partition>, loc: PayloadLoc) -> Self {
-        let cell = OnceLock::new();
-        let _ = cell.set(part);
-        PayloadCell { part: cell, disk: Some(loc) }
+        PayloadCell { part: cell, disk }
     }
 
     /// An on-disk-only payload, decoded on first read.
@@ -336,6 +330,15 @@ struct ShardRecord {
     /// shard's *newest* checkpoint record and everything after it never
     /// spill: they are the state every future walk must reach.
     spilled: bool,
+}
+
+impl ShardRecord {
+    /// Every payload cell the record holds: its delta's, then its
+    /// checkpoint's.
+    fn cells(&self) -> impl Iterator<Item = &PayloadCell> {
+        let cp = self.checkpoint.iter().flat_map(|cp| cp.overrides.values());
+        self.overrides.values().chain(cp)
+    }
 }
 
 /// Materialized cumulative partition state for one shard.
@@ -589,8 +592,8 @@ impl SnapshotShard {
 }
 
 /// The store: a base [`PartitionSet`] (timestamp 0) plus incremental
-/// snapshots, with the partition delta chains sharded round-robin
-/// (`pid % shards`) across independently `Arc`'d [`SnapshotShard`]s.
+/// snapshots, with the partition delta chains sharded by the store's
+/// [`ShardPlacement`] across independently `Arc`'d [`SnapshotShard`]s.
 /// Vertex-level overrides (masters, replica lists, degrees) span
 /// partitions and therefore stay store-global; [`GraphView`] resolves
 /// across shards transparently, so shard count never changes what any
@@ -610,13 +613,6 @@ pub struct ShardedSnapshotStore {
     current: CurrentIndex,
     compaction: CompactionPolicy,
     capacity: ShardCapacity,
-    /// Worker threads `apply` may fan partition rebuilds out on
-    /// (1 = the serial path, bit-for-bit).
-    apply_workers: usize,
-    /// Estimated rebuild edges each apply worker must have before the
-    /// fan-out engages (0 = no clamp; see
-    /// [`with_apply_threshold`](Self::with_apply_threshold)).
-    apply_edges_per_worker: usize,
     /// Store-wide count of spilled records (fast-path guard: spill
     /// checks are free while nothing has ever spilled).
     spilled_records: usize,
@@ -654,19 +650,41 @@ struct ReplayStats {
     micros: u64,
 }
 
+/// Partitions staged for one shard record or checkpoint, pid-ordered,
+/// each with the version it is installed at.
+type StagedArcs = Vec<(PartitionId, Arc<Partition>, VersionId)>;
+
+/// A shard record's or checkpoint's payload cells and version map.
+type PayloadMaps = (
+    HashMap<PartitionId, PayloadCell>,
+    HashMap<PartitionId, VersionId>,
+);
+
 /// The ubiquitous single-`Arc` spelling: a [`ShardedSnapshotStore`]
 /// defaults to one shard via [`ShardedSnapshotStore::new`].
 pub type SnapshotStore = ShardedSnapshotStore;
 
-/// Default minimum rebuild work (estimated affected edges) per apply
-/// worker before `apply` fans out on threads.  Below roughly this many
-/// edges per worker, the spawn/join cost of a scoped thread exceeds
-/// the rebuild it would perform and fanning out is a slowdown.
-pub const DEFAULT_APPLY_EDGES_PER_WORKER: usize = 8192;
+/// Minimum rebuild work (estimated affected edges) per apply thread.
+/// Below roughly this many edges per thread, the spawn/join cost of a
+/// scoped helper exceeds the rebuild it would perform and fanning out
+/// is a slowdown.
+const APPLY_EDGES_PER_THREAD: usize = 8192;
 
-/// One worker's locally accumulated rebuild results during a
-/// concurrent `apply` (lock-free; merged on the main thread).
-type RebuildResults = Vec<(PartitionId, Result<Partition, SnapshotError>)>;
+/// Logical CPUs this process may run on, read once.  On Linux
+/// `available_parallelism` honours the CPU affinity mask.
+fn host_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Threads one `apply` rebuilds and patches on: never more than the
+/// host has, than there are affected partitions to claim, or than the
+/// rebuild work amortizes; at least the calling thread.
+fn apply_width(cpus: usize, units: usize, rebuild_edges: usize) -> usize {
+    cpus.min(units)
+        .min(rebuild_edges / APPLY_EDGES_PER_THREAD)
+        .max(1)
+}
 
 impl ShardedSnapshotStore {
     /// Wraps a base partitioned graph as snapshot timestamp 0, on a
@@ -695,8 +713,6 @@ impl ShardedSnapshotStore {
             current: CurrentIndex::default(),
             compaction: CompactionPolicy::default(),
             capacity: ShardCapacity::default(),
-            apply_workers: 1,
-            apply_edges_per_worker: DEFAULT_APPLY_EDGES_PER_WORKER,
             spilled_records: 0,
             wal: None,
             observer: ObsHandle::none(),
@@ -780,41 +796,6 @@ impl ShardedSnapshotStore {
     /// The active per-shard capacity budget.
     pub fn capacity(&self) -> ShardCapacity {
         self.capacity
-    }
-
-    /// Sets how many worker threads [`apply`](Self::apply) may fan the
-    /// partition rebuilds out on (builder style; clamped to at least 1).
-    /// Results are bit-identical at any worker count — rebuilds are pure
-    /// per-partition functions of the pre-delta state, sequenced per
-    /// shard, and installed in deterministic order.
-    pub fn with_apply_workers(mut self, workers: usize) -> Self {
-        self.apply_workers = workers.max(1);
-        self
-    }
-
-    /// Worker threads `apply` fans out on (1 = serial).
-    pub fn apply_workers(&self) -> usize {
-        self.apply_workers
-    }
-
-    /// Sets the minimum estimated rebuild work (affected edges) each
-    /// apply worker must have before [`apply`](Self::apply) fans out
-    /// (builder style).  Small deltas stay serial regardless of
-    /// [`with_apply_workers`](Self::with_apply_workers): below the
-    /// threshold, the spawn/join cost of scoped threads dwarfs the
-    /// rebuild itself and the fan-out is a net slowdown.  `0` disables
-    /// the clamp entirely — a test-only override that keeps the
-    /// unclamped concurrent path reachable on the tiny fixtures the
-    /// differential suites use.  Results are bit-identical either way.
-    pub fn with_apply_threshold(mut self, edges_per_worker: usize) -> Self {
-        self.apply_edges_per_worker = edges_per_worker;
-        self
-    }
-
-    /// Estimated affected edges required per apply worker before the
-    /// fan-out engages (`0` = no clamp).
-    pub fn apply_threshold(&self) -> usize {
-        self.apply_edges_per_worker
     }
 
     /// Whether any record's payload has ever been spilled.
@@ -1188,14 +1169,13 @@ impl ShardedSnapshotStore {
         };
 
         // 4. Rebuild each affected partition's edge share.  A rebuild is
-        //    a pure, lock-free function of the pre-delta state, so with
-        //    more than one apply worker the rebuilds fan out on scoped
-        //    threads claiming partitions from a shared cursor; each
-        //    worker accumulates its results locally (no shared lock on
-        //    the rebuild path) and the main thread merges after the
-        //    join.  The vertex-level merge afterwards stays
-        //    single-threaded and ordered, so the result is
-        //    bit-identical to the serial path at any worker count.
+        //    a pure, lock-free function of the pre-delta state, so the
+        //    calling thread and `width − 1` scoped helpers claim
+        //    partitions from one shared cursor, each stacking its
+        //    results locally (no lock on the rebuild path); the calling
+        //    thread merges them after the join.  The vertex-level merge
+        //    afterwards stays single-threaded and ordered, so the
+        //    result is bit-identical at any width.
         let rebuild_one = |pid: PartitionId| -> Result<Partition, SnapshotError> {
             let mut edges = resolve(pid).edges_global();
             if let Some(rm) = removed.get(&pid) {
@@ -1224,88 +1204,48 @@ impl ShardedSnapshotStore {
             edges.sort_by_key(|e| (e.src, e.dst));
             Ok(Partition::from_edges_with(pid, &edges, &new_degree))
         };
-        // More threads than units of work is pure overhead, so clamp to
-        // the work count — but deliberately NOT to the machine's core
-        // count: a caller asking for 4 apply workers gets 4 real
-        // threads even on a 1-core host, so the differential suites
-        // exercise the concurrent path (not a silently serial fallback)
-        // on every machine that runs them.  Small deltas additionally
-        // clamp to the estimated rebuild work (one thread per
-        // `apply_edges_per_worker` affected edges): below the
-        // threshold the spawn/join cost exceeds the rebuild itself,
-        // so the fan-out would be a slowdown, not a speedup.
         let rebuild_edges: usize = affected
             .iter()
             .map(|&pid| resolve(pid).num_edges())
             .sum::<usize>()
             + delta.additions.len();
-        let work_cap = match self.apply_edges_per_worker {
-            0 => usize::MAX,
-            per => (rebuild_edges / per).max(1),
+        let width = apply_width(host_cpus(), affected.len(), rebuild_edges);
+        // Unit tests force the width to cover every fan-out on any host.
+        #[cfg(test)]
+        let width = tests::FORCED_WIDTH.with(|w| w.get()).unwrap_or(width);
+        let cursor = AtomicUsize::new(0);
+        let claim = || {
+            let mut local = Vec::new();
+            while let Some(&pid) = affected.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                local.push((pid, rebuild_one(pid)));
+            }
+            local
         };
-        let fanout = |units: usize| self.apply_workers.min(units).min(work_cap);
-        let mut rebuilt: HashMap<PartitionId, Partition> = HashMap::new();
-        let threads = fanout(affected.len());
-        if threads > 1 {
-            // Workers claim partitions from a shared cursor and stack
-            // results in a worker-local vector — the rebuild path holds
-            // no lock at all; the main thread merges the pid-tagged
-            // results after the scope joins, so the chain inputs
-            // assemble identically however the partitions interleave
-            // across workers.
-            let cursor = AtomicUsize::new(0);
-            let results: Vec<Result<RebuildResults, StoreError>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut local = RebuildResults::new();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(&pid) = affected.get(i) else {
-                                    break;
-                                };
-                                local.push((pid, rebuild_one(pid)));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                // A panicked worker must not abort the whole store:
-                // surface it as a typed error and refuse the partial
-                // result (no state has been installed yet).
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .map_err(|_| StoreError::WorkerPanic("apply partition rebuild"))
-                    })
-                    .collect()
-            });
-            // Surface the error the serial (sorted-pid) loop would have
-            // hit first; a worker panic outranks any semantic error.
-            let mut first_err: Option<(PartitionId, SnapshotError)> = None;
-            for local in results {
-                for (pid, r) in local? {
-                    match r {
-                        Ok(p) => {
-                            rebuilt.insert(pid, p);
-                        }
-                        Err(e) => {
-                            if first_err.is_none_or(|(fp, _)| pid < fp) {
-                                first_err = Some((pid, e));
-                            }
-                        }
-                    }
+        let mut results = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..width).map(|_| scope.spawn(claim)).collect();
+            let mut results = claim();
+            // A panicked helper must not abort the whole store: join
+            // every helper, then surface the panic as a typed error and
+            // refuse the partial result (no state has been installed).
+            let mut panicked = false;
+            for h in helpers {
+                match h.join() {
+                    Ok(local) => results.extend(local),
+                    Err(_) => panicked = true,
                 }
             }
-            if let Some((_, e)) = first_err {
-                return Err(e.into());
+            if panicked {
+                return Err(StoreError::WorkerPanic("apply partition rebuild"));
             }
-        } else {
-            for &pid in &affected {
-                rebuilt.insert(pid, rebuild_one(pid)?);
-            }
-        }
+            Ok(results)
+        })?;
+        // In pid order the first error is the smallest affected pid's,
+        // whichever thread hit it; a helper panic outranks it.
+        results.sort_unstable_by_key(|&(pid, _)| pid);
+        let mut rebuilt: Vec<(PartitionId, Partition)> = results
+            .into_iter()
+            .map(|(pid, r)| r.map(|p| (pid, p)))
+            .collect::<Result<_, _>>()?;
 
         // 5. Recompute replica membership and masters for the touched
         //    vertices only — the layered record stores exactly these.
@@ -1318,9 +1258,9 @@ impl ShardedSnapshotStore {
                 .copied()
                 .filter(|p| affected.binary_search(p).is_err())
                 .collect();
-            for &pid in &affected {
-                if rebuilt[&pid].local_of(v).is_some() {
-                    reps.push(pid);
+            for (pid, p) in &rebuilt {
+                if p.local_of(v).is_some() {
+                    reps.push(*pid);
                 }
             }
             reps.sort_unstable();
@@ -1337,47 +1277,33 @@ impl ShardedSnapshotStore {
 
         // 6. Patch master metadata and group rebuilt partitions by the
         //    shard that owns them.  Patching is per-partition local, so
-        //    it rides the same worker budget as the rebuilds (one chunk
-        //    of the pid-sorted vector per worker); the result is
-        //    independent of the split.
+        //    the pid-ordered partitions split into `width` chunks: the
+        //    calling thread patches the first, helpers the rest; the
+        //    result is independent of the split.
         let master_lookup = |v: VertexId| -> PartitionId {
             master_delta.get(&v).copied().unwrap_or_else(|| master(v))
         };
-        let mut parts: Vec<(PartitionId, Partition)> = rebuilt.into_iter().collect();
-        parts.sort_unstable_by_key(|&(pid, _)| pid);
-        let threads = fanout(parts.len());
-        if threads > 1 {
-            let chunk = parts.len().div_ceil(threads);
-            let lookup = &master_lookup;
-            // Join explicitly: an unwinding patch worker becomes a typed
-            // error instead of propagating the panic out of the scope.
-            let panicked = std::thread::scope(|scope| {
-                let handles: Vec<_> = parts
-                    .chunks_mut(chunk)
-                    .map(|slice| {
-                        scope.spawn(move || {
-                            for (_, p) in slice.iter_mut() {
-                                p.patch_masters(lookup);
-                            }
-                        })
-                    })
-                    .collect();
-                handles.into_iter().any(|h| h.join().is_err())
-            });
-            if panicked {
-                return Err(StoreError::WorkerPanic("apply master patch"));
-            }
-        } else {
-            for (_, p) in parts.iter_mut() {
+        let patch = |chunk: &mut [(PartitionId, Partition)]| {
+            for (_, p) in chunk {
                 p.patch_masters(&master_lookup);
             }
-        }
-        let mut by_shard: HashMap<usize, Vec<(PartitionId, Partition)>> = HashMap::new();
-        for (pid, p) in parts {
-            by_shard
-                .entry(self.shard_of(pid))
-                .or_default()
-                .push((pid, p));
+        };
+        let chunk = rebuilt.len().div_ceil(width).max(1);
+        let panicked = std::thread::scope(|scope| {
+            let mut chunks = rebuilt.chunks_mut(chunk);
+            let own = chunks.next();
+            let helpers: Vec<_> = chunks.map(|c| scope.spawn(move || patch(c))).collect();
+            if let Some(c) = own {
+                patch(c);
+            }
+            // Join every helper: an unwinding patch helper becomes a
+            // typed error instead of propagating out of the scope.
+            helpers
+                .into_iter()
+                .fold(false, |panicked, h| h.join().is_err() | panicked)
+        });
+        if panicked {
+            return Err(StoreError::WorkerPanic("apply master patch"));
         }
 
         // 7. Stage one *layered* record per affected shard (only this
@@ -1385,47 +1311,26 @@ impl ShardedSnapshotStore {
         //    a durable store the shard frames and then the store-level
         //    commit frame are appended BEFORE any in-memory mutation,
         //    so an I/O error refuses the apply with the store
-        //    unchanged; shards are staged in ascending id for a
+        //    unchanged; shards are staged in ascending id, each with
+        //    its partitions in `rebuilt`'s pid order, for a
         //    deterministic frame order.
-        let mut by_shard: Vec<(usize, Vec<(PartitionId, Partition)>)> =
-            by_shard.into_iter().collect();
-        by_shard.sort_unstable_by_key(|&(s, _)| s);
+        let mut by_shard: BTreeMap<usize, StagedArcs> = BTreeMap::new();
+        for (pid, p) in rebuilt {
+            let ver = self.current.versions.get(&pid).copied().unwrap_or(0) + 1;
+            by_shard
+                .entry(self.shard_of(pid))
+                .or_default()
+                .push((pid, Arc::new(p), ver));
+        }
         let mut shard_heads: Vec<usize> = self
             .records
             .last()
             .map(|r| r.shard_heads.clone())
             .unwrap_or_else(|| vec![0; self.shards.len()]);
-        type StagedArcs = Vec<(PartitionId, Arc<Partition>, VersionId)>;
         let mut staged: Vec<(usize, ShardRecord, StagedArcs)> = Vec::with_capacity(by_shard.len());
-        for (s, parts) in by_shard {
-            let mut arcs: StagedArcs = Vec::with_capacity(parts.len());
-            for (pid, p) in parts {
-                let ver = self.current.versions.get(&pid).copied().unwrap_or(0) + 1;
-                arcs.push((pid, Arc::new(p), ver));
-            }
-            arcs.sort_unstable_by_key(|&(pid, _, _)| pid);
-            let mut rec = ShardRecord::default();
-            for &(pid, _, ver) in &arcs {
-                rec.versions.insert(pid, ver);
-            }
-            match &mut self.wal {
-                Some(w) => {
-                    let (payload, spans) =
-                        encode_shard_frame(wal::K_SHARD_REC, None, &rec.versions, &arcs);
-                    let base = w.append_shard(s, &payload)?;
-                    for ((pid, part, _), (rel, len)) in arcs.iter().zip(spans) {
-                        let loc = PayloadLoc { shard: s as u32, offset: base + rel as u64, len };
-                        rec.overrides
-                            .insert(*pid, PayloadCell::resident_at(Arc::clone(part), loc));
-                    }
-                }
-                None => {
-                    for (pid, part, _) in &arcs {
-                        rec.overrides
-                            .insert(*pid, PayloadCell::resident(Arc::clone(part)));
-                    }
-                }
-            }
+        for (s, arcs) in by_shard {
+            let (overrides, versions) = self.stage_payloads(s, wal::K_SHARD_REC, None, &arcs)?;
+            let rec = ShardRecord { overrides, versions, ..ShardRecord::default() };
             shard_heads[s] = self.shards[s].records.len() + 1;
             staged.push((s, rec, arcs));
         }
@@ -1563,9 +1468,7 @@ impl ShardedSnapshotStore {
                     let freed: u64 = {
                         let rec = &self.shards[s].records[i];
                         let mut seen: HashSet<*const Partition> = HashSet::new();
-                        rec.overrides
-                            .values()
-                            .chain(rec.checkpoint.iter().flat_map(|cp| cp.overrides.values()))
+                        rec.cells()
                             .filter_map(PayloadCell::get)
                             .filter(|p| seen.insert(Arc::as_ptr(p)))
                             .map(|p| p.structure_bytes())
@@ -1621,24 +1524,13 @@ impl ShardedSnapshotStore {
         let horizon = shard.newest_checkpoint()?;
         let anchored: HashSet<*const Partition> = shard.records[horizon..]
             .iter()
-            .flat_map(|r| {
-                r.overrides
-                    .values()
-                    .filter_map(PayloadCell::get)
-                    .map(Arc::as_ptr)
-                    .chain(r.checkpoint.iter().flat_map(|cp| {
-                        cp.overrides
-                            .values()
-                            .filter_map(PayloadCell::get)
-                            .map(Arc::as_ptr)
-                    }))
-            })
+            .flat_map(ShardRecord::cells)
+            .filter_map(PayloadCell::get)
+            .map(Arc::as_ptr)
             .collect();
         shard.records[..horizon].iter().position(|r| {
             !r.spilled
-                && r.overrides
-                    .values()
-                    .chain(r.checkpoint.iter().flat_map(|cp| cp.overrides.values()))
+                && r.cells()
                     .filter_map(PayloadCell::get)
                     .any(|p| !anchored.contains(&Arc::as_ptr(p)))
         })
@@ -1750,8 +1642,7 @@ impl ShardedSnapshotStore {
         }
         // The cumulative partition state, grouped by owning shard
         // (sorted by pid so durable frames are deterministic).
-        let mut per_shard: Vec<Vec<(PartitionId, Arc<Partition>, VersionId)>> =
-            vec![Vec::new(); self.shards.len()];
+        let mut per_shard: Vec<StagedArcs> = vec![Vec::new(); self.shards.len()];
         for (&pid, part) in &self.current.parts {
             let ver = self.current.versions.get(&pid).copied().unwrap_or(0);
             per_shard[self.shard_of(pid)].push((pid, Arc::clone(part), ver));
@@ -1769,40 +1660,53 @@ impl ShardedSnapshotStore {
             }
             walked += arcs.len() as u64;
             arcs.sort_unstable_by_key(|&(pid, _, _)| pid);
-            let mut cp = ShardCheckpoint::default();
-            for &(pid, _, ver) in &arcs {
-                cp.versions.insert(pid, ver);
-            }
-            match &mut self.wal {
-                Some(w) => {
-                    let rec_idx = (self.shards[s].records.len() - 1) as u64;
-                    let (payload, spans) =
-                        encode_shard_frame(wal::K_SHARD_CP, Some(rec_idx), &cp.versions, &arcs);
-                    let base = w.append_shard(s, &payload)?;
-                    for ((pid, part, _), (rel, len)) in arcs.iter().zip(spans) {
-                        let loc = PayloadLoc { shard: s as u32, offset: base + rel as u64, len };
-                        cp.overrides
-                            .insert(*pid, PayloadCell::resident_at(Arc::clone(part), loc));
-                    }
-                }
-                None => {
-                    for (pid, part, _) in &arcs {
-                        cp.overrides
-                            .insert(*pid, PayloadCell::resident(Arc::clone(part)));
-                    }
-                }
-            }
+            let rec_idx = (self.shards[s].records.len() - 1) as u64;
+            let (overrides, versions) =
+                self.stage_payloads(s, wal::K_SHARD_CP, Some(rec_idx), &arcs)?;
             let shard = Arc::make_mut(&mut self.shards[s]);
             shard
                 .records
                 .last_mut()
                 .expect("needs implies a record")
-                .checkpoint = Some(cp);
+                .checkpoint = Some(ShardCheckpoint { overrides, versions });
         }
         if let (Some(obs), Some(t0)) = (self.observer.get(), compact_t0) {
             obs.checkpoint_walk(walked, t0.elapsed().as_micros() as u64);
         }
         Ok(())
+    }
+
+    /// The payload cells and version map of one shard record or
+    /// checkpoint holding `arcs` (pid-ordered).  On a durable store this
+    /// first appends their `kind` frame to shard `s`'s segment, so each
+    /// cell also knows where its bytes live.
+    fn stage_payloads(
+        &mut self,
+        s: usize,
+        kind: u8,
+        rec_idx: Option<u64>,
+        arcs: &[(PartitionId, Arc<Partition>, VersionId)],
+    ) -> Result<PayloadMaps, StoreError> {
+        let versions: HashMap<PartitionId, VersionId> =
+            arcs.iter().map(|&(pid, _, ver)| (pid, ver)).collect();
+        let disk: Vec<Option<PayloadLoc>> = match &mut self.wal {
+            Some(w) => {
+                let (payload, spans) = encode_shard_frame(kind, rec_idx, &versions, arcs);
+                let base = w.append_shard(s, &payload)?;
+                let shard = s as u32;
+                spans
+                    .into_iter()
+                    .map(|(rel, len)| Some(PayloadLoc { shard, offset: base + rel as u64, len }))
+                    .collect()
+            }
+            None => vec![None; arcs.len()],
+        };
+        let overrides = arcs
+            .iter()
+            .zip(disk)
+            .map(|((pid, part, _), loc)| (*pid, PayloadCell::resident(Arc::clone(part), loc)))
+            .collect();
+        Ok((overrides, versions))
     }
 
     /// Approximate resident bytes held by the delta chains beyond the
@@ -2123,7 +2027,7 @@ impl ShardedSnapshotStore {
                                 a
                             }
                         };
-                        PayloadCell::resident_at(arc, loc)
+                        PayloadCell::resident(arc, Some(loc))
                     } else {
                         PayloadCell::lazy(loc)
                     };
@@ -2241,8 +2145,6 @@ impl ShardedSnapshotStore {
             current,
             compaction: manifest.compaction,
             capacity: manifest.capacity,
-            apply_workers: 1,
-            apply_edges_per_worker: DEFAULT_APPLY_EDGES_PER_WORKER,
             spilled_records,
             wal: Some(wal),
             observer: ObsHandle::none(),
@@ -2925,6 +2827,8 @@ impl GraphView {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::vertex_cut::VertexCutPartitioner;
@@ -3691,23 +3595,59 @@ mod tests {
         }
     }
 
+    thread_local! {
+        /// The width every `apply` on this thread uses instead of its
+        /// own (`None` = [`apply_width`]'s).
+        pub(super) static FORCED_WIDTH: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// Runs `f` with every `apply` on this thread at `width`, whatever
+    /// the host and the delta size would pick.
+    fn at_width<T>(width: usize, f: impl FnOnce() -> T) -> T {
+        FORCED_WIDTH.with(|w| w.set(Some(width)));
+        let out = f();
+        FORCED_WIDTH.with(|w| w.set(None));
+        out
+    }
+
+    /// The apply width is the host's CPUs, clamped by the affected
+    /// partitions and by one thread per 8192 rebuild edges, and never 0.
+    #[test]
+    fn apply_width_follows_host_units_and_work() {
+        const EDGES: [usize; 4] = [0, 8191, 16384, 1_000_000];
+        // Per host CPU count, one row per units {0, 1, 5}: the width
+        // at each of EDGES.
+        let table: [(usize, [[usize; 4]; 3]); 3] = [
+            (1, [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]]),
+            (2, [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 2, 2]]),
+            (8, [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 2, 5]]),
+        ];
+        for (cpus, rows) in table {
+            for (units, row) in [0, 1, 5].into_iter().zip(rows) {
+                for (edges, want) in EDGES.into_iter().zip(row) {
+                    assert_eq!(
+                        apply_width(cpus, units, edges),
+                        want,
+                        "cpus {cpus} units {units} edges {edges}"
+                    );
+                }
+            }
+        }
+        assert!(host_cpus() >= 1);
+    }
+
     /// Concurrent apply is bit-identical to serial apply: same records,
-    /// versions, views, and resident accounting at any worker count.
+    /// versions, views, and resident accounting at any width.
     #[test]
     fn concurrent_apply_matches_serial_bit_for_bit() {
-        let build = |workers: usize, shards: usize| {
+        let build = |width: usize, shards: usize| {
             let el = GraphBuilder::new(16)
                 .edges((0..16u32).map(|v| (v, (v + 1) % 16)))
                 .build();
             let mut s = ShardedSnapshotStore::with_shards(
                 VertexCutPartitioner::new(8).partition(&el),
                 shards,
-            )
-            .with_apply_workers(workers)
-            // The fixture is tiny; disable the work-size clamp so the
-            // concurrent rebuild path actually runs.
-            .with_apply_threshold(0);
-            assert_eq!(s.apply_workers(), workers.max(1));
+            );
             for i in 1..=12u64 {
                 // Each delta spans several partitions so the fan-out is real.
                 let d = GraphDelta::adding([
@@ -3715,13 +3655,20 @@ mod tests {
                     Edge::unit(((i + 8) % 16) as u32, ((i + 2) % 16) as u32),
                     Edge::unit(((i + 4) % 16) as u32, ((i + 11) % 16) as u32),
                 ]);
-                s.apply(i, &d).unwrap();
+                at_width(width, || s.apply(i, &d)).unwrap();
             }
             Arc::new(s)
         };
+        // The exact field dump: edges, CSR order and per-replica master
+        // metadata (what the master patch writes).
+        let dump = |p: &Partition| {
+            let mut out = Vec::new();
+            p.encode(&mut out);
+            out
+        };
         let serial = build(1, 4);
-        for (workers, shards) in [(2, 4), (4, 4), (8, 4), (4, 1)] {
-            let par = build(workers, shards);
+        for (width, shards) in [(2, 4), (4, 4), (8, 4), (4, 1)] {
+            let par = build(width, shards);
             assert_eq!(par.override_bytes(), build(1, shards).override_bytes());
             for ts in 0..=12u64 {
                 let a = serial.view_at(ts);
@@ -3729,9 +3676,9 @@ mod tests {
                 for pid in 0..8 {
                     assert_eq!(a.version_of(pid), b.version_of(pid), "ts {ts} pid {pid}");
                     assert_eq!(
-                        a.partition(pid).edges_global(),
-                        b.partition(pid).edges_global(),
-                        "w {workers} ts {ts} pid {pid}"
+                        dump(a.partition(pid)),
+                        dump(b.partition(pid)),
+                        "w {width} ts {ts} pid {pid}"
                     );
                 }
                 for v in 0..16 {
@@ -3741,51 +3688,22 @@ mod tests {
                 }
             }
         }
-        // Errors surface identically: the serial loop's first (smallest
-        // affected pid) edge-not-found wins in both modes.
-        let mut a = store_mut().with_apply_workers(4).with_apply_threshold(0);
-        let mut b = store_mut();
+        // Errors surface identically: the smallest affected pid's
+        // edge-not-found wins at every width, also when a second
+        // partition fails in the same delta.
         let bad = GraphDelta {
             additions: vec![Edge::unit(0, 2), Edge::unit(4, 6)],
             removals: vec![(0, 1), (0, 1)],
         };
-        assert_eq!(a.apply(1, &bad).unwrap_err(), b.apply(1, &bad).unwrap_err());
-    }
-
-    /// The work-size threshold keeps small applies serial even with a
-    /// large worker budget, and `0` removes the clamp — observable only
-    /// through the builder/accessor and bit-identical results, since
-    /// thread count never changes what any view sees.
-    #[test]
-    fn apply_threshold_defaults_and_override() {
-        let s = store_mut();
-        assert_eq!(s.apply_threshold(), DEFAULT_APPLY_EDGES_PER_WORKER);
-        let s = s.with_apply_threshold(0);
-        assert_eq!(s.apply_threshold(), 0);
-        let s = s.with_apply_threshold(1024);
-        assert_eq!(s.apply_threshold(), 1024);
-
-        // A small delta applied under a huge worker budget with the
-        // default threshold (clamped serial) must match the unclamped
-        // concurrent apply and the plain serial apply bit-for-bit.
-        let run = |workers: usize, threshold: usize| {
-            let mut s = store_mut()
-                .with_apply_workers(workers)
-                .with_apply_threshold(threshold);
-            for i in 1..=6u64 {
-                let v = (i % 8) as u32;
-                s.apply(i, &GraphDelta::adding([Edge::unit(v, (v + 2) % 8)]))
-                    .unwrap();
+        let two_bad = GraphDelta::removing([(4, 5), (4, 5), (0, 1), (0, 1)]);
+        for delta in [bad, two_bad] {
+            let serial_err = at_width(1, || store_mut().apply(1, &delta)).unwrap_err();
+            assert_eq!(serial_err, SnapshotError::EdgeNotFound(0, 1).into());
+            for width in [2, 4, 8] {
+                let err = at_width(width, || store_mut().apply(1, &delta)).unwrap_err();
+                assert_eq!(err, serial_err, "w {width}");
             }
-            let s = Arc::new(s);
-            let view = s.view_at(6);
-            (0..view.num_partitions() as u32)
-                .map(|pid| (view.version_of(pid), view.partition(pid).edges_global()))
-                .collect::<Vec<_>>()
-        };
-        let serial = run(1, DEFAULT_APPLY_EDGES_PER_WORKER);
-        assert_eq!(run(8, DEFAULT_APPLY_EDGES_PER_WORKER), serial);
-        assert_eq!(run(8, 0), serial);
+        }
     }
 
     /// The default policy keeps resident bytes far below the EveryK(1)

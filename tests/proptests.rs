@@ -343,10 +343,10 @@ proptest! {
         }
     }
 
-    /// Placement, capacity, and concurrent apply are pure mechanism: a
-    /// random delta stream observed through {round-robin, hash,
-    /// locality-over-random-footprints} × {unlimited, tight capacity} ×
-    /// {serial, 4-worker apply} yields bit-identical historical views
+    /// Placement and capacity are pure mechanism: a random delta stream
+    /// observed through {round-robin, hash,
+    /// locality-over-random-footprints} × {unlimited, tight capacity}
+    /// yields bit-identical historical views
     /// everywhere (edges, versions, masters, replicas, degrees), and
     /// spill signals only ever fire on capacity-limited stores.
     #[test]
@@ -389,15 +389,11 @@ proptest! {
         for fp in &footprints {
             profile.record(fp.iter().copied());
         }
-        let build = |placement: ShardPlacement, cap: ShardCapacity, workers: usize| {
+        let build = |placement: ShardPlacement, cap: ShardCapacity| {
             let ps = VertexCutPartitioner::new(4).partition(&el);
             let mut s = ShardedSnapshotStore::with_placement(ps, 2, placement)
                 .with_compaction(CompactionPolicy::EveryK(2))
-                .with_capacity(cap)
-                .with_apply_workers(workers)
-                // Tiny proptest deltas: lift the work-size clamp so
-                // multi-worker variants really run concurrently.
-                .with_apply_threshold(0);
+                .with_capacity(cap);
             for (ts, d) in &deltas {
                 s.apply(*ts, d).unwrap();
             }
@@ -406,13 +402,13 @@ proptest! {
         let unlimited = ShardCapacity::UNLIMITED;
         let tight = ShardCapacity::bytes(512);
         let locality = ShardPlacement::locality(&profile, 4, 2);
-        let reference = build(ShardPlacement::RoundRobin, unlimited, 1);
+        let reference = build(ShardPlacement::RoundRobin, unlimited);
         let variants = [
-            build(ShardPlacement::RoundRobin, tight, 1),
-            build(ShardPlacement::Hash, unlimited, 1),
-            build(ShardPlacement::Hash, tight, 4),
-            build(locality.clone(), unlimited, 4),
-            build(locality, tight, 1),
+            build(ShardPlacement::RoundRobin, tight),
+            build(ShardPlacement::Hash, unlimited),
+            build(ShardPlacement::Hash, tight),
+            build(locality.clone(), unlimited),
+            build(locality, tight),
         ];
         let timestamps: Vec<u64> = std::iter::once(0)
             .chain(deltas.iter().map(|(ts, _)| *ts))

@@ -5,10 +5,11 @@
 //! placement cuts cross-shard fetch traffic without changing anything a
 //! view or a schedule observes.
 //!
-//! CI runs this binary both on the default parallel test harness and
-//! under `cargo test -q -- --test-threads=1`, so ordering-dependent
-//! flakiness in the concurrent-apply path shows up as a diff between
-//! the two runs.
+//! CI runs this binary on the default parallel test harness, under
+//! `cargo test -q -- --test-threads=1`, and pinned to one CPU with
+//! `taskset -c 0` (where every apply runs on the calling thread alone),
+//! so ordering-dependent flakiness in the concurrent-apply path shows
+//! up as a diff between the runs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -81,10 +82,10 @@ fn apply_all(mut store: ShardedSnapshotStore, stream: &[GraphDelta]) -> Arc<Shar
 }
 
 /// N writer threads, each driving its own store through the same
-/// 200-delta stream under a different {shards × apply workers ×
-/// placement} configuration, all racing at once: every final chain must
-/// be bit-identical to the single-threaded serial reference, view by
-/// historical view.
+/// 200-delta stream under a different {shards × placement}
+/// configuration, all racing at once: every final chain must be
+/// bit-identical to the single-threaded reference, view by historical
+/// view.
 #[test]
 fn concurrent_apply_stress_matches_serial() {
     let ps = base();
@@ -94,12 +95,13 @@ fn concurrent_apply_stress_matches_serial() {
         &stream,
     ));
 
-    let configs: Vec<(usize, usize, ShardPlacement)> = vec![
-        (1, 4, ShardPlacement::RoundRobin),
-        (4, 2, ShardPlacement::RoundRobin),
-        (4, 4, ShardPlacement::RoundRobin),
-        (8, 4, ShardPlacement::Hash),
-        (4, 4, {
+    let configs: Vec<(usize, ShardPlacement)> = vec![
+        (1, ShardPlacement::RoundRobin),
+        // Two identical writers: same input, racing each other.
+        (4, ShardPlacement::RoundRobin),
+        (4, ShardPlacement::RoundRobin),
+        (8, ShardPlacement::Hash),
+        (4, {
             let mut profile = cgraph::graph::FootprintProfile::new();
             for c in 0..4u32 {
                 profile.record((0..PARTITIONS as u32).filter(|p| p % 4 == c));
@@ -107,23 +109,18 @@ fn concurrent_apply_stress_matches_serial() {
             ShardPlacement::locality(&profile, PARTITIONS, 4)
         }),
     ];
-    let results: Vec<(usize, usize, Vec<ViewDigest>)> = std::thread::scope(|scope| {
+    let results: Vec<(usize, Vec<ViewDigest>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = configs
             .into_iter()
-            .map(|(shards, workers, placement)| {
+            .map(|(shards, placement)| {
                 let ps = ps.clone();
                 let stream = &stream;
                 scope.spawn(move || {
                     let store = apply_all(
-                        ShardedSnapshotStore::with_placement(ps, shards, placement)
-                            .with_apply_workers(workers)
-                            // The fixture's deltas are small; disable
-                            // the work-size clamp so the concurrent
-                            // rebuild path is what this suite races.
-                            .with_apply_threshold(0),
+                        ShardedSnapshotStore::with_placement(ps, shards, placement),
                         stream,
                     );
-                    (shards, workers, digests(&store))
+                    (shards, digests(&store))
                 })
             })
             .collect();
@@ -132,18 +129,14 @@ fn concurrent_apply_stress_matches_serial() {
             .map(|h| h.join().expect("writer"))
             .collect()
     });
-    for (shards, workers, got) in results {
-        assert_eq!(
-            got, reference,
-            "shards={shards} workers={workers} diverged from serial apply"
-        );
+    for (shards, got) in results {
+        assert_eq!(got, reference, "shards={shards} diverged from serial apply");
     }
 }
 
 /// Writers interleaving applies on ONE shared store (a ticket per delta
-/// keeps the global timestamp order; each holder fans its apply out on
-/// 4 workers) must produce exactly the serial chain — and must not
-/// deadlock under lock contention.
+/// keeps the global timestamp order) must produce exactly the serial
+/// chain — and must not deadlock under lock contention.
 #[test]
 fn interleaved_writers_on_shared_store_stay_serializable() {
     let ps = base();
@@ -154,11 +147,7 @@ fn interleaved_writers_on_shared_store_stay_serializable() {
     ));
 
     const WRITERS: usize = 4;
-    let store = Mutex::new(Some(
-        ShardedSnapshotStore::with_shards(ps, 4)
-            .with_apply_workers(4)
-            .with_apply_threshold(0),
-    ));
+    let store = Mutex::new(Some(ShardedSnapshotStore::with_shards(ps, 4)));
     let turn = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
@@ -186,6 +175,76 @@ fn interleaved_writers_on_shared_store_stay_serializable() {
         reference,
         "interleaved writers diverged from serial apply"
     );
+}
+
+/// Deltas big enough that `apply` fans out, checked against a host-side
+/// edge multiset.  The base is R-MAT scale 13 (8192 vertices × 16 =
+/// 131072 edges) over 32 equal-edge partitions, ~4096 edges each.  Each
+/// delta adds 64 edges from 8 spread sources and removes the previous
+/// delta's, so it re-versions up to 8 partitions, and every delta is
+/// asserted to rebuild at least 2 × 8192 edges: its apply width is
+/// `min(host CPUs, affected partitions, rebuild edges / 8192)` ≥ 2 on
+/// any host with two CPUs, so this test runs the helper threads there
+/// (and the calling thread alone under `taskset -c 0`).  Every sampled
+/// view, latest and historical, must equal the multiset and its degrees.
+#[test]
+fn wide_deltas_fan_out_and_match_a_host_multiset() {
+    const N: u32 = 1 << 13;
+    const SAMPLE_EVERY: usize = 6;
+    let el = generate::rmat(13, 16, generate::RmatParams::default(), 7);
+    let mut store =
+        ShardedSnapshotStore::with_shards(VertexCutPartitioner::new(PARTITIONS).partition(&el), 4);
+    let stream = ingest_stream_spread(N, 24, 64, 8);
+    let mut live: Vec<(VertexId, VertexId)> = el.edges().iter().map(|e| (e.src, e.dst)).collect();
+    let mut expected = vec![(0u64, live.clone())];
+    for (i, d) in stream.iter().enumerate() {
+        let ts = (i as u64 + 1) * 10;
+        store.apply(ts, d).expect("stream applies");
+        for &(s, t) in &d.removals {
+            let at = live.iter().position(|&e| e == (s, t)).expect("live edge");
+            live.swap_remove(at);
+        }
+        live.extend(d.additions.iter().map(|e| (e.src, e.dst)));
+        if (i + 1) % SAMPLE_EVERY == 0 {
+            expected.push((ts, live.clone()));
+        }
+    }
+    let store = Arc::new(store);
+    for (i, d) in stream.iter().enumerate() {
+        let (pre, post) = (
+            store.view_at(i as u64 * 10),
+            store.view_at((i as u64 + 1) * 10),
+        );
+        let rebuilt: usize = (0..PARTITIONS as u32)
+            .filter(|&p| pre.version_of(p) != post.version_of(p))
+            .map(|p| pre.partition(p).num_edges())
+            .sum::<usize>()
+            + d.additions.len();
+        assert!(
+            rebuilt >= 2 * 8192,
+            "delta {i} rebuilds only {rebuilt} edges"
+        );
+    }
+    for (ts, mut edges) in expected {
+        let view = store.view_at(ts);
+        let mut got: Vec<(VertexId, VertexId)> = view
+            .edges_global()
+            .edges()
+            .iter()
+            .map(|e| (e.src, e.dst))
+            .collect();
+        got.sort_unstable();
+        edges.sort_unstable();
+        assert_eq!(got, edges, "ts {ts}: edge multiset");
+        let mut degrees = vec![(0u32, 0u32); N as usize];
+        for &(s, t) in &edges {
+            degrees[s as usize].0 += 1;
+            degrees[t as usize].1 += 1;
+        }
+        for v in 0..N {
+            assert_eq!(view.degree_of(v), degrees[v as usize], "ts {ts} v {v}");
+        }
+    }
 }
 
 /// Capacity eviction invariants under a long stream: every spilled

@@ -2,7 +2,7 @@
 //! legacy `pick` (property-tested for both schedulers), plans are sane at
 //! any width, algorithm results are identical across widths, and the
 //! pipelined executor models fewer seconds than the single-slot schedule
-//! on the engine-comparison configuration.
+//! on TwitterSim (shrink 7, 2 workers, the paper's four-job mix).
 
 use std::sync::Arc;
 
@@ -295,8 +295,8 @@ fn default_config_plans_single_slots() {
     assert_eq!(default, explicit);
 }
 
-/// The acceptance check for the pipelined executor: on the
-/// engine-comparison bench configuration, planning a wavefront of k > 1
+/// The acceptance check for the pipelined executor: on TwitterSim
+/// (shrink 7, 2 workers, the paper's mix), planning a wavefront of k > 1
 /// slots models fewer seconds than the single-slot schedule, because
 /// slot i+1's Load overlaps slot i's Trigger inside every round.
 #[test]
