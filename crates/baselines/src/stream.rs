@@ -3,10 +3,10 @@
 use std::sync::Arc;
 
 use cgraph_core::exec::ChargeLedger;
-use cgraph_core::job::{JobId, JobRuntime, TypedJob};
+use cgraph_core::job::{JobId, JobRuntime, ProcessStats, TypedJob};
 use cgraph_core::program::VertexProgram;
-use cgraph_core::workers::{plan_chunks, run_chunk_tasks};
-use cgraph_core::{RunReport, SyncStrategy};
+use cgraph_core::workers::{estimated_edges, plan_chunks, TriggerDrain};
+use cgraph_core::{Observer, RunReport, SyncStrategy};
 use cgraph_graph::snapshot::SnapshotStore;
 use cgraph_graph::{PartitionId, PartitionSet, VersionId};
 use cgraph_memsim::{CacheObject, CostModel, HierarchyConfig, JobMetrics};
@@ -86,6 +86,8 @@ pub struct StreamEngine {
     /// uses), so the engines differ only in *when and for whom* they
     /// request data — never in how work is accounted.
     ledger: ChargeLedger,
+    /// The same trigger drain the CGraph engine runs its rounds through.
+    trigger: TriggerDrain,
     jobs: Vec<JobEntry>,
     loads: u64,
 }
@@ -97,6 +99,7 @@ impl StreamEngine {
             config,
             store,
             ledger: ChargeLedger::new(config.hierarchy),
+            trigger: TriggerDrain::new(Observer::disabled(), None),
             jobs: Vec::new(),
             loads: 0,
         }
@@ -210,20 +213,28 @@ impl StreamEngine {
 
         // Trigger: all workers serve this one job.
         let count = self.jobs[j].runtime.unprocessed_vertices(pid);
-        let tasks = plan_chunks(pid, &[count], self.config.workers, true);
-        let runtimes: Vec<&dyn JobRuntime> = vec![&*self.jobs[j].runtime];
-        let stats = run_chunk_tasks(self.config.workers, &runtimes, &tasks);
-        drop(runtimes);
-        let mut s = stats[0];
+        let mut tasks = Vec::new();
+        plan_chunks(pid, &[j], &[count], 0, self.config.workers, &mut tasks);
+        let est_edges = estimated_edges(self.jobs[j].runtime.view().partition(pid), count);
+        let mut s = [ProcessStats::default()];
+        let jobs = &self.jobs;
+        self.trigger
+            .run(
+                &tasks,
+                est_edges,
+                self.loads as u32,
+                |job| &*jobs[job].runtime,
+                &mut s,
+            )
+            .unwrap_or_else(|err| panic!("streaming baseline trigger: {err}"));
+        let [mut s] = s;
         self.jobs[j].runtime.mark_processed(pid);
 
         // CLIP-style re-entry while the partition is still resident.
         if self.config.reentry > 0 {
-            let extra = self.jobs[j]
+            s += self.jobs[j]
                 .runtime
                 .reenter_partition(pid, self.config.reentry);
-            s.vertex_ops += extra.vertex_ops;
-            s.edge_ops += extra.edge_ops;
         }
 
         self.ledger.charge_compute(j, s);

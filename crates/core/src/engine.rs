@@ -11,7 +11,6 @@ use cgraph_graph::snapshot::SnapshotStore;
 use cgraph_graph::{FootprintProfile, PartitionSet};
 use cgraph_memsim::{CostModel, HierarchyConfig, JobMetrics, Metrics};
 
-use crate::exec::crew::{ExecCrew, ExecError};
 use crate::exec::ledger::JobTiming;
 use crate::exec::wavefront::RoundBuffers;
 use crate::exec::{ChargeLedger, PrefetchQueue, SlotPlanner};
@@ -22,6 +21,7 @@ use crate::obs::event::{EventKind, NONE};
 use crate::obs::{Observer, Recorder};
 use crate::program::VertexProgram;
 use crate::scheduler::{OrderScheduler, PriorityScheduler, Scheduler};
+use crate::workers::{ExecError, TriggerDrain};
 
 /// How Push charges vertex-state synchronization to the memory hierarchy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,15 +51,16 @@ pub enum SchedulerKind {
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Trigger-stage worker threads (the paper's per-core workers); also
-    /// the job batch size when more jobs share a partition than workers.
+    /// The paper's per-core Trigger workers, as modeled: the divisor of
+    /// modeled compute time, the job batch size when more jobs share a
+    /// partition than workers, and the chunk budget straggler splitting
+    /// fills.  It never sizes a thread — the trigger drain sizes its
+    /// helpers from the host and the round ([`crate::workers`]).
     pub workers: usize,
     /// Simulated cache/memory capacities.
     pub hierarchy: HierarchyConfig,
     /// Push charging strategy.
     pub sync: SyncStrategy,
-    /// Whether to split the straggler job's vertices across free cores.
-    pub straggler_split: bool,
     /// Partition-loading scheduler.
     pub scheduler: SchedulerKind,
     /// Wavefront width: how many slots the scheduler plans per round.
@@ -120,7 +121,6 @@ impl Default for EngineConfig {
             workers: 4,
             hierarchy: HierarchyConfig::default(),
             sync: SyncStrategy::BatchedSorted,
-            straggler_split: true,
             scheduler: SchedulerKind::Priority { theta: 0.5 },
             wavefront: 1,
             prefetch_depth: 0,
@@ -152,10 +152,10 @@ pub struct RunReport {
 }
 
 pub(crate) struct JobEntry {
-    /// Shared so the executor's long-lived worker threads can hold
-    /// per-round handles; every mutation goes through `&self`
-    /// interior mutability, and the engine remains the only scheduler.
-    pub(crate) runtime: Arc<dyn JobRuntime>,
+    /// Every mutation goes through `&self` interior mutability, so the
+    /// trigger drain's scoped helpers borrow it while the engine remains
+    /// the only scheduler.
+    pub(crate) runtime: Box<dyn JobRuntime>,
     pub(crate) done: bool,
     /// Set when fault admission exhausted a fetch's retry budget while
     /// this job was interested in the slot: the job was retired without
@@ -197,11 +197,11 @@ pub struct Engine {
     pub(crate) round: RoundBuffers,
     pub(crate) loads: u64,
     pub(crate) pipeline_seconds: f64,
-    /// The executor's trigger pool, spawned by the first round.
-    pub(crate) crew: Option<ExecCrew>,
-    /// Set when a trigger worker died (panicking user code) or could not
-    /// be started: the crew has been shut down gracefully and the engine
-    /// refuses further rounds.  See [`Engine::exec_error`].
+    /// The trigger stage's drain and its per-lane recorders.
+    pub(crate) trigger: TriggerDrain,
+    /// Set when a trigger chunk panicked (user code) or a helper thread
+    /// could not be started: the engine refuses further rounds.  See
+    /// [`Engine::exec_error`].
     pub(crate) fault: Option<ExecError>,
     /// The seeded fault plane, when the config carried one
     /// ([`crate::fault`]); `None` keeps admission a single branch.
@@ -210,7 +210,7 @@ pub struct Engine {
     pub(crate) quarantines: u64,
     /// The resolved observer (the config's, or the shared disabled one).
     pub(crate) obs: Arc<Observer>,
-    /// Main-thread event recorder: install and push spans, fault
+    /// Calling-thread event recorder: install and push spans, fault
     /// instants.  Permanently off unless the config carried an enabled
     /// observer.
     pub(crate) rec: Recorder,
@@ -250,23 +250,13 @@ impl Engine {
             round: RoundBuffers::default(),
             loads: 0,
             pipeline_seconds: 0.0,
-            crew: None,
+            trigger: TriggerDrain::new(Arc::clone(&obs), faults.clone()),
             fault: None,
             faults,
             quarantines: 0,
             obs,
             rec,
             round_no: 0,
-        }
-    }
-
-    /// The trigger pool rounds run on, spawning its `workers` threads
-    /// on first use — so an engine that never executes a round owns no
-    /// thread.
-    pub(crate) fn ensure_crew(&mut self) -> Result<ExecCrew, ExecError> {
-        match self.crew.take() {
-            Some(crew) => Ok(crew),
-            None => ExecCrew::spawn(self.config.workers, &self.obs, self.faults.clone()),
         }
     }
 
@@ -289,7 +279,7 @@ impl Engine {
         let runtime = TypedJob::new(id, program, view).observed(&self.obs);
         let done = runtime.is_converged();
         self.jobs
-            .push(JobEntry { runtime: Arc::new(runtime), done, quarantined: None });
+            .push(JobEntry { runtime: Box::new(runtime), done, quarantined: None });
         self.ledger.register_job();
         let runtime = &*self.jobs[id as usize].runtime;
         self.planner.track_job(id as usize, runtime, !done);
@@ -345,7 +335,7 @@ impl Engine {
             TypedJob::resume_from(id, program, view, prior, &summary.touched).observed(&self.obs);
         let done = runtime.is_converged();
         self.jobs
-            .push(JobEntry { runtime: Arc::new(runtime), done, quarantined: None });
+            .push(JobEntry { runtime: Box::new(runtime), done, quarantined: None });
         self.ledger.register_job();
         let runtime = &*self.jobs[id as usize].runtime;
         self.planner.track_job(id as usize, runtime, !done);
@@ -381,12 +371,12 @@ impl Engine {
         true
     }
 
-    /// The executor's parked failure, if a trigger worker died
-    /// (panicking user code inside `process_chunk`) or could not be
-    /// started.  The engine shuts the crew down gracefully at the fault —
-    /// chunk queue closed, surviving workers joined — and every later [`step_round`](Self::step_round) /
-    /// [`run`](Self::run) refuses to execute instead of hanging on or
-    /// re-panicking over a half-dead pipeline.
+    /// The executor's parked failure, if a trigger chunk panicked (user
+    /// code inside `process_chunk`) or a helper thread could not be
+    /// started.  The failing round joined every helper it started before
+    /// returning, and every later [`step_round`](Self::step_round) /
+    /// [`run`](Self::run) refuses to execute instead of re-panicking
+    /// over a half-processed round.
     pub fn exec_error(&self) -> Option<ExecError> {
         self.fault
     }
@@ -544,7 +534,7 @@ impl Engine {
             }
             self.exec_planned_round();
         }
-        // A crew fault mid-run is a truncation, not a completion.
+        // An executor fault mid-run is a truncation, not a completion.
         completed &= self.fault.is_none();
         let metrics = self.ledger.metrics().since(&start_metrics);
         // Width 1 keeps the classic linear figure bit-for-bit; wider

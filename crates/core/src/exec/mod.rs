@@ -16,7 +16,7 @@
 //!   Load/Push paths and the baseline streaming engine.
 //! * [`wavefront`] — the one Load–Trigger–Push round executor: a wave
 //!   of up to `k` scheduler-planned slots runs fetch → install slot by
-//!   slot in plan order on the main thread, then trigger → push, and
+//!   slot in plan order on the calling thread, then trigger → push, and
 //!   the round's modeled time overlaps slot *i+1*'s Load with slot *i*'s
 //!   Trigger (two-stage flow-shop makespan).  `k = 1` is a wave of one
 //!   slot, not a separate path.
@@ -26,19 +26,19 @@
 //!   with the three-stage pipeline makespan (disk-fetch →
 //!   memory-install → trigger).  At depth 0 it degenerates to the
 //!   two-stage model above.
-//! * [`crew`] — the threads the executor runs on, spawned by an engine's
-//!   first round and joined when it drops: a persistent trigger-worker
-//!   pool that drains chunk tasks.  Results and modeled costs are
-//!   bit-identical at any pool size (see the module docs for the
-//!   ordering argument).
+//!
+//! The trigger stage drains each round's chunk tasks through
+//! [`crate::workers::TriggerDrain`]: the calling thread plus scoped
+//! helpers sized per round from the host and the work, all joined before
+//! the round's Push.  Results and modeled costs are bit-identical at any
+//! width (see that module's docs for the ordering argument).
 
-pub mod crew;
 pub mod ledger;
 pub mod planner;
 pub mod prefetch;
 pub mod wavefront;
 
-pub use crew::ExecError;
+pub use crate::workers::ExecError;
 pub use ledger::{ChargeLedger, JobTiming};
 pub use planner::{SlotKey, SlotPlanner};
 pub use prefetch::{pipeline_makespan, PrefetchQueue};

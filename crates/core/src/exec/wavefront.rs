@@ -1,8 +1,7 @@
 //! The pipelined Load–Trigger–Push round executor.
 //!
 //! One round executes a scheduler-planned *wavefront* of slots through
-//! one staged pipeline, walking the slots in plan order on the main
-//! thread:
+//! one staged pipeline on the calling thread:
 //!
 //! 1. **Fetch** — the slot's stage-one probe scans: one unprocessed-
 //!    vertex count per interested job, the input straggler splitting
@@ -10,36 +9,39 @@
 //! 2. **Install** — the slot's structure partition and private tables
 //!    are charged through the [`ChargeLedger`](super::ChargeLedger)
 //!    (structures stay pinned for the whole round) and its chunk tasks
-//!    are handed to the trigger workers.
-//! 3. **Trigger** — the persistent trigger workers of [`super::crew`]
-//!    drain chunks as they arrive, so cores finishing one slot's jobs
-//!    immediately pick up the next slot's chunks instead of idling
-//!    behind a straggler.
+//!    join the round's task list.
+//! 3. **Trigger** — once every slot is installed, the round's tasks
+//!    drain once through
+//!    [`TriggerDrain`](crate::workers::TriggerDrain): the calling thread plus
+//!    scoped helpers claim chunks from one cursor, so a lane finishing
+//!    one slot's jobs immediately picks up the next slot's chunks
+//!    instead of idling behind a straggler.
 //! 4. **Push** — each job whose iteration completed synchronizes
 //!    replicas and advances, and the slot planner is patched
 //!    incrementally.
 //!
 //! # Configurations, not paths
 //!
-//! Fetch runs inline at every configuration: a probe is one integer
-//! read per job, so there is nothing to hand to another thread, and the
-//! trigger pool owns the only worker threads.  A width-1 wave is a wave
-//! of one slot, and `prefetch_depth` changes how a round is priced
-//! (below), never what runs.  Everything is the same code.
+//! Fetch and install run inline at every configuration: a probe is one
+//! integer read per job, so there is nothing to hand to another thread.
+//! The drain's helpers are the only other threads, sized per round from
+//! the host and the round's estimated edges and joined before Push.  A
+//! width-1 wave is a wave of one slot, and `prefetch_depth` changes how
+//! a round is priced (below), never what runs.  Everything is the same
+//! code.
 //!
 //! # Why determinism survives the concurrency
 //!
 //! Every merge point is ordered or commutative:
 //!
 //! * Probe scans are pure reads of state only mutated at the round tail
-//!   (after every chunk drains), so their values do not depend on how
-//!   far the trigger workers have got.
+//!   (after the drain), so their values do not depend on the drain.
 //! * Ledger charging — the only mutation that decides modeled times and
-//!   traffic counters — happens solely on the main thread, in plan
+//!   traffic counters — happens solely on the calling thread, in plan
 //!   order.
 //! * Chunk statistics accumulate as `u64` additions (commutative,
 //!   exact) per pooled entry; the `f64` stage-time conversion happens
-//!   afterwards on the main thread in entry order, so the float
+//!   afterwards on the calling thread in entry order, so the float
 //!   accumulation order is fixed by the plan.
 //! * Vertex-state folds inside `process_chunk` take per-partition locks
 //!   and use an accumulator algebra that is result-neutral under any
@@ -58,16 +60,13 @@
 //! wave has nothing to prefetch behind and always takes the two-stage
 //! price.  No thread count changes a modeled figure.
 
-use std::sync::Arc;
-
 use cgraph_memsim::{CacheObject, Metrics};
 
 use crate::engine::Engine;
-use crate::exec::crew::{ExecCrew, ExecError};
 use crate::exec::planner::SlotKey;
 use crate::job::ProcessStats;
 use crate::obs::{EventKind, NONE};
-use crate::workers::{plan_chunks_into, ChunkTask};
+use crate::workers::{estimated_edges, plan_chunks, ChunkTask, ExecError};
 
 /// Makespan of a fixed-sequence two-stage pipeline: stage-one times
 /// `loads` (serialized, e.g. the shared memory channel) feed stage-two
@@ -118,8 +117,10 @@ pub(crate) struct RoundBuffers {
     origins: Vec<(usize, usize)>,
     /// Per-entry chunk statistics, aligned with `origins`.
     stats: Vec<ProcessStats>,
-    /// One batch's planned chunk tasks.
-    chunk_scratch: Vec<ChunkTask>,
+    /// The round's chunk tasks, in install order.
+    tasks: Vec<ChunkTask>,
+    /// Edges the round's tasks are estimated to scatter, summed per slot.
+    est_edges: usize,
 }
 
 impl RoundBuffers {
@@ -135,6 +136,8 @@ impl RoundBuffers {
         self.push_jobs.clear();
         self.origins.clear();
         self.stats.clear();
+        self.tasks.clear();
+        self.est_edges = 0;
     }
 }
 
@@ -159,18 +162,10 @@ impl Engine {
             round.slots.push((key, start, round.jobs.len()));
         }
 
-        // A failed pump drops the crew on its way out of the closure:
-        // the chunk queue closes and the surviving workers are joined
-        // instead of the main thread panicking or hanging.
-        let pumped = self.ensure_crew().and_then(|mut crew| {
-            self.pump_round(&mut round, &mut crew, prefetching)?;
-            Ok(crew)
-        });
-        match pumped {
-            Ok(crew) => {
-                self.crew = Some(crew);
+        match self.pump_round(&mut round, prefetching) {
+            Ok(()) => {
                 // Trigger merge: charge compute in pooled-entry order on
-                // the main thread, which fixes the float accumulation
+                // the calling thread, which fixes the float accumulation
                 // order of `round.trigger` whatever order chunks ran in.
                 for (stats, &(si, j)) in round.stats.iter().zip(&round.origins) {
                     self.ledger.charge_compute(j, *stats);
@@ -195,15 +190,9 @@ impl Engine {
     }
 
     /// The failable half of a round: the plan-order fetch → install
-    /// loop and the trigger drain.  A dead trigger worker surfaces here
-    /// as a typed [`ExecError`].
-    fn pump_round(
-        &mut self,
-        round: &mut RoundBuffers,
-        crew: &mut ExecCrew,
-        prefetching: bool,
-    ) -> Result<(), ExecError> {
-        crew.begin_round(round.jobs.len());
+    /// loop and the trigger drain.  A panicked chunk or a refused helper
+    /// surfaces here as a typed [`ExecError`].
+    fn pump_round(&mut self, round: &mut RoundBuffers, prefetching: bool) -> Result<(), ExecError> {
         for si in 0..round.slots.len() {
             let ((pid, _), start, end) = round.slots[si];
             // Fetch: one probe scan per interested job, in slot order.
@@ -214,7 +203,7 @@ impl Engine {
                     .map(|&j| self.jobs[j].runtime.unprocessed_vertices(pid)),
             );
             let install_t0 = self.rec.start();
-            self.install_slot(si, round, crew, prefetching);
+            self.install_slot(si, round, prefetching);
             if self.rec.on() {
                 self.rec.complete(
                     EventKind::Install,
@@ -233,33 +222,35 @@ impl Engine {
         if self.rec.on() {
             let r = self.obs.registry();
             r.histogram("chunk_tasks_per_round")
-                .record(crew.outstanding() as u64);
+                .record(round.tasks.len() as u64);
             r.histogram("round_entries")
                 .record(round.origins.len() as u64);
         }
-        crew.finish_round(&mut round.stats)
+        round
+            .stats
+            .resize(round.origins.len(), ProcessStats::default());
+        let jobs = &self.jobs;
+        self.trigger.run(
+            &round.tasks,
+            round.est_edges,
+            self.round_no,
+            |j| &*jobs[j].runtime,
+            &mut round.stats,
+        )
     }
 
-    /// Installs one fetched slot: the slot's ledger charge loop plus
-    /// chunk-task handoff to the trigger workers.
-    fn install_slot(
-        &mut self,
-        si: usize,
-        round: &mut RoundBuffers,
-        crew: &mut ExecCrew,
-        prefetching: bool,
-    ) {
+    /// Installs one fetched slot: the slot's ledger charge loop plus its
+    /// chunk tasks, appended to the round's task list.
+    fn install_slot(&mut self, si: usize, round: &mut RoundBuffers, prefetching: bool) {
         let workers = self.config.workers;
         let batch_size = workers.max(1);
         let cost = self.cost;
         let ((pid, version), start, end) = round.slots[si];
         let before = *self.ledger.metrics();
         let structure = CacheObject::Structure { pid, version };
-        let sbytes = self.jobs[round.jobs[start]]
-            .runtime
-            .view()
-            .partition(pid)
-            .structure_bytes();
+        let part = self.jobs[round.jobs[start]].runtime.view().partition(pid);
+        let sbytes = part.structure_bytes();
+        round.est_edges += estimated_edges(part, round.counts.iter().sum());
         let lane = self.prefetch.lane_of(pid);
         round.lanes.push(lane);
         let spills_possible = self.store.has_spills();
@@ -301,28 +292,18 @@ impl Engine {
                     tbytes,
                 );
             }
-            let base = round.origins.len();
-            for &j in &round.jobs[off..batch_end] {
-                round.origins.push((si, j));
-            }
             // The fetch stage already ran this slot's probe scans; their
             // values are position-aligned with the slot's job list.
-            plan_chunks_into(
+            plan_chunks(
                 pid,
+                &round.jobs[off..batch_end],
                 &round.counts[(off - start)..(batch_end - start)],
+                round.origins.len(),
                 workers.max(batch_end - off),
-                self.config.straggler_split,
-                &mut round.chunk_scratch,
+                &mut round.tasks,
             );
-            for task in &round.chunk_scratch {
-                let job = round.jobs[off + task.job_slot];
-                crew.push_chunk(
-                    base + task.job_slot,
-                    pid,
-                    task.chunk,
-                    task.nchunks,
-                    Arc::clone(&self.jobs[job].runtime),
-                );
+            for &j in &round.jobs[off..batch_end] {
+                round.origins.push((si, j));
             }
             off = batch_end;
         }

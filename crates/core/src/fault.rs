@@ -25,7 +25,7 @@
 //!   the recovery suite's territory, driven by the file harness
 //!   re-exported below).
 //! * **Trigger workers** — [`FaultConfig::panic_chunk`] injects a panic
-//!   into a chosen `process_chunk` call inside the trigger pool,
+//!   into a chosen `process_chunk` call inside the trigger drain,
 //!   exercising the worker-death path (`Engine::exec_error`) end to
 //!   end.
 //!
@@ -416,7 +416,7 @@ impl FaultPlane {
         }
     }
 
-    /// Whether the crew's trigger stage must panic on this chunk (the
+    /// Whether the trigger drain must panic on this chunk (the
     /// injected worker-death drill).
     pub(crate) fn should_panic_chunk(&self, pid: u32, chunk: usize) -> bool {
         self.enabled && self.cfg.panic_chunk == Some((pid, chunk))

@@ -31,6 +31,13 @@ pub struct ProcessStats {
     pub edge_ops: u64,
 }
 
+impl std::ops::AddAssign for ProcessStats {
+    fn add_assign(&mut self, other: ProcessStats) {
+        self.vertex_ops += other.vertex_ops;
+        self.edge_ops += other.edge_ops;
+    }
+}
+
 /// What one Push stage did, for the engine's accounting.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PushStats {
@@ -456,9 +463,7 @@ impl<P: VertexProgram> JobRuntime for TypedJob<P> {
             if !any {
                 break;
             }
-            let s = self.process_chunk(pid, 0, 1);
-            total.vertex_ops += s.vertex_ops;
-            total.edge_ops += s.edge_ops;
+            total += self.process_chunk(pid, 0, 1);
         }
         total
     }
@@ -680,16 +685,17 @@ impl<P: VertexProgram> TypedJob<P> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cgraph_graph::snapshot::SnapshotStore;
     use cgraph_graph::vertex_cut::VertexCutPartitioner;
     use cgraph_graph::{generate, Partitioner, Weight};
     use std::sync::Arc;
 
-    /// Min-hop BFS used to exercise the runtime directly.
-    struct Bfs {
-        source: VertexId,
+    /// Min-hop BFS used to exercise the runtime (and the engine's
+    /// trigger drain) directly.
+    pub(crate) struct Bfs {
+        pub(crate) source: VertexId,
     }
 
     impl VertexProgram for Bfs {

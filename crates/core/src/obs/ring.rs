@@ -1,10 +1,12 @@
 //! Per-thread bounded event ring.
 //!
-//! One [`Ring`] belongs to one producer thread (a `cgraph-trigger-N`
-//! worker, the main install loop, the serve loop, or the store bridge).  The producer writes events, a drainer reads
-//! them out after the producer has quiesced (between rounds, or at
-//! export time).  Within that discipline the ring is lock-free and
-//! wait-free on the hot path:
+//! One [`Ring`] belongs to one producer at a time: the engine's install
+//! loop, one `cgraph-trigger-N` lane of the trigger drain (lane 0 is the
+//! calling thread, lane N a scoped helper that lives for one drain), the
+//! serve loop, or the store bridge.  The producer writes events, a
+//! drainer reads them out after the producer has quiesced (between
+//! rounds, or at export time).  Within that discipline the ring is
+//! lock-free and wait-free on the hot path:
 //!
 //! * every slot is `EVENT_WORDS` plain [`AtomicU64`] words — no
 //!   `UnsafeCell`, no `unsafe` anywhere in this module.  Even a misuse

@@ -1,29 +1,82 @@
-//! Trigger-stage chunk planning, plus a one-shot scoped drain.
+//! The Trigger stage's threads: chunk planning plus the one drain every
+//! engine runs its chunk tasks through.
 //!
-//! For each loaded partition an engine builds one chunk-task per (job,
+//! For each loaded partition an engine builds one chunk task per (job,
 //! chunk) pair.  Straggler splitting (paper §3.2.3, Fig. 6) falls out of
 //! the task list: the job with the most unprocessed vertices contributes
 //! more chunks, so free cores naturally assist it.
 //!
-//! [`crate::Engine`] hands the planned chunks to its persistent trigger
-//! workers ([`crate::exec::crew`]); [`run_chunk_tasks`] is the
-//! self-contained drain for engines without a crew — the streaming
-//! baseline the tests compare against.
+//! [`TriggerDrain::run`] executes one task list — a round of
+//! [`crate::Engine`], or one load of the streaming baseline — on the
+//! calling thread plus `width − 1` [`std::thread::scope`] helpers, all
+//! claiming tasks from one atomic cursor.  The width is
+//! [`fan_out_width`]`(host CPUs, tasks, estimated edges)`, the rule the
+//! snapshot store's `apply` uses, so a drain under 16 384 estimated edges
+//! spawns nothing and no helper outlives the call.
+//! `EngineConfig::workers` is the *modeled* core count: it divides the
+//! compute cost, batches installs and budgets chunks, and never sizes a
+//! thread.
+//!
+//! Why determinism survives the concurrency: each lane folds its chunks'
+//! stats into a per-entry `u64` table of its own, and the calling thread
+//! adds the helpers' tables in after the join.  Integer addition is exact
+//! and commutative, so the totals do not depend on which lane ran which
+//! chunk; engines convert them to `f64` afterwards, in entry order.
+//!
+//! # Failure
+//!
+//! A panic inside `process_chunk` (user code, or the fault plane's
+//! injected drill) must not hang or abort the engine.  On a helper it
+//! surfaces as a join error, on the calling thread it is caught by
+//! `catch_unwind`; either way the drain returns
+//! [`ExecError::WorkerPanic`] once every started helper has been joined.
+//! A helper the OS refuses to start returns [`ExecError::Spawn`].
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use parking_lot::Mutex;
+use cgraph_graph::{fan_out_width, host_cpus, Partition, PartitionId};
 
-use cgraph_graph::PartitionId;
-
+use crate::fault::FaultPlane;
 use crate::job::{JobRuntime, ProcessStats};
+use crate::obs::{EventKind, Observer, Recorder};
 
-/// One unit of trigger work: chunk `chunk` of `nchunks` of partition `pid`
-/// for the job at `job_slot` (an index into the batch's job list).
-#[derive(Clone, Copy, Debug)]
+/// An executor failure: a trigger lane died (panicked user code) or the
+/// OS refused a thread.  Surfaced by [`crate::Engine::exec_error`], never
+/// a panic or a hang on the calling thread.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ExecError {
+    /// A trigger lane panicked; the label says where.
+    WorkerPanic(&'static str),
+    /// The OS refused to start a helper thread; the label says which
+    /// kind.
+    Spawn(&'static str),
+}
+
+impl std::fmt::Display for ExecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExecError::WorkerPanic(what) => write!(f, "executor worker panicked: {what}"),
+            ExecError::Spawn(what) => write!(f, "executor could not start {what}"),
+        }
+    }
+}
+
+impl std::error::Error for ExecError {}
+
+/// The label of every trigger-lane panic.
+const CHUNK_PANIC: &str = "process_chunk panicked in a trigger worker";
+
+/// One unit of trigger work: chunk `chunk` of `nchunks` of partition
+/// `pid` for job `job`, whose stats fold into entry `entry` of a drain's
+/// totals.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkTask {
-    /// Index into the job slice handed to [`run_chunk_tasks`].
-    pub job_slot: usize,
+    /// Index into the drain's per-entry totals.
+    pub entry: usize,
+    /// The job, as the drain's lookup resolves it.
+    pub job: usize,
     /// Partition to process.
     pub pid: PartitionId,
     /// Chunk index.
@@ -32,135 +85,359 @@ pub struct ChunkTask {
     pub nchunks: usize,
 }
 
-/// Executes the tasks on up to `workers` threads and returns per-job-slot
-/// accumulated compute statistics.
-pub fn run_chunk_tasks(
-    workers: usize,
-    jobs: &[&dyn JobRuntime],
-    tasks: &[ChunkTask],
-) -> Vec<ProcessStats> {
-    let mut totals = vec![ProcessStats::default(); jobs.len()];
-    if tasks.is_empty() {
-        return totals;
-    }
-    let threads = workers.max(1).min(tasks.len());
-    if threads == 1 {
-        for t in tasks {
-            let s = jobs[t.job_slot].process_chunk(t.pid, t.chunk, t.nchunks);
-            totals[t.job_slot].vertex_ops += s.vertex_ops;
-            totals[t.job_slot].edge_ops += s.edge_ops;
-        }
-        return totals;
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, ProcessStats)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, ProcessStats)> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= tasks.len() {
-                        break;
-                    }
-                    let t = tasks[i];
-                    let s = jobs[t.job_slot].process_chunk(t.pid, t.chunk, t.nchunks);
-                    local.push((t.job_slot, s));
-                }
-                collected.lock().extend(local);
-            });
-        }
-    });
-    for (slot, s) in collected.into_inner() {
-        totals[slot].vertex_ops += s.vertex_ops;
-        totals[slot].edge_ops += s.edge_ops;
-    }
-    totals
-}
-
-/// Builds the chunk-task list for one batch of jobs processing `pid`.
+/// Appends the chunk tasks of one batch of jobs processing `pid`:
+/// `jobs[i]`, with `unprocessed[i]` unprocessed vertices, folds into
+/// entry `first_entry + i`.
 ///
-/// Every job gets one chunk; when `straggler_split` is on and cores remain
-/// (`budget > jobs`), the job with the most unprocessed vertices is divided
-/// into the leftover chunks.
+/// Every job gets one chunk; when cores remain (`budget > jobs`), the
+/// job with the most unprocessed vertices is divided into the leftover
+/// chunks.
 pub fn plan_chunks(
     pid: PartitionId,
+    jobs: &[usize],
     unprocessed: &[u64],
+    first_entry: usize,
     budget: usize,
-    straggler_split: bool,
-) -> Vec<ChunkTask> {
-    let mut tasks = Vec::new();
-    plan_chunks_into(pid, unprocessed, budget, straggler_split, &mut tasks);
-    tasks
-}
-
-/// [`plan_chunks`] into a caller-owned buffer (cleared first), so hot
-/// loops can recycle the task vector across batches and rounds.
-pub fn plan_chunks_into(
-    pid: PartitionId,
-    unprocessed: &[u64],
-    budget: usize,
-    straggler_split: bool,
     tasks: &mut Vec<ChunkTask>,
 ) {
-    tasks.clear();
-    let njobs = unprocessed.len();
-    if njobs == 0 {
-        return;
-    }
-    let mut straggler = usize::MAX;
-    let mut extra = 0;
-    if straggler_split && budget > njobs {
-        straggler = unprocessed
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .map(|(i, _)| i)
-            .expect("non-empty batch");
-        extra = budget - njobs;
-    }
-    for slot in 0..njobs {
-        let n = if slot == straggler { 1 + extra } else { 1 };
-        for chunk in 0..n {
-            tasks.push(ChunkTask { job_slot: slot, pid, chunk, nchunks: n });
+    debug_assert_eq!(jobs.len(), unprocessed.len());
+    let straggler = unprocessed
+        .iter()
+        .enumerate()
+        .max_by_key(|(_, &c)| c)
+        .map(|(i, _)| i);
+    let extra = budget.saturating_sub(jobs.len());
+    for (slot, &job) in jobs.iter().enumerate() {
+        let nchunks = if Some(slot) == straggler {
+            1 + extra
+        } else {
+            1
+        };
+        for chunk in 0..nchunks {
+            tasks.push(ChunkTask { entry: first_entry + slot, job, pid, chunk, nchunks });
         }
+    }
+}
+
+/// Edges `probed` unprocessed vertices of `part` are estimated to
+/// scatter: the count times the partition's edges per vertex.  A drain's
+/// width is sized by the sum of these over its entries.
+pub fn estimated_edges(part: &Partition, probed: u64) -> usize {
+    (probed as usize).saturating_mul(part.num_edges()) / part.num_local_vertices().max(1)
+}
+
+/// One engine's trigger drain: the fault drill it honours and its
+/// per-lane recorders, `cgraph-trigger-{i}` with lane 0 the calling
+/// thread.  A lane's recorder is registered the first time a drain is
+/// that wide, so an engine holds only as many rings as its widest drain.
+pub struct TriggerDrain {
+    obs: Arc<Observer>,
+    faults: Option<Arc<FaultPlane>>,
+    lanes: Vec<Recorder>,
+}
+
+impl TriggerDrain {
+    /// A drain recording chunk spans into `obs`, panicking on the chunk
+    /// `faults` (if any) schedules a panic for.
+    pub fn new(obs: Arc<Observer>, faults: Option<Arc<FaultPlane>>) -> Self {
+        TriggerDrain { obs, faults, lanes: Vec::new() }
+    }
+
+    /// Runs every task once, adding its stats into `totals[task.entry]`.
+    /// `job` resolves a task's job; `edges` estimates the edges the
+    /// tasks scatter, which with the host's CPUs and the task count sizes
+    /// the width; `round` stamps the chunk spans.
+    pub fn run<'j>(
+        &mut self,
+        tasks: &[ChunkTask],
+        edges: usize,
+        round: u32,
+        job: impl Sync + Fn(usize) -> &'j dyn JobRuntime,
+        totals: &mut [ProcessStats],
+    ) -> Result<(), ExecError> {
+        let width = fan_out_width(host_cpus(), tasks.len(), edges);
+        // Unit tests force the width to cover every fan-out on any host.
+        #[cfg(test)]
+        let width = tests::FORCED_WIDTH.with(|w| w.get()).unwrap_or(width);
+        while self.lanes.len() < width {
+            let name = format!("cgraph-trigger-{}", self.lanes.len());
+            self.lanes.push(self.obs.recorder(&name));
+        }
+        let faults = self.faults.as_deref();
+        let cursor = AtomicUsize::new(0);
+        let claim = |rec: &Recorder, totals: &mut [ProcessStats]| {
+            while let Some(task) = tasks.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                // The injected worker-death drill panics exactly where
+                // crashing user code would.
+                assert!(
+                    !faults.is_some_and(|plane| plane.should_panic_chunk(task.pid, task.chunk)),
+                    "injected fault-plane chunk panic"
+                );
+                let runtime = job(task.job);
+                let t0 = rec.start();
+                totals[task.entry] += runtime.process_chunk(task.pid, task.chunk, task.nchunks);
+                rec.complete(
+                    EventKind::TriggerChunk,
+                    runtime.id(),
+                    task.pid,
+                    round,
+                    t0,
+                    task.chunk as u64,
+                );
+            }
+        };
+        let entries = totals.len();
+        let (own, helpers) = self.lanes[..width]
+            .split_first()
+            .expect("a drain is at least the calling thread");
+        std::thread::scope(|scope| {
+            let mut failed = None;
+            let mut handles = Vec::with_capacity(helpers.len());
+            for (i, rec) in helpers.iter().enumerate() {
+                let claim = &claim;
+                let spawned = std::thread::Builder::new()
+                    .name(format!("cgraph-trigger-{}", i + 1))
+                    .spawn_scoped(scope, move || {
+                        let mut local = vec![ProcessStats::default(); entries];
+                        claim(rec, &mut local);
+                        local
+                    });
+                match spawned {
+                    Ok(handle) => handles.push(handle),
+                    Err(_) => {
+                        // Started helpers stop at their next claim.
+                        cursor.store(tasks.len(), Ordering::Relaxed);
+                        failed = Some(ExecError::Spawn("a trigger helper"));
+                        break;
+                    }
+                }
+            }
+            if failed.is_none() && catch_unwind(AssertUnwindSafe(|| claim(own, totals))).is_err() {
+                failed = Some(ExecError::WorkerPanic(CHUNK_PANIC));
+            }
+            for handle in handles {
+                match handle.join() {
+                    Ok(local) => {
+                        for (total, stats) in totals.iter_mut().zip(local) {
+                            *total += stats;
+                        }
+                    }
+                    Err(_) => {
+                        failed.get_or_insert(ExecError::WorkerPanic(CHUNK_PANIC));
+                    }
+                }
+            }
+            failed.map_or(Ok(()), Err)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
+    use crate::job::{JobId, PushStats};
+    use cgraph_graph::GraphView;
+
+    thread_local! {
+        /// The width every drain on this thread uses instead of its own
+        /// (`None` = [`fan_out_width`]'s).
+        pub(super) static FORCED_WIDTH: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// Runs `f` with every drain on this thread at `width`, whatever the
+    /// host and the round size would pick.
+    fn at_width<T>(width: usize, f: impl FnOnce() -> T) -> T {
+        FORCED_WIDTH.with(|w| w.set(Some(width)));
+        let out = f();
+        FORCED_WIDTH.with(|w| w.set(None));
+        out
+    }
+
+    /// One batch of jobs `0..n`, entries `0..n`.
+    fn plan(pid: PartitionId, unprocessed: &[u64], budget: usize) -> Vec<ChunkTask> {
+        let jobs: Vec<usize> = (0..unprocessed.len()).collect();
+        let mut tasks = Vec::new();
+        plan_chunks(pid, &jobs, unprocessed, 0, budget, &mut tasks);
+        tasks
+    }
 
     #[test]
     fn plan_without_split_gives_one_chunk_each() {
-        let tasks = plan_chunks(0, &[10, 20, 5], 8, false);
+        // A budget below the batch still gives every job its one chunk.
+        let tasks = plan(0, &[10, 20, 5], 1);
         assert_eq!(tasks.len(), 3);
         assert!(tasks.iter().all(|t| t.nchunks == 1));
     }
 
     #[test]
     fn plan_with_split_boosts_straggler() {
-        let tasks = plan_chunks(0, &[10, 100, 5], 6, true);
+        let tasks = plan(0, &[10, 100, 5], 6);
         // Job 1 is the straggler: 1 + (6 - 3) = 4 chunks.
-        let straggler_chunks = tasks.iter().filter(|t| t.job_slot == 1).count();
+        let straggler_chunks = tasks.iter().filter(|t| t.job == 1).count();
         assert_eq!(straggler_chunks, 4);
         assert_eq!(tasks.len(), 6);
     }
 
     #[test]
     fn plan_with_no_spare_budget_is_plain() {
-        let tasks = plan_chunks(0, &[10, 100], 2, true);
+        let tasks = plan(0, &[10, 100], 2);
         assert_eq!(tasks.len(), 2);
         assert!(tasks.iter().all(|t| t.nchunks == 1));
     }
 
     #[test]
     fn chunk_indices_cover_range() {
-        let tasks = plan_chunks(3, &[50], 4, true);
+        let tasks = plan(3, &[50], 4);
         let mut chunks: Vec<usize> = tasks.iter().map(|t| t.chunk).collect();
         chunks.sort_unstable();
         assert_eq!(chunks, vec![0, 1, 2, 3]);
         assert!(tasks.iter().all(|t| t.pid == 3 && t.nchunks == 4));
+    }
+
+    /// The lane a [`FaultyRuntime`]'s chunks panic on.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Lane {
+        Caller,
+        Helper,
+    }
+
+    /// A runtime whose chunks each count one vertex and two edges, or
+    /// panic on one lane — only the methods the drain touches are live.
+    struct FaultyRuntime {
+        panic_on: Option<Lane>,
+        /// The drain's width: until this many chunks have entered, every
+        /// chunk that does not panic waits, so each lane holds one chunk
+        /// (the drain really fans out) and the panic lands on the lane
+        /// under test whatever the scheduling.
+        width: usize,
+        entered: AtomicUsize,
+    }
+
+    impl JobRuntime for FaultyRuntime {
+        fn id(&self) -> JobId {
+            0
+        }
+        fn name(&self) -> String {
+            "faulty".into()
+        }
+        fn view(&self) -> &GraphView {
+            unreachable!("drain tests never resolve the view")
+        }
+        fn iteration(&self) -> u64 {
+            0
+        }
+        fn pending(&self) -> Vec<PartitionId> {
+            Vec::new()
+        }
+        fn is_pending(&self, _pid: PartitionId) -> bool {
+            false
+        }
+        fn unprocessed_vertices(&self, _pid: PartitionId) -> u64 {
+            0
+        }
+        fn private_table_bytes(&self, _pid: PartitionId) -> u64 {
+            0
+        }
+        fn process_chunk(&self, _pid: PartitionId, _chunk: usize, _nchunks: usize) -> ProcessStats {
+            self.entered.fetch_add(1, Ordering::SeqCst);
+            let thread = std::thread::current();
+            let lane = match thread.name() {
+                Some(name) if name.starts_with("cgraph-trigger-") => Lane::Helper,
+                _ => Lane::Caller,
+            };
+            assert_ne!(self.panic_on, Some(lane), "injected chunk fault");
+            while self.entered.load(Ordering::SeqCst) < self.width {
+                std::thread::yield_now();
+            }
+            ProcessStats { vertex_ops: 1, edge_ops: 2 }
+        }
+        fn mark_processed(&self, _pid: PartitionId) {}
+        fn reenter_partition(&self, _pid: PartitionId, _max_rounds: u64) -> ProcessStats {
+            ProcessStats::default()
+        }
+        fn iteration_complete(&self) -> bool {
+            true
+        }
+        fn push_and_advance(&self) -> PushStats {
+            PushStats::default()
+        }
+        fn is_converged(&self) -> bool {
+            true
+        }
+        fn partition_change(&self, _pid: PartitionId) -> f64 {
+            0.0
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Drains twelve chunks over three entries at `width`, panicking on
+    /// `panic_on`'s lane.
+    fn drain(panic_on: Option<Lane>, width: usize) -> Result<Vec<ProcessStats>, ExecError> {
+        let runtime = FaultyRuntime { panic_on, width, entered: AtomicUsize::new(0) };
+        let tasks: Vec<ChunkTask> = (0..12)
+            .map(|chunk| ChunkTask { entry: chunk % 3, job: 0, pid: 0, chunk, nchunks: 12 })
+            .collect();
+        let mut totals = vec![ProcessStats::default(); 3];
+        let mut trigger = TriggerDrain::new(Observer::disabled(), None);
+        at_width(width, || {
+            trigger.run(&tasks, 0, 0, |_| &runtime, &mut totals)
+        })?;
+        Ok(totals)
+    }
+
+    #[test]
+    fn clean_chunks_fold_to_equal_totals_at_every_width() {
+        for width in [1, 2, 4] {
+            let totals = drain(None, width).unwrap();
+            let want = ProcessStats { vertex_ops: 4, edge_ops: 8 };
+            assert_eq!(totals, vec![want; 3], "width {width}");
+        }
+    }
+
+    #[test]
+    fn panicking_chunk_fails_the_drain_on_either_lane() {
+        for (lane, widths) in [(Lane::Caller, &[1, 2, 4][..]), (Lane::Helper, &[2, 4][..])] {
+            for &width in widths {
+                let err = drain(Some(lane), width).unwrap_err();
+                assert_eq!(err, ExecError::WorkerPanic(CHUNK_PANIC), "width {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn injected_chunk_panic_parks_the_engine_at_every_width() {
+        use crate::fault::FaultConfig;
+        use crate::job::tests::Bfs;
+        use crate::{Engine, EngineConfig};
+        use cgraph_graph::vertex_cut::VertexCutPartitioner;
+        use cgraph_graph::{generate, Partitioner};
+
+        // A BFS over a cycle processes every partition, so the drill on
+        // partition 0's chunk 0 fires.
+        for width in [1, 2, 4] {
+            let ps = VertexCutPartitioner::new(4).partition(&generate::cycle(64));
+            let faults = FaultPlane::new(FaultConfig {
+                panic_chunk: Some((0, 0)),
+                ..FaultConfig::default()
+            });
+            let config = EngineConfig { faults: Some(faults), ..EngineConfig::default() };
+            let mut engine = Engine::from_partitions(ps, config);
+            engine.submit(Bfs { source: 0 });
+            let report = at_width(width, || engine.run());
+            assert!(!report.completed, "width {width}");
+            assert_eq!(
+                engine.exec_error(),
+                Some(ExecError::WorkerPanic(CHUNK_PANIC)),
+                "width {width}"
+            );
+            assert!(
+                !engine.step_round(),
+                "width {width}: a faulted engine refuses rounds"
+            );
+        }
     }
 }

@@ -68,7 +68,8 @@
 //!   thread plus `width − 1` scoped helpers, all claiming partitions
 //!   from one shared cursor, and the master patch splits the rebuilt
 //!   partitions into `width` chunks the same way.  `apply` sizes the
-//!   width itself: `min(host CPUs, affected partitions, rebuild
+//!   width itself ([`crate::fanout`], the rule the engine's trigger
+//!   drain shares): `min(host CPUs, affected partitions, rebuild
 //!   edges / 8192)`, at least 1, where host CPUs is
 //!   `available_parallelism()` (so a `taskset -c 0` process applies on
 //!   its own thread alone) and 8192 edges is roughly the rebuild work
@@ -100,6 +101,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use crate::edge::{Edge, EdgeList};
+use crate::fanout::{fan_out_width, host_cpus};
 use crate::fault::{FaultHandle, FaultInjector, StoreFaultBoundary};
 use crate::obs::{ObsHandle, StoreObserver};
 use crate::partition::{Partition, PartitionSet};
@@ -664,28 +666,6 @@ type PayloadMaps = (
 /// defaults to one shard via [`ShardedSnapshotStore::new`].
 pub type SnapshotStore = ShardedSnapshotStore;
 
-/// Minimum rebuild work (estimated affected edges) per apply thread.
-/// Below roughly this many edges per thread, the spawn/join cost of a
-/// scoped helper exceeds the rebuild it would perform and fanning out
-/// is a slowdown.
-const APPLY_EDGES_PER_THREAD: usize = 8192;
-
-/// Logical CPUs this process may run on, read once.  On Linux
-/// `available_parallelism` honours the CPU affinity mask.
-fn host_cpus() -> usize {
-    static CPUS: OnceLock<usize> = OnceLock::new();
-    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Threads one `apply` rebuilds and patches on: never more than the
-/// host has, than there are affected partitions to claim, or than the
-/// rebuild work amortizes; at least the calling thread.
-fn apply_width(cpus: usize, units: usize, rebuild_edges: usize) -> usize {
-    cpus.min(units)
-        .min(rebuild_edges / APPLY_EDGES_PER_THREAD)
-        .max(1)
-}
-
 impl ShardedSnapshotStore {
     /// Wraps a base partitioned graph as snapshot timestamp 0, on a
     /// single shard.
@@ -1209,7 +1189,7 @@ impl ShardedSnapshotStore {
             .map(|&pid| resolve(pid).num_edges())
             .sum::<usize>()
             + delta.additions.len();
-        let width = apply_width(host_cpus(), affected.len(), rebuild_edges);
+        let width = fan_out_width(host_cpus(), affected.len(), rebuild_edges);
         // Unit tests force the width to cover every fan-out on any host.
         #[cfg(test)]
         let width = tests::FORCED_WIDTH.with(|w| w.get()).unwrap_or(width);
@@ -3597,7 +3577,7 @@ mod tests {
 
     thread_local! {
         /// The width every `apply` on this thread uses instead of its
-        /// own (`None` = [`apply_width`]'s).
+        /// own (`None` = [`fan_out_width`]'s).
         pub(super) static FORCED_WIDTH: Cell<Option<usize>> = const { Cell::new(None) };
     }
 
@@ -3608,32 +3588,6 @@ mod tests {
         let out = f();
         FORCED_WIDTH.with(|w| w.set(None));
         out
-    }
-
-    /// The apply width is the host's CPUs, clamped by the affected
-    /// partitions and by one thread per 8192 rebuild edges, and never 0.
-    #[test]
-    fn apply_width_follows_host_units_and_work() {
-        const EDGES: [usize; 4] = [0, 8191, 16384, 1_000_000];
-        // Per host CPU count, one row per units {0, 1, 5}: the width
-        // at each of EDGES.
-        let table: [(usize, [[usize; 4]; 3]); 3] = [
-            (1, [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]]),
-            (2, [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 2, 2]]),
-            (8, [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 2, 5]]),
-        ];
-        for (cpus, rows) in table {
-            for (units, row) in [0, 1, 5].into_iter().zip(rows) {
-                for (edges, want) in EDGES.into_iter().zip(row) {
-                    assert_eq!(
-                        apply_width(cpus, units, edges),
-                        want,
-                        "cpus {cpus} units {units} edges {edges}"
-                    );
-                }
-            }
-        }
-        assert!(host_cpus() >= 1);
     }
 
     /// Concurrent apply is bit-identical to serial apply: same records,

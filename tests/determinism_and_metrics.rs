@@ -220,18 +220,3 @@ fn core_subgraph_concentrates_hot_degree_partitions() {
         max_deg(&plain)
     );
 }
-
-#[test]
-fn straggler_split_ablation_is_result_neutral() {
-    let ps = partitions();
-    let run = |split| {
-        let mut e = Engine::from_partitions(
-            ps.clone(),
-            EngineConfig { straggler_split: split, ..EngineConfig::default() },
-        );
-        let j = e.submit(Bfs::new(0));
-        e.run();
-        e.results::<Bfs>(j).unwrap()
-    };
-    assert_eq!(run(true), run(false));
-}

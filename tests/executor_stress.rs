@@ -1,11 +1,12 @@
 //! Executor stress: the round pipeline — fetch and plan-order install
-//! on the main thread, trigger on a condvar-driven worker pool — must
-//! keep producing the golden table's bits, one engine at a time and
-//! with every golden configuration racing the others on one shared
-//! store.  The table holds digests recorded while such engines still
-//! ran on a separate fork-join executor, so it catches a change that
-//! moves every configuration together; a lost wake-up in the pool
-//! shows up as a hang, caught by CI's per-binary timeout.
+//! on the calling thread, then one trigger drain on it plus host-sized
+//! scoped helpers — must keep producing the golden table's bits, one
+//! engine at a time and with every golden configuration racing the
+//! others on one shared store.  The table holds digests recorded while
+//! such engines still ran on a separate fork-join executor, so it
+//! catches a change that moves every configuration together; a drain
+//! that never returns shows up as a hang, caught by CI's per-binary
+//! timeout.
 //!
 //! The mix uses integer-valued programs only (BFS, SSSP, WCC,
 //! reachability): their accumulators are exact min/or folds, so results,
@@ -140,23 +141,15 @@ fn golden_of(d: &RunDigest) -> Golden {
 }
 
 /// The golden table's configurations, in row order: `{wavefront 1, 4} ×
-/// {prefetch_depth 0, 2, 4} × {straggler_split on, off}` with the spread
-/// arrivals, then one width-1 run whose five jobs all bind the newest
-/// snapshot, so every slot carries more jobs than the two workers and
-/// installs in three batches.
+/// {prefetch_depth 0, 2, 4}` with the spread arrivals, then one width-1
+/// run whose five jobs all bind the newest snapshot, so every slot
+/// carries more jobs than the two workers and installs in three batches.
 fn golden_configs(store: &Arc<SnapshotStore>) -> Vec<(EngineConfig, [u64; 5])> {
     let mut configs = Vec::new();
     for wavefront in [1usize, 4] {
         for prefetch_depth in [0usize, 2, 4] {
-            for straggler_split in [true, false] {
-                let config = EngineConfig {
-                    wavefront,
-                    prefetch_depth,
-                    straggler_split,
-                    ..EngineConfig::default()
-                };
-                configs.push((config, [0, 50, 120, 180, 240]));
-            }
+            let config = EngineConfig { wavefront, prefetch_depth, ..EngineConfig::default() };
+            configs.push((config, [0, 50, 120, 180, 240]));
         }
     }
     configs.push((EngineConfig::default(), [store.latest_timestamp(); 5]));
@@ -180,8 +173,8 @@ const SPREAD_RESULTS: [u64; 5] = [
     8814264780652614313,
 ];
 
-/// Width 1: the prefetch window has nothing to overlap, so all six
-/// `depth × split` rows are this one digest.
+/// Width 1: the prefetch window has nothing to overlap, so all three
+/// depth rows are this one digest.
 const WIDTH_1: Golden = Golden {
     results: SPREAD_RESULTS,
     loads: 311,
@@ -189,8 +182,7 @@ const WIDTH_1: Golden = Golden {
     modeled_bits: 4560344681071098644,
 };
 
-/// Width 4: depth moves only the modeled makespan, and straggler
-/// splitting moves nothing a digest can see (chunk sums are exact).
+/// Width 4: depth moves only the modeled makespan.
 const fn width_4(modeled_bits: u64) -> Golden {
     Golden {
         results: SPREAD_RESULTS,
@@ -222,14 +214,8 @@ const GOLDEN: &[Golden] = &[
     WIDTH_1,
     WIDTH_1,
     WIDTH_1,
-    WIDTH_1,
-    WIDTH_1,
-    WIDTH_1,
-    width_4(4559705348280968797),
     width_4(4559705348280968797),
     width_4(4558528925624412044),
-    width_4(4558528925624412044),
-    width_4(4558274897356447397),
     width_4(4558274897356447397),
     MULTI_BATCH,
 ];
@@ -248,8 +234,8 @@ fn golden_digests_hold_at_inline_fetch() {
 #[test]
 fn racing_engines_on_one_shared_store_stay_deterministic() {
     // Every golden configuration races all the others on the same Arc'd
-    // store, each engine on its own OS thread with its own trigger pool;
-    // each must still land on its own golden row.
+    // store, each engine on its own OS thread with its own trigger
+    // drain; each must still land on its own golden row.
     let store = shared_store();
     std::thread::scope(|scope| {
         let handles: Vec<_> = golden_configs(&store)
@@ -270,7 +256,7 @@ fn racing_engines_on_one_shared_store_stay_deterministic() {
 fn injected_worker_panic_surfaces_typed_without_hanging() {
     // The fault plane's worker-death drill: a panic injected into the
     // trigger stage at a fixed (partition, chunk) coordinate must travel
-    // the same unwind-guard path as crashing user code — a typed
+    // the same path as crashing user code — a typed
     // `ExecError::WorkerPanic` parked on the engine, run not completed,
     // no hang (CI's per-binary timeout is the deadlock detector).
     let store = shared_store();
@@ -302,9 +288,9 @@ fn injected_worker_panic_surfaces_typed_without_hanging() {
         Some(ExecError::WorkerPanic(
             "process_chunk panicked in a trigger worker"
         )),
-        "the injected panic must surface as the typed crew fault"
+        "the injected panic must surface as the typed executor fault"
     );
     // The engine parked the fault: further stepping refuses instead of
-    // hanging or re-panicking over the half-dead pipeline.
+    // re-panicking over the half-processed round.
     assert!(!engine.step_round(), "faulted engine must refuse rounds");
 }

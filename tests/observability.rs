@@ -8,7 +8,8 @@
 //!    (and absent) observer.
 //! 2. **Trace order** — the same traced runs obey the round pipeline's
 //!    ordering rules ([`trace_order_violation`]): no install and no
-//!    trigger chunk of a round runs into that round's Push.
+//!    trigger chunk of a round runs into that round's Push, and no chunk
+//!    starts before its round's installs are done.
 //! 3. **Histogram honesty** — log-bucketed quantiles stay within the
 //!    documented `[oracle, oracle * (1 + 1/16)]` envelope of the exact
 //!    nearest-rank quantile, under proptest.
@@ -19,6 +20,7 @@
 //!    metrics snapshot all round-trip through the strict JSON parser
 //!    with the fields dashboards and `about://tracing` rely on.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -109,28 +111,38 @@ fn run_cfg(
 /// 1. an `install` of round *r* opens "round *r* is installing": that
 ///    round's `push` may not start until the install has ended;
 /// 2. a `trigger_chunk` opens "a chunk is running": the first `push`
-///    starting after the chunk may not start until it has ended.  Chunks
-///    carry no round stamp, so this rule works on timestamps alone; it
-///    must stay true once Push itself runs on the trigger pool (ROADMAP
-///    item 2a).
+///    starting after the chunk may not start until it has ended.  This
+///    rule works on timestamps alone, across rounds, so it stays
+///    meaningful if Push itself ever runs on the trigger helpers;
+/// 3. a `trigger_chunk` of round *r* belongs to that round's drain: it
+///    may not start before round *r*'s last `install` has ended, and
+///    must end before round *r*'s `push` starts.
 ///
-/// An install whose round has no `push` (a round that failed before its
-/// tail) opens nothing.  Returns the first violation, naming its rule.
+/// A round with no `push` (one that failed before its tail) closes
+/// nothing.  Returns the first violation, naming its rule.
 fn trace_order_violation(events: &[Event]) -> Option<String> {
     let end = |e: &Event| e.start_ns + e.dur_ns;
-    let pushes: Vec<&Event> = events
-        .iter()
-        .filter(|e| e.kind == EventKind::Push)
-        .collect();
-    let mut push_starts: Vec<u64> = pushes.iter().map(|p| p.start_ns).collect();
-    push_starts.sort_unstable();
+    let mut push_start_of = HashMap::new();
+    let mut install_end_of = HashMap::new();
     for e in events {
         match e.kind {
+            EventKind::Push => {
+                push_start_of.insert(e.round, e.start_ns);
+            }
             EventKind::Install => {
-                let push = pushes.iter().find(|p| p.round == e.round);
-                if let Some(push) = push.filter(|p| end(e) > p.start_ns) {
-                    return Some(format!("rule 1: install {e:?} overlaps its push {push:?}"));
-                }
+                let last = install_end_of.entry(e.round).or_insert(0);
+                *last = end(e).max(*last);
+            }
+            _ => {}
+        }
+    }
+    let mut push_starts: Vec<u64> = push_start_of.values().copied().collect();
+    push_starts.sort_unstable();
+    for e in events {
+        let push_start = push_start_of.get(&e.round).copied();
+        match e.kind {
+            EventKind::Install if push_start.is_some_and(|p| end(e) > p) => {
+                return Some(format!("rule 1: install {e:?} overlaps its push"));
             }
             EventKind::TriggerChunk => {
                 let next = push_starts.partition_point(|&start| start <= e.start_ns);
@@ -138,6 +150,17 @@ fn trace_order_violation(events: &[Event]) -> Option<String> {
                     return Some(format!(
                         "rule 2: chunk {e:?} runs past a push at {push_start}"
                     ));
+                }
+                if install_end_of
+                    .get(&e.round)
+                    .is_some_and(|&installed| e.start_ns < installed)
+                {
+                    return Some(format!(
+                        "rule 3: chunk {e:?} starts before its round installed"
+                    ));
+                }
+                if push_start.is_some_and(|p| end(e) > p) {
+                    return Some(format!("rule 3: chunk {e:?} runs into its round's push"));
                 }
             }
             _ => {}
@@ -171,10 +194,10 @@ fn trace_order_rules_each_reject_a_hand_built_bad_trace() {
     };
     let good = vec![
         event(EventKind::Install, 0, 100, 50),
-        event(EventKind::TriggerChunk, NONE, 120, 60),
+        event(EventKind::TriggerChunk, 0, 160, 30),
         event(EventKind::Push, 0, 200, 10),
         event(EventKind::Install, 1, 220, 10),
-        event(EventKind::TriggerChunk, NONE, 225, 5),
+        event(EventKind::TriggerChunk, 1, 232, 5),
         event(EventKind::Push, 1, 240, 10),
     ];
     assert_eq!(trace_order_violation(&good), None);
@@ -186,10 +209,17 @@ fn trace_order_rules_each_reject_a_hand_built_bad_trace() {
     assert!(violation.starts_with("rule 1"), "{violation}");
 
     // Rule 2: a chunk started before round 0's push and outlives it.
-    let mut bad = good;
+    let mut bad = good.clone();
     bad[1].dur_ns = 90;
     let violation = trace_order_violation(&bad).expect("rule 2 must fire");
     assert!(violation.starts_with("rule 2"), "{violation}");
+
+    // Rule 3: round 1's chunk starts while its install is still running,
+    // though it ends well before any push.
+    let mut bad = good;
+    bad[4].start_ns = 225;
+    let violation = trace_order_violation(&bad).expect("rule 3 must fire");
+    assert!(violation.starts_with("rule 3"), "{violation}");
 }
 
 #[test]
@@ -210,7 +240,7 @@ fn tracing_changes_no_bit_on_executor_stress_configs() {
             assert!(!dump.events.is_empty(), "{what}: no events captured");
             assert!(dump.events.iter().any(|e| e.kind == EventKind::Install));
             assert!(traced_obs.registry().counter("rounds").get() > 0);
-            // Per-chunk spans come from the trigger pool and nowhere else.
+            // Per-chunk spans come from the trigger lanes and nowhere else.
             let chunk_threads: Vec<&str> = dump
                 .events
                 .iter()
@@ -222,7 +252,7 @@ fn tracing_changes_no_bit_on_executor_stress_configs() {
                 chunk_threads
                     .iter()
                     .all(|name| name.starts_with("cgraph-trigger-")),
-                "{what}: a chunk span from outside the trigger pool"
+                "{what}: a chunk span from outside the trigger lanes"
             );
             assert_trace_order(&dump, &what);
         }
@@ -291,7 +321,11 @@ fn serve_report(store: &Arc<SnapshotStore>, observer: Option<Arc<Observer>>) -> 
 fn tracing_changes_no_bit_on_the_serve_loop() {
     let store = shared_store();
     let plain = serve_report(&store, None);
-    let obs = Observer::enabled();
+    // Most serve rounds drain on the calling thread alone, so its trigger
+    // lane records ~6.5k chunk spans, more than a default ring holds:
+    // size the rings as the benchmark sizes its own, so the oracle below
+    // sees every event.
+    let obs = Observer::with_ring_capacity(1 << 14);
     let traced = serve_report(&store, Some(Arc::clone(&obs)));
     // ServeReport is PartialEq over every field, including each job's
     // f64 arrival/admitted/completed stamps.
