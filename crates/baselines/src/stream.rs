@@ -5,7 +5,7 @@ use std::sync::Arc;
 use cgraph_core::exec::ChargeLedger;
 use cgraph_core::job::{JobId, JobRuntime, ProcessStats, TypedJob};
 use cgraph_core::program::VertexProgram;
-use cgraph_core::workers::{estimated_edges, plan_chunks, TriggerDrain};
+use cgraph_core::workers::{plan_chunks, TriggerDrain};
 use cgraph_core::{Observer, RunReport, SyncStrategy};
 use cgraph_graph::snapshot::SnapshotStore;
 use cgraph_graph::{PartitionId, PartitionSet, VersionId};
@@ -36,7 +36,8 @@ pub enum Interleave {
 /// Configuration of a [`StreamEngine`].
 #[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
-    /// Worker threads for the trigger stage.
+    /// Modeled trigger-stage cores: the compute divisor and the chunk
+    /// budget (no thread is started).
     pub workers: usize,
     /// Simulated tier capacities.
     pub hierarchy: HierarchyConfig,
@@ -99,7 +100,7 @@ impl StreamEngine {
             config,
             store,
             ledger: ChargeLedger::new(config.hierarchy),
-            trigger: TriggerDrain::new(Observer::disabled(), None),
+            trigger: TriggerDrain::new(&Observer::disabled(), None),
             jobs: Vec::new(),
             loads: 0,
         }
@@ -215,17 +216,10 @@ impl StreamEngine {
         let count = self.jobs[j].runtime.unprocessed_vertices(pid);
         let mut tasks = Vec::new();
         plan_chunks(pid, &[j], &[count], 0, self.config.workers, &mut tasks);
-        let est_edges = estimated_edges(self.jobs[j].runtime.view().partition(pid), count);
         let mut s = [ProcessStats::default()];
         let jobs = &self.jobs;
         self.trigger
-            .run(
-                &tasks,
-                est_edges,
-                self.loads as u32,
-                |job| &*jobs[job].runtime,
-                &mut s,
-            )
+            .run(&tasks, self.loads as u32, |job| &*jobs[job].runtime, &mut s)
             .unwrap_or_else(|err| panic!("streaming baseline trigger: {err}"));
         let [mut s] = s;
         self.jobs[j].runtime.mark_processed(pid);

@@ -54,8 +54,8 @@ pub struct EngineConfig {
     /// The paper's per-core Trigger workers, as modeled: the divisor of
     /// modeled compute time, the job batch size when more jobs share a
     /// partition than workers, and the chunk budget straggler splitting
-    /// fills.  It never sizes a thread — the trigger drain sizes its
-    /// helpers from the host and the round ([`crate::workers`]).
+    /// fills.  It never sizes a thread: the trigger drain runs on the
+    /// calling thread ([`crate::workers`]).
     pub workers: usize,
     /// Simulated cache/memory capacities.
     pub hierarchy: HierarchyConfig,
@@ -153,8 +153,7 @@ pub struct RunReport {
 
 pub(crate) struct JobEntry {
     /// Every mutation goes through `&self` interior mutability, so the
-    /// trigger drain's scoped helpers borrow it while the engine remains
-    /// the only scheduler.
+    /// trigger drain runs chunks through a shared borrow.
     pub(crate) runtime: Box<dyn JobRuntime>,
     pub(crate) done: bool,
     /// Set when fault admission exhausted a fetch's retry budget while
@@ -197,11 +196,10 @@ pub struct Engine {
     pub(crate) round: RoundBuffers,
     pub(crate) loads: u64,
     pub(crate) pipeline_seconds: f64,
-    /// The trigger stage's drain and its per-lane recorders.
+    /// The trigger stage's drain and its recorder.
     pub(crate) trigger: TriggerDrain,
-    /// Set when a trigger chunk panicked (user code) or a helper thread
-    /// could not be started: the engine refuses further rounds.  See
-    /// [`Engine::exec_error`].
+    /// Set when a trigger chunk panicked (user code): the engine refuses
+    /// further rounds.  See [`Engine::exec_error`].
     pub(crate) fault: Option<ExecError>,
     /// The seeded fault plane, when the config carried one
     /// ([`crate::fault`]); `None` keeps admission a single branch.
@@ -250,7 +248,7 @@ impl Engine {
             round: RoundBuffers::default(),
             loads: 0,
             pipeline_seconds: 0.0,
-            trigger: TriggerDrain::new(Arc::clone(&obs), faults.clone()),
+            trigger: TriggerDrain::new(&obs, faults.clone()),
             fault: None,
             faults,
             quarantines: 0,
@@ -372,9 +370,8 @@ impl Engine {
     }
 
     /// The executor's parked failure, if a trigger chunk panicked (user
-    /// code inside `process_chunk`) or a helper thread could not be
-    /// started.  The failing round joined every helper it started before
-    /// returning, and every later [`step_round`](Self::step_round) /
+    /// code inside `process_chunk`).  Every later
+    /// [`step_round`](Self::step_round) /
     /// [`run`](Self::run) refuses to execute instead of re-panicking
     /// over a half-processed round.
     pub fn exec_error(&self) -> Option<ExecError> {

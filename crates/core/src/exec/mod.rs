@@ -28,10 +28,8 @@
 //!   two-stage model above.
 //!
 //! The trigger stage drains each round's chunk tasks through
-//! [`crate::workers::TriggerDrain`]: the calling thread plus scoped
-//! helpers sized per round from the host and the work, all joined before
-//! the round's Push.  Results and modeled costs are bit-identical at any
-//! width (see that module's docs for the ordering argument).
+//! [`crate::workers::TriggerDrain`] on the calling thread, before the
+//! round's Push; the engine starts no thread of its own.
 
 pub mod ledger;
 pub mod planner;

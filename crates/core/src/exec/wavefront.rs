@@ -11,38 +11,32 @@
 //!    (structures stay pinned for the whole round) and its chunk tasks
 //!    join the round's task list.
 //! 3. **Trigger** — once every slot is installed, the round's tasks
-//!    drain once through
-//!    [`TriggerDrain`](crate::workers::TriggerDrain): the calling thread plus
-//!    scoped helpers claim chunks from one cursor, so a lane finishing
-//!    one slot's jobs immediately picks up the next slot's chunks
-//!    instead of idling behind a straggler.
+//!    drain once, in install order, through
+//!    [`TriggerDrain`](crate::workers::TriggerDrain).
 //! 4. **Push** — each job whose iteration completed synchronizes
 //!    replicas and advances, and the slot planner is patched
 //!    incrementally.
 //!
 //! # Configurations, not paths
 //!
-//! Fetch and install run inline at every configuration: a probe is one
-//! integer read per job, so there is nothing to hand to another thread.
-//! The drain's helpers are the only other threads, sized per round from
-//! the host and the round's estimated edges and joined before Push.  A
-//! width-1 wave is a wave of one slot, and `prefetch_depth` changes how
-//! a round is priced (below), never what runs.  Everything is the same
-//! code.
+//! Every stage runs on the calling thread at every configuration: a
+//! probe is one integer read per job, so there is nothing to hand to
+//! another thread, and the drain starts none (see
+//! [`crate::workers`]).  A width-1 wave is a wave of one slot, and
+//! `prefetch_depth` changes how a round is priced (below), never what
+//! runs.  Everything is the same code.
 //!
-//! # Why determinism survives the concurrency
+//! # Why the results are deterministic
 //!
-//! Every merge point is ordered or commutative:
+//! Every merge point is ordered or exact:
 //!
 //! * Probe scans are pure reads of state only mutated at the round tail
 //!   (after the drain), so their values do not depend on the drain.
 //! * Ledger charging — the only mutation that decides modeled times and
-//!   traffic counters — happens solely on the calling thread, in plan
-//!   order.
-//! * Chunk statistics accumulate as `u64` additions (commutative,
-//!   exact) per pooled entry; the `f64` stage-time conversion happens
-//!   afterwards on the calling thread in entry order, so the float
-//!   accumulation order is fixed by the plan.
+//!   traffic counters — happens in plan order.
+//! * Chunk statistics accumulate as exact `u64` additions per pooled
+//!   entry; the `f64` stage-time conversion happens afterwards in entry
+//!   order, so the float accumulation order is fixed by the plan.
 //! * Vertex-state folds inside `process_chunk` take per-partition locks
 //!   and use an accumulator algebra that is result-neutral under any
 //!   chunk interleaving; the pipeline only decides *when* chunks run,
@@ -66,7 +60,7 @@ use crate::engine::Engine;
 use crate::exec::planner::SlotKey;
 use crate::job::ProcessStats;
 use crate::obs::{EventKind, NONE};
-use crate::workers::{estimated_edges, plan_chunks, ChunkTask, ExecError};
+use crate::workers::{plan_chunks, ChunkTask, ExecError};
 
 /// Makespan of a fixed-sequence two-stage pipeline: stage-one times
 /// `loads` (serialized, e.g. the shared memory channel) feed stage-two
@@ -119,8 +113,6 @@ pub(crate) struct RoundBuffers {
     stats: Vec<ProcessStats>,
     /// The round's chunk tasks, in install order.
     tasks: Vec<ChunkTask>,
-    /// Edges the round's tasks are estimated to scatter, summed per slot.
-    est_edges: usize,
 }
 
 impl RoundBuffers {
@@ -137,7 +129,6 @@ impl RoundBuffers {
         self.origins.clear();
         self.stats.clear();
         self.tasks.clear();
-        self.est_edges = 0;
     }
 }
 
@@ -190,8 +181,8 @@ impl Engine {
     }
 
     /// The failable half of a round: the plan-order fetch → install
-    /// loop and the trigger drain.  A panicked chunk or a refused helper
-    /// surfaces here as a typed [`ExecError`].
+    /// loop and the trigger drain.  A panicked chunk surfaces here as a
+    /// typed [`ExecError`].
     fn pump_round(&mut self, round: &mut RoundBuffers, prefetching: bool) -> Result<(), ExecError> {
         for si in 0..round.slots.len() {
             let ((pid, _), start, end) = round.slots[si];
@@ -232,7 +223,6 @@ impl Engine {
         let jobs = &self.jobs;
         self.trigger.run(
             &round.tasks,
-            round.est_edges,
             self.round_no,
             |j| &*jobs[j].runtime,
             &mut round.stats,
@@ -250,7 +240,6 @@ impl Engine {
         let structure = CacheObject::Structure { pid, version };
         let part = self.jobs[round.jobs[start]].runtime.view().partition(pid);
         let sbytes = part.structure_bytes();
-        round.est_edges += estimated_edges(part, round.counts.iter().sum());
         let lane = self.prefetch.lane_of(pid);
         round.lanes.push(lane);
         let spills_possible = self.store.has_spills();

@@ -1,7 +1,7 @@
 //! `core::obs` — zero-cost-when-disabled tracing and metrics.
 //!
 //! The engine is a concurrent pipeline (a plan-order install stage, a
-//! fanned-out trigger drain, WAL fsyncs, capacity spills, admission waves); this
+//! trigger drain, WAL fsyncs, capacity spills, admission waves); this
 //! module is its flight recorder.  Two planes share one [`Observer`]:
 //!
 //! * **Event tracing** — each pipeline thread gets a [`Recorder`]

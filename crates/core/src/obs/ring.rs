@@ -1,9 +1,8 @@
 //! Per-thread bounded event ring.
 //!
 //! One [`Ring`] belongs to one producer at a time: the engine's install
-//! loop, one `cgraph-trigger-N` lane of the trigger drain (lane 0 is the
-//! calling thread, lane N a scoped helper that lives for one drain), the
-//! serve loop, or the store bridge.  The producer writes events, a
+//! loop, its `cgraph-trigger` drain, the serve loop, or the store
+//! bridge.  The producer writes events, a
 //! drainer reads them out after the producer has quiesced (between
 //! rounds, or at export time).  Within that discipline the ring is
 //! lock-free and wait-free on the hot path:
@@ -28,10 +27,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::event::{Event, EVENT_WORDS};
 
-/// Default per-thread ring capacity, in events.  At ~40 bytes per event
-/// this is ~160 KiB per thread — enough for several full rounds of a
-/// stress-scale run before drop-oldest engages.
-pub const DEFAULT_RING_EVENTS: usize = 4096;
+/// Default per-thread ring capacity, in events.  At 40 bytes per event
+/// this is 640 KiB per ring.  One `cgraph-trigger` ring records every
+/// chunk span of an engine's run: the serve-loop test's run of a few
+/// hundred jobs puts 6494 events there, which this holds before
+/// drop-oldest engages.
+pub const DEFAULT_RING_EVENTS: usize = 1 << 14;
 
 /// A single-producer bounded ring of packed [`Event`]s.
 pub struct Ring {

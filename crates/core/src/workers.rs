@@ -1,71 +1,57 @@
-//! The Trigger stage's threads: chunk planning plus the one drain every
-//! engine runs its chunk tasks through.
+//! The Trigger stage: chunk planning plus the one drain every engine runs
+//! its chunk tasks through.
 //!
 //! For each loaded partition an engine builds one chunk task per (job,
 //! chunk) pair.  Straggler splitting (paper §3.2.3, Fig. 6) falls out of
 //! the task list: the job with the most unprocessed vertices contributes
-//! more chunks, so free cores naturally assist it.
+//! more chunks, so the modeled free cores assist it.
 //!
 //! [`TriggerDrain::run`] executes one task list — a round of
 //! [`crate::Engine`], or one load of the streaming baseline — on the
-//! calling thread plus `width − 1` [`std::thread::scope`] helpers, all
-//! claiming tasks from one atomic cursor.  The width is
-//! [`fan_out_width`]`(host CPUs, tasks, estimated edges)`, the rule the
-//! snapshot store's `apply` uses, so a drain under 16 384 estimated edges
-//! spawns nothing and no helper outlives the call.
-//! `EngineConfig::workers` is the *modeled* core count: it divides the
-//! compute cost, batches installs and budgets chunks, and never sizes a
-//! thread.
+//! calling thread, in task order.  It starts no thread: paired against
+//! the same drain fanned out over host-sized scoped helpers on a 2-CPU
+//! host, the helpers won no benchmark workload, including the one whose
+//! rounds mostly took them.  `EngineConfig::workers` is the *modeled*
+//! core count: it divides the compute cost, batches installs and budgets
+//! chunks, and never sizes a thread.
 //!
-//! Why determinism survives the concurrency: each lane folds its chunks'
-//! stats into a per-entry `u64` table of its own, and the calling thread
-//! adds the helpers' tables in after the join.  Integer addition is exact
-//! and commutative, so the totals do not depend on which lane ran which
-//! chunk; engines convert them to `f64` afterwards, in entry order.
+//! Chunk stats fold into per-entry `u64` totals; engines convert them to
+//! `f64` afterwards, in entry order.
 //!
 //! # Failure
 //!
 //! A panic inside `process_chunk` (user code, or the fault plane's
-//! injected drill) must not hang or abort the engine.  On a helper it
-//! surfaces as a join error, on the calling thread it is caught by
-//! `catch_unwind`; either way the drain returns
-//! [`ExecError::WorkerPanic`] once every started helper has been joined.
-//! A helper the OS refuses to start returns [`ExecError::Spawn`].
+//! injected drill) must not unwind through the engine: the drain catches
+//! it and returns [`ExecError::WorkerPanic`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use cgraph_graph::{fan_out_width, host_cpus, Partition, PartitionId};
+use cgraph_graph::PartitionId;
 
 use crate::fault::FaultPlane;
 use crate::job::{JobRuntime, ProcessStats};
 use crate::obs::{EventKind, Observer, Recorder};
 
-/// An executor failure: a trigger lane died (panicked user code) or the
-/// OS refused a thread.  Surfaced by [`crate::Engine::exec_error`], never
-/// a panic or a hang on the calling thread.
+/// An executor failure: a trigger chunk panicked (user code).  Surfaced
+/// by [`crate::Engine::exec_error`], never a panic on the calling thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecError {
-    /// A trigger lane panicked; the label says where.
+    /// A trigger chunk panicked; the label says where.
     WorkerPanic(&'static str),
-    /// The OS refused to start a helper thread; the label says which
-    /// kind.
-    Spawn(&'static str),
 }
 
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecError::WorkerPanic(what) => write!(f, "executor worker panicked: {what}"),
-            ExecError::Spawn(what) => write!(f, "executor could not start {what}"),
         }
     }
 }
 
 impl std::error::Error for ExecError {}
 
-/// The label of every trigger-lane panic.
+/// The label of every trigger-chunk panic.
 const CHUNK_PANIC: &str = "process_chunk panicked in a trigger worker";
 
 /// One unit of trigger work: chunk `chunk` of `nchunks` of partition
@@ -119,54 +105,33 @@ pub fn plan_chunks(
     }
 }
 
-/// Edges `probed` unprocessed vertices of `part` are estimated to
-/// scatter: the count times the partition's edges per vertex.  A drain's
-/// width is sized by the sum of these over its entries.
-pub fn estimated_edges(part: &Partition, probed: u64) -> usize {
-    (probed as usize).saturating_mul(part.num_edges()) / part.num_local_vertices().max(1)
-}
-
-/// One engine's trigger drain: the fault drill it honours and its
-/// per-lane recorders, `cgraph-trigger-{i}` with lane 0 the calling
-/// thread.  A lane's recorder is registered the first time a drain is
-/// that wide, so an engine holds only as many rings as its widest drain.
+/// One engine's trigger drain: the fault drill it honours and the
+/// `cgraph-trigger` ring its chunk spans go to.
 pub struct TriggerDrain {
-    obs: Arc<Observer>,
+    rec: Recorder,
     faults: Option<Arc<FaultPlane>>,
-    lanes: Vec<Recorder>,
 }
 
 impl TriggerDrain {
     /// A drain recording chunk spans into `obs`, panicking on the chunk
     /// `faults` (if any) schedules a panic for.
-    pub fn new(obs: Arc<Observer>, faults: Option<Arc<FaultPlane>>) -> Self {
-        TriggerDrain { obs, faults, lanes: Vec::new() }
+    pub fn new(obs: &Observer, faults: Option<Arc<FaultPlane>>) -> Self {
+        TriggerDrain { rec: obs.recorder("cgraph-trigger"), faults }
     }
 
-    /// Runs every task once, adding its stats into `totals[task.entry]`.
-    /// `job` resolves a task's job; `edges` estimates the edges the
-    /// tasks scatter, which with the host's CPUs and the task count sizes
-    /// the width; `round` stamps the chunk spans.
+    /// Runs every task once, in order, adding its stats into
+    /// `totals[task.entry]`.  `job` resolves a task's job; `round` stamps
+    /// the chunk spans.
     pub fn run<'j>(
-        &mut self,
+        &self,
         tasks: &[ChunkTask],
-        edges: usize,
         round: u32,
-        job: impl Sync + Fn(usize) -> &'j dyn JobRuntime,
+        job: impl Fn(usize) -> &'j dyn JobRuntime,
         totals: &mut [ProcessStats],
     ) -> Result<(), ExecError> {
-        let width = fan_out_width(host_cpus(), tasks.len(), edges);
-        // Unit tests force the width to cover every fan-out on any host.
-        #[cfg(test)]
-        let width = tests::FORCED_WIDTH.with(|w| w.get()).unwrap_or(width);
-        while self.lanes.len() < width {
-            let name = format!("cgraph-trigger-{}", self.lanes.len());
-            self.lanes.push(self.obs.recorder(&name));
-        }
         let faults = self.faults.as_deref();
-        let cursor = AtomicUsize::new(0);
-        let claim = |rec: &Recorder, totals: &mut [ProcessStats]| {
-            while let Some(task) = tasks.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+        catch_unwind(AssertUnwindSafe(|| {
+            for task in tasks {
                 // The injected worker-death drill panics exactly where
                 // crashing user code would.
                 assert!(
@@ -174,9 +139,9 @@ impl TriggerDrain {
                     "injected fault-plane chunk panic"
                 );
                 let runtime = job(task.job);
-                let t0 = rec.start();
+                let t0 = self.rec.start();
                 totals[task.entry] += runtime.process_chunk(task.pid, task.chunk, task.nchunks);
-                rec.complete(
+                self.rec.complete(
                     EventKind::TriggerChunk,
                     runtime.id(),
                     task.pid,
@@ -185,75 +150,16 @@ impl TriggerDrain {
                     task.chunk as u64,
                 );
             }
-        };
-        let entries = totals.len();
-        let (own, helpers) = self.lanes[..width]
-            .split_first()
-            .expect("a drain is at least the calling thread");
-        std::thread::scope(|scope| {
-            let mut failed = None;
-            let mut handles = Vec::with_capacity(helpers.len());
-            for (i, rec) in helpers.iter().enumerate() {
-                let claim = &claim;
-                let spawned = std::thread::Builder::new()
-                    .name(format!("cgraph-trigger-{}", i + 1))
-                    .spawn_scoped(scope, move || {
-                        let mut local = vec![ProcessStats::default(); entries];
-                        claim(rec, &mut local);
-                        local
-                    });
-                match spawned {
-                    Ok(handle) => handles.push(handle),
-                    Err(_) => {
-                        // Started helpers stop at their next claim.
-                        cursor.store(tasks.len(), Ordering::Relaxed);
-                        failed = Some(ExecError::Spawn("a trigger helper"));
-                        break;
-                    }
-                }
-            }
-            if failed.is_none() && catch_unwind(AssertUnwindSafe(|| claim(own, totals))).is_err() {
-                failed = Some(ExecError::WorkerPanic(CHUNK_PANIC));
-            }
-            for handle in handles {
-                match handle.join() {
-                    Ok(local) => {
-                        for (total, stats) in totals.iter_mut().zip(local) {
-                            *total += stats;
-                        }
-                    }
-                    Err(_) => {
-                        failed.get_or_insert(ExecError::WorkerPanic(CHUNK_PANIC));
-                    }
-                }
-            }
-            failed.map_or(Ok(()), Err)
-        })
+        }))
+        .map_err(|_| ExecError::WorkerPanic(CHUNK_PANIC))
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::cell::Cell;
-
     use super::*;
     use crate::job::{JobId, PushStats};
     use cgraph_graph::GraphView;
-
-    thread_local! {
-        /// The width every drain on this thread uses instead of its own
-        /// (`None` = [`fan_out_width`]'s).
-        pub(super) static FORCED_WIDTH: Cell<Option<usize>> = const { Cell::new(None) };
-    }
-
-    /// Runs `f` with every drain on this thread at `width`, whatever the
-    /// host and the round size would pick.
-    fn at_width<T>(width: usize, f: impl FnOnce() -> T) -> T {
-        FORCED_WIDTH.with(|w| w.set(Some(width)));
-        let out = f();
-        FORCED_WIDTH.with(|w| w.set(None));
-        out
-    }
 
     /// One batch of jobs `0..n`, entries `0..n`.
     fn plan(pid: PartitionId, unprocessed: &[u64], budget: usize) -> Vec<ChunkTask> {
@@ -296,23 +202,11 @@ mod tests {
         assert!(tasks.iter().all(|t| t.pid == 3 && t.nchunks == 4));
     }
 
-    /// The lane a [`FaultyRuntime`]'s chunks panic on.
-    #[derive(Clone, Copy, Debug, PartialEq)]
-    enum Lane {
-        Caller,
-        Helper,
-    }
-
     /// A runtime whose chunks each count one vertex and two edges, or
-    /// panic on one lane — only the methods the drain touches are live.
+    /// panic at chunk `panic_at` — only the methods the drain touches are
+    /// live.
     struct FaultyRuntime {
-        panic_on: Option<Lane>,
-        /// The drain's width: until this many chunks have entered, every
-        /// chunk that does not panic waits, so each lane holds one chunk
-        /// (the drain really fans out) and the panic lands on the lane
-        /// under test whatever the scheduling.
-        width: usize,
-        entered: AtomicUsize,
+        panic_at: Option<usize>,
     }
 
     impl JobRuntime for FaultyRuntime {
@@ -340,17 +234,8 @@ mod tests {
         fn private_table_bytes(&self, _pid: PartitionId) -> u64 {
             0
         }
-        fn process_chunk(&self, _pid: PartitionId, _chunk: usize, _nchunks: usize) -> ProcessStats {
-            self.entered.fetch_add(1, Ordering::SeqCst);
-            let thread = std::thread::current();
-            let lane = match thread.name() {
-                Some(name) if name.starts_with("cgraph-trigger-") => Lane::Helper,
-                _ => Lane::Caller,
-            };
-            assert_ne!(self.panic_on, Some(lane), "injected chunk fault");
-            while self.entered.load(Ordering::SeqCst) < self.width {
-                std::thread::yield_now();
-            }
+        fn process_chunk(&self, _pid: PartitionId, chunk: usize, _nchunks: usize) -> ProcessStats {
+            assert_ne!(self.panic_at, Some(chunk), "injected chunk fault");
             ProcessStats { vertex_ops: 1, edge_ops: 2 }
         }
         fn mark_processed(&self, _pid: PartitionId) {}
@@ -374,42 +259,33 @@ mod tests {
         }
     }
 
-    /// Drains twelve chunks over three entries at `width`, panicking on
-    /// `panic_on`'s lane.
-    fn drain(panic_on: Option<Lane>, width: usize) -> Result<Vec<ProcessStats>, ExecError> {
-        let runtime = FaultyRuntime { panic_on, width, entered: AtomicUsize::new(0) };
+    /// Drains twelve chunks over three entries, panicking at `panic_at`.
+    fn drain(panic_at: Option<usize>) -> Result<Vec<ProcessStats>, ExecError> {
+        let runtime = FaultyRuntime { panic_at };
         let tasks: Vec<ChunkTask> = (0..12)
             .map(|chunk| ChunkTask { entry: chunk % 3, job: 0, pid: 0, chunk, nchunks: 12 })
             .collect();
         let mut totals = vec![ProcessStats::default(); 3];
-        let mut trigger = TriggerDrain::new(Observer::disabled(), None);
-        at_width(width, || {
-            trigger.run(&tasks, 0, 0, |_| &runtime, &mut totals)
-        })?;
+        TriggerDrain::new(&Observer::disabled(), None).run(&tasks, 0, |_| &runtime, &mut totals)?;
         Ok(totals)
     }
 
     #[test]
-    fn clean_chunks_fold_to_equal_totals_at_every_width() {
-        for width in [1, 2, 4] {
-            let totals = drain(None, width).unwrap();
-            let want = ProcessStats { vertex_ops: 4, edge_ops: 8 };
-            assert_eq!(totals, vec![want; 3], "width {width}");
+    fn clean_chunks_fold_into_per_entry_totals() {
+        let want = ProcessStats { vertex_ops: 4, edge_ops: 8 };
+        assert_eq!(drain(None).unwrap(), vec![want; 3]);
+    }
+
+    #[test]
+    fn panicking_chunk_fails_the_drain() {
+        for chunk in [0, 5, 11] {
+            let err = drain(Some(chunk)).unwrap_err();
+            assert_eq!(err, ExecError::WorkerPanic(CHUNK_PANIC), "chunk {chunk}");
         }
     }
 
     #[test]
-    fn panicking_chunk_fails_the_drain_on_either_lane() {
-        for (lane, widths) in [(Lane::Caller, &[1, 2, 4][..]), (Lane::Helper, &[2, 4][..])] {
-            for &width in widths {
-                let err = drain(Some(lane), width).unwrap_err();
-                assert_eq!(err, ExecError::WorkerPanic(CHUNK_PANIC), "width {width}");
-            }
-        }
-    }
-
-    #[test]
-    fn injected_chunk_panic_parks_the_engine_at_every_width() {
+    fn injected_chunk_panic_parks_the_engine() {
         use crate::fault::FaultConfig;
         use crate::job::tests::Bfs;
         use crate::{Engine, EngineConfig};
@@ -418,26 +294,17 @@ mod tests {
 
         // A BFS over a cycle processes every partition, so the drill on
         // partition 0's chunk 0 fires.
-        for width in [1, 2, 4] {
-            let ps = VertexCutPartitioner::new(4).partition(&generate::cycle(64));
-            let faults = FaultPlane::new(FaultConfig {
-                panic_chunk: Some((0, 0)),
-                ..FaultConfig::default()
-            });
-            let config = EngineConfig { faults: Some(faults), ..EngineConfig::default() };
-            let mut engine = Engine::from_partitions(ps, config);
-            engine.submit(Bfs { source: 0 });
-            let report = at_width(width, || engine.run());
-            assert!(!report.completed, "width {width}");
-            assert_eq!(
-                engine.exec_error(),
-                Some(ExecError::WorkerPanic(CHUNK_PANIC)),
-                "width {width}"
-            );
-            assert!(
-                !engine.step_round(),
-                "width {width}: a faulted engine refuses rounds"
-            );
-        }
+        let ps = VertexCutPartitioner::new(4).partition(&generate::cycle(64));
+        let faults =
+            FaultPlane::new(FaultConfig { panic_chunk: Some((0, 0)), ..FaultConfig::default() });
+        let config = EngineConfig { faults: Some(faults), ..EngineConfig::default() };
+        let mut engine = Engine::from_partitions(ps, config);
+        engine.submit(Bfs { source: 0 });
+        assert!(!engine.run().completed);
+        assert_eq!(
+            engine.exec_error(),
+            Some(ExecError::WorkerPanic(CHUNK_PANIC))
+        );
+        assert!(!engine.step_round(), "a faulted engine refuses rounds");
     }
 }

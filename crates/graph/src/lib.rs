@@ -16,8 +16,6 @@
 //! * [`generate`] — deterministic synthetic graph generators (R-MAT,
 //!   Erdős–Rényi, grids, …) plus the scaled-down stand-ins for the paper's
 //!   Table 1 datasets.
-//! * [`fanout`] — [`host_cpus`] and [`fan_out_width`], the one rule both
-//!   `apply` and the engine's trigger drain size their scoped helpers by.
 //! * [`obs`] — the [`StoreObserver`] hook trait the snapshot store and
 //!   WAL report into (implemented by the engine's tracing layer).
 //! * [`fault`] — the store-side half of the shared fault plane: the
@@ -46,7 +44,6 @@ pub mod builder;
 pub mod core_subgraph;
 pub mod csr;
 pub mod edge;
-pub mod fanout;
 pub mod fault;
 pub mod generate;
 pub mod obs;
@@ -61,7 +58,6 @@ pub mod wal;
 pub use builder::GraphBuilder;
 pub use csr::Csr;
 pub use edge::{Edge, EdgeList};
-pub use fanout::{fan_out_width, host_cpus};
 pub use fault::{FaultInjector, StoreFaultBoundary};
 pub use obs::StoreObserver;
 pub use partition::{Partition, PartitionSet, VertexMeta};

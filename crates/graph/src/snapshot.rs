@@ -66,15 +66,16 @@
 //! - **Concurrent apply** (no knob): partition rebuilds — pure,
 //!   lock-free reads of the pre-delta state — run on the calling
 //!   thread plus `width − 1` scoped helpers, all claiming partitions
-//!   from one shared cursor, and the master patch splits the rebuilt
-//!   partitions into `width` chunks the same way.  `apply` sizes the
-//!   width itself ([`crate::fanout`], the rule the engine's trigger
-//!   drain shares): `min(host CPUs, affected partitions, rebuild
+//!   from one shared queue, and the master patch fans the rebuilt
+//!   partitions out the same way: one fork-join serves both, so a panic
+//!   on any thread is a typed error and a helper the OS refuses to start
+//!   only narrows the apply.  `apply` sizes the
+//!   width itself: `min(host CPUs, affected partitions, rebuild
 //!   edges / 8192)`, at least 1, where host CPUs is
 //!   `available_parallelism()` (so a `taskset -c 0` process applies on
 //!   its own thread alone) and 8192 edges is roughly the rebuild work
-//!   that amortizes one scoped spawn.  Each thread stacks its results
-//!   locally and the calling thread merges them after the join; the
+//!   that amortizes one scoped spawn.  Results come back in pid order
+//!   whichever thread produced them; the
 //!   vertex-level current-index merge stays single-threaded and
 //!   ordered, so the result is **bit-identical** at any width (pinned
 //!   at forced widths by this module's unit tests and on the host's own
@@ -95,13 +96,12 @@
 //! cost can be compared against measured disk time.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::edge::{Edge, EdgeList};
-use crate::fanout::{fan_out_width, host_cpus};
 use crate::fault::{FaultHandle, FaultInjector, StoreFaultBoundary};
 use crate::obs::{ObsHandle, StoreObserver};
 use crate::partition::{Partition, PartitionSet};
@@ -666,6 +666,72 @@ type PayloadMaps = (
 /// defaults to one shard via [`ShardedSnapshotStore::new`].
 pub type SnapshotStore = ShardedSnapshotStore;
 
+/// Minimum rebuild work (estimated affected edges) per apply thread.
+/// Below roughly this many edges per thread, the spawn/join cost of a
+/// scoped helper exceeds the rebuild it would perform and fanning out
+/// is a slowdown.
+const APPLY_EDGES_PER_THREAD: usize = 8192;
+
+/// Logical CPUs this process may run on, read once.  On Linux
+/// `available_parallelism` honours the CPU affinity mask.
+fn host_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Threads one `apply` rebuilds and patches on: never more than the
+/// host has, than there are affected partitions to claim, or than the
+/// rebuild work amortizes; at least the calling thread.
+fn apply_width(cpus: usize, units: usize, rebuild_edges: usize) -> usize {
+    cpus.min(units)
+        .min(rebuild_edges / APPLY_EDGES_PER_THREAD)
+        .max(1)
+}
+
+/// Maps `f` over `items` on `width` threads — the calling thread plus
+/// `width − 1` scoped helpers — each claiming the next unclaimed item
+/// until none is left.
+///
+/// Returns the results in item order once every helper has joined, or
+/// `None` if `f` panicked on any thread.  A helper the OS refuses to
+/// start is not an error: the threads already running claim its share,
+/// so a refused spawn costs parallelism, never work.
+fn fan_out<I, T, F>(width: usize, items: I, f: F) -> Option<Vec<T>>
+where
+    I: IntoIterator,
+    I::IntoIter: Send,
+    T: Send,
+    F: Fn(I::Item) -> T + Sync,
+{
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let claim = || {
+        let mut out = Vec::new();
+        // A poisoned queue means `next` panicked on another thread,
+        // which already fails the call.
+        while let Some((i, item)) = queue.lock().ok().and_then(|mut q| q.next()) {
+            out.push((i, f(item)));
+        }
+        out
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..width)
+            .map_while(|_| std::thread::Builder::new().spawn_scoped(scope, claim).ok())
+            .collect();
+        let mut results = catch_unwind(AssertUnwindSafe(claim)).ok();
+        // Join every helper, even after a panic, before reporting one.
+        for helper in helpers {
+            let joined = helper.join().ok();
+            results = results.zip(joined).map(|(mut all, more)| {
+                all.extend(more);
+                all
+            });
+        }
+        let mut results = results?;
+        results.sort_unstable_by_key(|&(i, _)| i);
+        Some(results.into_iter().map(|(_, t)| t).collect())
+    })
+}
+
 impl ShardedSnapshotStore {
     /// Wraps a base partitioned graph as snapshot timestamp 0, on a
     /// single shard.
@@ -1151,11 +1217,9 @@ impl ShardedSnapshotStore {
         // 4. Rebuild each affected partition's edge share.  A rebuild is
         //    a pure, lock-free function of the pre-delta state, so the
         //    calling thread and `width − 1` scoped helpers claim
-        //    partitions from one shared cursor, each stacking its
-        //    results locally (no lock on the rebuild path); the calling
-        //    thread merges them after the join.  The vertex-level merge
-        //    afterwards stays single-threaded and ordered, so the
-        //    result is bit-identical at any width.
+        //    partitions from one shared queue (`fan_out`).  The
+        //    vertex-level merge afterwards stays single-threaded and
+        //    ordered, so the result is bit-identical at any width.
         let rebuild_one = |pid: PartitionId| -> Result<Partition, SnapshotError> {
             let mut edges = resolve(pid).edges_global();
             if let Some(rm) = removed.get(&pid) {
@@ -1189,42 +1253,21 @@ impl ShardedSnapshotStore {
             .map(|&pid| resolve(pid).num_edges())
             .sum::<usize>()
             + delta.additions.len();
-        let width = fan_out_width(host_cpus(), affected.len(), rebuild_edges);
+        let width = apply_width(host_cpus(), affected.len(), rebuild_edges);
         // Unit tests force the width to cover every fan-out on any host.
         #[cfg(test)]
         let width = tests::FORCED_WIDTH.with(|w| w.get()).unwrap_or(width);
-        let cursor = AtomicUsize::new(0);
-        let claim = || {
-            let mut local = Vec::new();
-            while let Some(&pid) = affected.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                local.push((pid, rebuild_one(pid)));
-            }
-            local
-        };
-        let mut results = std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..width).map(|_| scope.spawn(claim)).collect();
-            let mut results = claim();
-            // A panicked helper must not abort the whole store: join
-            // every helper, then surface the panic as a typed error and
-            // refuse the partial result (no state has been installed).
-            let mut panicked = false;
-            for h in helpers {
-                match h.join() {
-                    Ok(local) => results.extend(local),
-                    Err(_) => panicked = true,
-                }
-            }
-            if panicked {
-                return Err(StoreError::WorkerPanic("apply partition rebuild"));
-            }
-            Ok(results)
-        })?;
-        // In pid order the first error is the smallest affected pid's,
-        // whichever thread hit it; a helper panic outranks it.
-        results.sort_unstable_by_key(|&(pid, _)| pid);
-        let mut rebuilt: Vec<(PartitionId, Partition)> = results
+        // A panicked rebuild must not abort the whole store: it surfaces
+        // as a typed error and the partial result is refused (no state
+        // has been installed).  Results come back in `affected`'s pid
+        // order, so the first error is the smallest affected pid's,
+        // whichever thread hit it; a panic outranks it.
+        let mut rebuilt: Vec<(PartitionId, Partition)> =
+            fan_out(width, affected.iter().copied(), |pid| {
+                rebuild_one(pid).map(|p| (pid, p))
+            })
+            .ok_or(StoreError::WorkerPanic("apply partition rebuild"))?
             .into_iter()
-            .map(|(pid, r)| r.map(|p| (pid, p)))
             .collect::<Result<_, _>>()?;
 
         // 5. Recompute replica membership and masters for the touched
@@ -1257,34 +1300,15 @@ impl ShardedSnapshotStore {
 
         // 6. Patch master metadata and group rebuilt partitions by the
         //    shard that owns them.  Patching is per-partition local, so
-        //    the pid-ordered partitions split into `width` chunks: the
-        //    calling thread patches the first, helpers the rest; the
-        //    result is independent of the split.
+        //    the rebuilt partitions fan out at the same width; the
+        //    result is independent of which thread patched which.
         let master_lookup = |v: VertexId| -> PartitionId {
             master_delta.get(&v).copied().unwrap_or_else(|| master(v))
         };
-        let patch = |chunk: &mut [(PartitionId, Partition)]| {
-            for (_, p) in chunk {
-                p.patch_masters(&master_lookup);
-            }
-        };
-        let chunk = rebuilt.len().div_ceil(width).max(1);
-        let panicked = std::thread::scope(|scope| {
-            let mut chunks = rebuilt.chunks_mut(chunk);
-            let own = chunks.next();
-            let helpers: Vec<_> = chunks.map(|c| scope.spawn(move || patch(c))).collect();
-            if let Some(c) = own {
-                patch(c);
-            }
-            // Join every helper: an unwinding patch helper becomes a
-            // typed error instead of propagating out of the scope.
-            helpers
-                .into_iter()
-                .fold(false, |panicked, h| h.join().is_err() | panicked)
-        });
-        if panicked {
-            return Err(StoreError::WorkerPanic("apply master patch"));
-        }
+        fan_out(width, rebuilt.iter_mut(), |(_, p)| {
+            p.patch_masters(&master_lookup)
+        })
+        .ok_or(StoreError::WorkerPanic("apply master patch"))?;
 
         // 7. Stage one *layered* record per affected shard (only this
         //    delta's partitions; untouched shards keep their head).  On
@@ -3577,7 +3601,7 @@ mod tests {
 
     thread_local! {
         /// The width every `apply` on this thread uses instead of its
-        /// own (`None` = [`fan_out_width`]'s).
+        /// own (`None` = [`apply_width`]'s).
         pub(super) static FORCED_WIDTH: Cell<Option<usize>> = const { Cell::new(None) };
     }
 
@@ -3588,6 +3612,54 @@ mod tests {
         let out = f();
         FORCED_WIDTH.with(|w| w.set(None));
         out
+    }
+
+    /// The apply width is the host's CPUs, clamped by the affected
+    /// partitions and by one thread per 8192 rebuild edges, and never 0.
+    #[test]
+    fn apply_width_follows_host_units_and_work() {
+        const EDGES: [usize; 4] = [0, 8191, 16384, 1_000_000];
+        // Per host CPU count, one row per units {0, 1, 5}: the width
+        // at each of EDGES.
+        let table: [(usize, [[usize; 4]; 3]); 3] = [
+            (1, [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]]),
+            (2, [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 2, 2]]),
+            (8, [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 2, 5]]),
+        ];
+        for (cpus, rows) in table {
+            for (units, row) in [0, 1, 5].into_iter().zip(rows) {
+                for (edges, want) in EDGES.into_iter().zip(row) {
+                    assert_eq!(
+                        apply_width(cpus, units, edges),
+                        want,
+                        "cpus {cpus} units {units} edges {edges}"
+                    );
+                }
+            }
+        }
+        assert!(host_cpus() >= 1);
+    }
+
+    /// Every item is claimed once and its result lands in item order at
+    /// any width, including mutable items and widths above the item
+    /// count; a panicking item fails the whole call.
+    #[test]
+    fn fan_out_keeps_item_order_and_reports_a_panic() {
+        for width in [0, 1, 2, 4, 8] {
+            let mut items: Vec<u64> = (0..40).collect();
+            let doubled = fan_out(width, items.iter_mut(), |x| {
+                *x += 1;
+                *x * 2
+            });
+            let want: Vec<u64> = (1..=40).map(|x| x * 2).collect();
+            assert_eq!(doubled, Some(want), "width {width}");
+            assert_eq!(items, (1..=40).collect::<Vec<u64>>(), "width {width}");
+            let failed = fan_out(width, 0..40u64, |x| {
+                assert_ne!(x, 17, "injected item panic");
+                x
+            });
+            assert_eq!(failed, None, "width {width}");
+        }
     }
 
     /// Concurrent apply is bit-identical to serial apply: same records,

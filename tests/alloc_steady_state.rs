@@ -1,7 +1,7 @@
 //! Steady-state allocation bound: once an engine is warm, stepping it
 //! round by round must not grow the heap — the round buffers, probe
 //! counts and chunk task list all recycle instead of reallocating per
-//! round, and whatever a trigger helper allocates is freed by the join.
+//! round.
 //!
 //! The counter is process-wide, so this binary holds **exactly one**
 //! `#[test]`: a sibling test's allocations would land in the measured
@@ -73,8 +73,8 @@ fn steady_state_rounds_do_not_grow_the_heap() {
     for _ in 0..4 {
         engine.submit_at(PageRank::default(), 0);
     }
-    // Warmup sizes the round buffers and the trigger lanes, and faults
-    // in the cache working set.
+    // Warmup sizes the round buffers and faults in the cache working
+    // set.
     for _ in 0..3 {
         assert!(engine.step_round(), "PageRank outlasts the warm-up");
     }

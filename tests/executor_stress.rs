@@ -1,8 +1,7 @@
-//! Executor stress: the round pipeline — fetch and plan-order install
-//! on the calling thread, then one trigger drain on it plus host-sized
-//! scoped helpers — must keep producing the golden table's bits, one
-//! engine at a time and with every golden configuration racing the
-//! others on one shared store.  The table holds digests recorded while
+//! Executor stress: the round pipeline — fetch, plan-order install and
+//! one trigger drain, all on the calling thread — must keep producing
+//! the golden table's bits, one engine at a time and with every golden
+//! configuration racing the others on one shared store.  The table holds digests recorded while
 //! such engines still ran on a separate fork-join executor, so it
 //! catches a change that moves every configuration together; a drain
 //! that never returns shows up as a hang, caught by CI's per-binary

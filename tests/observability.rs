@@ -113,7 +113,7 @@ fn run_cfg(
 /// 2. a `trigger_chunk` opens "a chunk is running": the first `push`
 ///    starting after the chunk may not start until it has ended.  This
 ///    rule works on timestamps alone, across rounds, so it stays
-///    meaningful if Push itself ever runs on the trigger helpers;
+///    meaningful if Push or the drain ever moves off the calling thread;
 /// 3. a `trigger_chunk` of round *r* belongs to that round's drain: it
 ///    may not start before round *r*'s last `install` has ended, and
 ///    must end before round *r*'s `push` starts.
@@ -240,7 +240,7 @@ fn tracing_changes_no_bit_on_executor_stress_configs() {
             assert!(!dump.events.is_empty(), "{what}: no events captured");
             assert!(dump.events.iter().any(|e| e.kind == EventKind::Install));
             assert!(traced_obs.registry().counter("rounds").get() > 0);
-            // Per-chunk spans come from the trigger lanes and nowhere else.
+            // Per-chunk spans come from the trigger ring and nowhere else.
             let chunk_threads: Vec<&str> = dump
                 .events
                 .iter()
@@ -249,10 +249,8 @@ fn tracing_changes_no_bit_on_executor_stress_configs() {
                 .collect();
             assert!(!chunk_threads.is_empty(), "{what}: no per-chunk spans");
             assert!(
-                chunk_threads
-                    .iter()
-                    .all(|name| name.starts_with("cgraph-trigger-")),
-                "{what}: a chunk span from outside the trigger lanes"
+                chunk_threads.iter().all(|&name| name == "cgraph-trigger"),
+                "{what}: a chunk span from outside the trigger ring"
             );
             assert_trace_order(&dump, &what);
         }
@@ -321,11 +319,9 @@ fn serve_report(store: &Arc<SnapshotStore>, observer: Option<Arc<Observer>>) -> 
 fn tracing_changes_no_bit_on_the_serve_loop() {
     let store = shared_store();
     let plain = serve_report(&store, None);
-    // Most serve rounds drain on the calling thread alone, so its trigger
-    // lane records ~6.5k chunk spans, more than a default ring holds:
-    // size the rings as the benchmark sizes its own, so the oracle below
-    // sees every event.
-    let obs = Observer::with_ring_capacity(1 << 14);
+    // The trigger ring records every chunk span of the run: the default
+    // ring must keep them all for the oracle below to see every event.
+    let obs = Observer::enabled();
     let traced = serve_report(&store, Some(Arc::clone(&obs)));
     // ServeReport is PartialEq over every field, including each job's
     // f64 arrival/admitted/completed stamps.
