@@ -5,7 +5,7 @@ use std::sync::Arc;
 use cgraph_core::exec::ChargeLedger;
 use cgraph_core::job::{JobId, JobRuntime, ProcessStats, TypedJob};
 use cgraph_core::program::VertexProgram;
-use cgraph_core::workers::{plan_chunks, TriggerDrain};
+use cgraph_core::workers::TriggerDrain;
 use cgraph_core::{Observer, RunReport, SyncStrategy};
 use cgraph_graph::snapshot::SnapshotStore;
 use cgraph_graph::{PartitionId, PartitionSet, VersionId};
@@ -36,8 +36,8 @@ pub enum Interleave {
 /// Configuration of a [`StreamEngine`].
 #[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
-    /// Modeled trigger-stage cores: the compute divisor and the chunk
-    /// budget (no thread is started).
+    /// Modeled trigger-stage cores: the compute divisor (no thread is
+    /// started).
     pub workers: usize,
     /// Simulated tier capacities.
     pub hierarchy: HierarchyConfig,
@@ -212,14 +212,10 @@ impl StreamEngine {
             tbytes,
         );
 
-        // Trigger: all workers serve this one job.
-        let count = self.jobs[j].runtime.unprocessed_vertices(pid);
-        let mut tasks = Vec::new();
-        plan_chunks(pid, &[j], &[count], 0, self.config.workers, &mut tasks);
+        // Trigger: one entry, this job over the whole partition.
         let mut s = [ProcessStats::default()];
-        let jobs = &self.jobs;
         self.trigger
-            .run(&tasks, self.loads as u32, |job| &*jobs[job].runtime, &mut s)
+            .run([(&*self.jobs[j].runtime, pid)], self.loads as u32, &mut s)
             .unwrap_or_else(|err| panic!("streaming baseline trigger: {err}"));
         let [mut s] = s;
         self.jobs[j].runtime.mark_processed(pid);

@@ -52,10 +52,9 @@ pub enum SchedulerKind {
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// The paper's per-core Trigger workers, as modeled: the divisor of
-    /// modeled compute time, the job batch size when more jobs share a
-    /// partition than workers, and the chunk budget straggler splitting
-    /// fills.  It never sizes a thread: the trigger drain runs on the
-    /// calling thread ([`crate::workers`]).
+    /// modeled compute time and the install batch size when more jobs
+    /// share a partition than workers.  It never sizes a thread: the
+    /// trigger drain runs on the calling thread ([`crate::workers`]).
     pub workers: usize,
     /// Simulated cache/memory capacities.
     pub hierarchy: HierarchyConfig,
@@ -153,7 +152,7 @@ pub struct RunReport {
 
 pub(crate) struct JobEntry {
     /// Every mutation goes through `&self` interior mutability, so the
-    /// trigger drain runs chunks through a shared borrow.
+    /// trigger drain runs entries through a shared borrow.
     pub(crate) runtime: Box<dyn JobRuntime>,
     pub(crate) done: bool,
     /// Set when fault admission exhausted a fetch's retry budget while

@@ -161,15 +161,8 @@ impl ChargeLedger {
     /// [`spill_fetch_bytes`](Self::spill_fetch_bytes) so eviction
     /// pricing stays separately observable.
     pub fn charge_spill_fetch(&mut self, shard: usize, job: usize, bytes: u64) {
-        self.hierarchy.metrics_mut().bytes_disk_to_mem += bytes;
-        if let Some(jm) = self.job_metrics.get_mut(job) {
-            jm.attributed_bytes += bytes as f64;
-        }
-        bump_lane(&mut self.shard_fetch_bytes, shard, bytes);
+        self.charge_refetch(shard, job, bytes);
         bump_lane(&mut self.spill_fetch_bytes, shard, bytes);
-        if let Some(lanes) = self.job_lane_fetch.get_mut(job) {
-            bump_lane(lanes, shard, bytes);
-        }
     }
 
     /// Charges the disk traffic of one fault-plane retry or breaker
@@ -179,12 +172,19 @@ impl ChargeLedger {
     /// [`retry_fetch_bytes`](Self::retry_fetch_bytes) so injected-failure
     /// pricing stays separately observable from eviction pricing.
     pub fn charge_retry_fetch(&mut self, shard: usize, job: usize, bytes: u64) {
+        self.charge_refetch(shard, job, bytes);
+        bump_lane(&mut self.retry_fetch_bytes, shard, bytes);
+    }
+
+    /// The pricing spill and retry re-fetches share: `bytes` of disk
+    /// traffic on the global counter, the job's attribution, and shard
+    /// lane `shard` (globally and for the job).
+    fn charge_refetch(&mut self, shard: usize, job: usize, bytes: u64) {
         self.hierarchy.metrics_mut().bytes_disk_to_mem += bytes;
         if let Some(jm) = self.job_metrics.get_mut(job) {
             jm.attributed_bytes += bytes as f64;
         }
         bump_lane(&mut self.shard_fetch_bytes, shard, bytes);
-        bump_lane(&mut self.retry_fetch_bytes, shard, bytes);
         if let Some(lanes) = self.job_lane_fetch.get_mut(job) {
             bump_lane(lanes, shard, bytes);
         }

@@ -15,8 +15,8 @@
 //!   charging code previously duplicated between the CGraph engine's
 //!   Load/Push paths and the baseline streaming engine.
 //! * [`wavefront`] — the one Load–Trigger–Push round executor: a wave
-//!   of up to `k` scheduler-planned slots runs fetch → install slot by
-//!   slot in plan order on the calling thread, then trigger → push, and
+//!   of up to `k` scheduler-planned slots installs slot by slot in plan
+//!   order on the calling thread, then runs trigger → push, and
 //!   the round's modeled time overlaps slot *i+1*'s Load with slot *i*'s
 //!   Trigger (two-stage flow-shop makespan).  `k = 1` is a wave of one
 //!   slot, not a separate path.
@@ -27,9 +27,10 @@
 //!   memory-install → trigger).  At depth 0 it degenerates to the
 //!   two-stage model above.
 //!
-//! The trigger stage drains each round's chunk tasks through
-//! [`crate::workers::TriggerDrain`] on the calling thread, before the
-//! round's Push; the engine starts no thread of its own.
+//! The trigger stage drains each round's `(job, partition)` entries
+//! through [`crate::workers::TriggerDrain`] on the calling thread, one
+//! in-place pass per entry, before the round's Push; the engine starts
+//! no thread of its own.
 
 pub mod ledger;
 pub mod planner;

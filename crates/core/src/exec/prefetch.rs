@@ -21,9 +21,9 @@
 //! `prefetch_depth = 0` reproduces PR 1 bit-for-bit.
 //!
 //! The window is modeled only.  The executor ([`super::wavefront`])
-//! fetches each slot inline, just before installing it: a probe scan is
-//! one integer read per job, so no thread could win the overlap this
-//! model prices for a real disk.
+//! installs each slot inline, in plan order: structure partitions are
+//! already in memory, so no thread could win the overlap this model
+//! prices for a real disk.
 
 use cgraph_graph::{PartitionId, ShardPlacement};
 

@@ -3,44 +3,37 @@
 //! One round executes a scheduler-planned *wavefront* of slots through
 //! one staged pipeline on the calling thread:
 //!
-//! 1. **Fetch** — the slot's stage-one probe scans: one unprocessed-
-//!    vertex count per interested job, the input straggler splitting
-//!    needs.
-//! 2. **Install** — the slot's structure partition and private tables
+//! 1. **Install** — the slot's structure partition and private tables
 //!    are charged through the [`ChargeLedger`](super::ChargeLedger)
-//!    (structures stay pinned for the whole round) and its chunk tasks
-//!    join the round's task list.
-//! 3. **Trigger** — once every slot is installed, the round's tasks
+//!    (structures stay pinned for the whole round) and one trigger entry
+//!    per interested job joins the round's entry list.
+//! 2. **Trigger** — once every slot is installed, the round's entries
 //!    drain once, in install order, through
-//!    [`TriggerDrain`](crate::workers::TriggerDrain).
-//! 4. **Push** — each job whose iteration completed synchronizes
+//!    [`TriggerDrain`](crate::workers::TriggerDrain): one in-place pass
+//!    of the job over the whole partition per entry.
+//! 3. **Push** — each job whose iteration completed synchronizes
 //!    replicas and advances, and the slot planner is patched
 //!    incrementally.
 //!
 //! # Configurations, not paths
 //!
-//! Every stage runs on the calling thread at every configuration: a
-//! probe is one integer read per job, so there is nothing to hand to
-//! another thread, and the drain starts none (see
-//! [`crate::workers`]).  A width-1 wave is a wave of one slot, and
-//! `prefetch_depth` changes how a round is priced (below), never what
-//! runs.  Everything is the same code.
+//! Every stage runs on the calling thread at every configuration, and
+//! the drain starts no thread (see [`crate::workers`]).  A width-1 wave
+//! is a wave of one slot, and `prefetch_depth` changes how a round is
+//! priced (below), never what runs.  Everything is the same code.
 //!
 //! # Why the results are deterministic
 //!
-//! Every merge point is ordered or exact:
+//! Every step runs in a fixed order:
 //!
-//! * Probe scans are pure reads of state only mutated at the round tail
-//!   (after the drain), so their values do not depend on the drain.
 //! * Ledger charging — the only mutation that decides modeled times and
 //!   traffic counters — happens in plan order.
-//! * Chunk statistics accumulate as exact `u64` additions per pooled
-//!   entry; the `f64` stage-time conversion happens afterwards in entry
-//!   order, so the float accumulation order is fixed by the plan.
-//! * Vertex-state folds inside `process_chunk` take per-partition locks
-//!   and use an accumulator algebra that is result-neutral under any
-//!   chunk interleaving; the pipeline only decides *when* chunks run,
-//!   not how their results merge.
+//! * Entries drain in install order, and each folds its contributions
+//!   into the job's accumulators in vertex order, out-edges before
+//!   in-edges.
+//! * Entry statistics accumulate as exact `u64` additions; the `f64`
+//!   stage-time conversion happens afterwards in entry order, so the
+//!   float accumulation order is fixed by the plan.
 //!
 //! # Modeled time
 //!
@@ -60,7 +53,7 @@ use crate::engine::Engine;
 use crate::exec::planner::SlotKey;
 use crate::job::ProcessStats;
 use crate::obs::{EventKind, NONE};
-use crate::workers::{plan_chunks, ChunkTask, ExecError};
+use crate::workers::ExecError;
 
 /// Makespan of a fixed-sequence two-stage pipeline: stage-one times
 /// `loads` (serialized, e.g. the shared memory channel) feed stage-two
@@ -83,7 +76,7 @@ pub fn flowshop_makespan(loads: &[f64], triggers: &[f64]) -> f64 {
 }
 
 /// Reusable per-round scratch: the wave description, the stage-time
-/// vectors, and the probe counts.  Kept on the [`Engine`] across rounds
+/// vectors, and the trigger entries.  Kept on the [`Engine`] across rounds
 /// so the hot loop stops recloning job lists and rebuilding batch
 /// vectors every round — after the first round at a given wave shape, a
 /// round allocates nothing here.
@@ -105,14 +98,10 @@ pub(crate) struct RoundBuffers {
     lanes: Vec<usize>,
     /// Deduplicated jobs due a Push check this round.
     push_jobs: Vec<usize>,
-    /// The installing slot's probe counts, aligned with its job list.
-    counts: Vec<u64>,
-    /// Pooled `(slot, job)` entry origins, in install order.
+    /// The round's trigger entries as `(slot, job)`, in install order.
     origins: Vec<(usize, usize)>,
-    /// Per-entry chunk statistics, aligned with `origins`.
+    /// Per-entry trigger statistics, aligned with `origins`.
     stats: Vec<ProcessStats>,
-    /// The round's chunk tasks, in install order.
-    tasks: Vec<ChunkTask>,
 }
 
 impl RoundBuffers {
@@ -128,7 +117,6 @@ impl RoundBuffers {
         self.push_jobs.clear();
         self.origins.clear();
         self.stats.clear();
-        self.tasks.clear();
     }
 }
 
@@ -155,9 +143,8 @@ impl Engine {
 
         match self.pump_round(&mut round, prefetching) {
             Ok(()) => {
-                // Trigger merge: charge compute in pooled-entry order on
-                // the calling thread, which fixes the float accumulation
-                // order of `round.trigger` whatever order chunks ran in.
+                // Trigger merge: charge compute in entry order, which
+                // fixes the float accumulation order of `round.trigger`.
                 for (stats, &(si, j)) in round.stats.iter().zip(&round.origins) {
                     self.ledger.charge_compute(j, *stats);
                     let as_metrics = Metrics {
@@ -180,19 +167,12 @@ impl Engine {
         }
     }
 
-    /// The failable half of a round: the plan-order fetch → install
-    /// loop and the trigger drain.  A panicked chunk surfaces here as a
-    /// typed [`ExecError`].
+    /// The failable half of a round: the plan-order install loop and the
+    /// trigger drain.  A panicked entry surfaces here as a typed
+    /// [`ExecError`].
     fn pump_round(&mut self, round: &mut RoundBuffers, prefetching: bool) -> Result<(), ExecError> {
         for si in 0..round.slots.len() {
             let ((pid, _), start, end) = round.slots[si];
-            // Fetch: one probe scan per interested job, in slot order.
-            round.counts.clear();
-            round.counts.extend(
-                round.jobs[start..end]
-                    .iter()
-                    .map(|&j| self.jobs[j].runtime.unprocessed_vertices(pid)),
-            );
             let install_t0 = self.rec.start();
             self.install_slot(si, round, prefetching);
             if self.rec.on() {
@@ -211,26 +191,24 @@ impl Engine {
             }
         }
         if self.rec.on() {
-            let r = self.obs.registry();
-            r.histogram("chunk_tasks_per_round")
-                .record(round.tasks.len() as u64);
-            r.histogram("round_entries")
+            self.obs
+                .registry()
+                .histogram("round_entries")
                 .record(round.origins.len() as u64);
         }
         round
             .stats
             .resize(round.origins.len(), ProcessStats::default());
-        let jobs = &self.jobs;
-        self.trigger.run(
-            &round.tasks,
-            self.round_no,
-            |j| &*jobs[j].runtime,
-            &mut round.stats,
-        )
+        let (jobs, slots) = (&self.jobs, &round.slots);
+        let entries = round.origins.iter().map(|&(si, j)| {
+            let ((pid, _), _, _) = slots[si];
+            (&*jobs[j].runtime, pid)
+        });
+        self.trigger.run(entries, self.round_no, &mut round.stats)
     }
 
-    /// Installs one fetched slot: the slot's ledger charge loop plus its
-    /// chunk tasks, appended to the round's task list.
+    /// Installs one slot: the slot's ledger charge loop plus its trigger
+    /// entries, appended to the round's entry list.
     fn install_slot(&mut self, si: usize, round: &mut RoundBuffers, prefetching: bool) {
         let workers = self.config.workers;
         let batch_size = workers.max(1);
@@ -281,16 +259,6 @@ impl Engine {
                     tbytes,
                 );
             }
-            // The fetch stage already ran this slot's probe scans; their
-            // values are position-aligned with the slot's job list.
-            plan_chunks(
-                pid,
-                &round.jobs[off..batch_end],
-                &round.counts[(off - start)..(batch_end - start)],
-                round.origins.len(),
-                workers.max(batch_end - off),
-                &mut round.tasks,
-            );
             for &j in &round.jobs[off..batch_end] {
                 round.origins.push((si, j));
             }

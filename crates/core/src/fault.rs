@@ -25,9 +25,9 @@
 //!   the recovery suite's territory, driven by the file harness
 //!   re-exported below).
 //! * **Trigger workers** — [`FaultConfig::panic_chunk`] injects a panic
-//!   into a chosen `process_chunk` call inside the trigger drain,
-//!   exercising the worker-death path (`Engine::exec_error`) end to
-//!   end.
+//!   into the trigger drain when it processes a chosen partition (for
+//!   any job), exercising the worker-death path (`Engine::exec_error`)
+//!   end to end.
 //!
 //! # Determinism
 //!
@@ -64,6 +64,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cgraph_graph::fault::{FaultInjector, StoreFaultBoundary};
+use cgraph_graph::PartitionId;
 use parking_lot::Mutex;
 
 pub use cgraph_graph::fault::{file_len, flip_bit, truncate_at, FaultPlan, FaultyFile};
@@ -232,8 +233,8 @@ pub struct FaultConfig {
     /// Per-lane fetch circuit breakers.
     pub breaker: BreakerConfig,
     /// Inject a panic into the executor's trigger stage when it
-    /// processes `(partition, chunk)` — the worker-death drill.
-    pub panic_chunk: Option<(u32, usize)>,
+    /// processes this partition — the worker-death drill.
+    pub panic_chunk: Option<PartitionId>,
 }
 
 impl Default for FaultConfig {
@@ -416,10 +417,10 @@ impl FaultPlane {
         }
     }
 
-    /// Whether the trigger drain must panic on this chunk (the
+    /// Whether the trigger drain must panic on partition `pid` (the
     /// injected worker-death drill).
-    pub(crate) fn should_panic_chunk(&self, pid: u32, chunk: usize) -> bool {
-        self.enabled && self.cfg.panic_chunk == Some((pid, chunk))
+    pub(crate) fn should_panic_chunk(&self, pid: PartitionId) -> bool {
+        self.enabled && self.cfg.panic_chunk == Some(pid)
     }
 
     /// Runs the transient retry loop for one operation at `boundary`

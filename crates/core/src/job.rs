@@ -6,14 +6,20 @@
 //! [`JobRuntime::push_and_advance`].  Baseline engines drive the same
 //! runtime with different loading disciplines, so correctness is identical
 //! across engines by construction — only access patterns differ.
+//!
+//! A [`TypedJob`] keeps everything it mutates behind one lock, taken once
+//! per trait call.  Every engine calls a job from one thread at a time,
+//! so the lock never contends; it is what makes the runtime `Sync`.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use cgraph_graph::{GraphView, PartitionId, ReplicaPlan, VersionId, VertexId, NO_PARTITION};
+use cgraph_graph::{
+    GraphView, LocalId, PartitionId, ReplicaPlan, VersionId, VertexId, Weight, NO_PARTITION,
+};
 
 use crate::obs::{Counter, Observer};
 use crate::program::{EdgeDirection, VertexInfo, VertexProgram};
@@ -78,13 +84,11 @@ pub trait JobRuntime: Send + Sync {
     }
     /// Whether `pid` is active and unprocessed this iteration.
     fn is_pending(&self, pid: PartitionId) -> bool;
-    /// Active replicas in `pid` (straggler detection; known from the
-    /// previous iteration's Push, as in the paper §3.2.3).
-    fn unprocessed_vertices(&self, pid: PartitionId) -> u64;
     /// Bytes of this job's private table for `pid`.
     fn private_table_bytes(&self, pid: PartitionId) -> u64;
-    /// Processes chunk `chunk` of `nchunks` of partition `pid` (Trigger).
-    /// Chunks of the same partition may run concurrently.
+    /// Processes chunk `chunk` of `nchunks` of partition `pid` (Trigger):
+    /// the local vertices `nv * chunk / nchunks .. nv * (chunk + 1) /
+    /// nchunks`.  Every engine passes `(0, 1)`, the whole partition.
     fn process_chunk(&self, pid: PartitionId, chunk: usize, nchunks: usize) -> ProcessStats;
     /// Marks `pid` fully processed for this iteration.
     fn mark_processed(&self, pid: PartitionId);
@@ -120,11 +124,22 @@ pub struct TypedJob<P: VertexProgram> {
     plan_built: bool,
     /// `push_mirror_records`, once [`observed`](Self::observed).
     mirror_records: Option<Arc<Counter>>,
-    parts: Vec<Mutex<PartState<P::Value>>>,
-    pending: Mutex<PendingSet>,
-    change: Mutex<Vec<f64>>,
-    iteration: AtomicU64,
-    converged: AtomicBool,
+    /// Everything the job mutates, behind its one lock.
+    state: Mutex<JobState<P::Value>>,
+}
+
+/// A job's mutable state: its private tables and the iteration's
+/// bookkeeping.
+struct JobState<V> {
+    /// One private table per partition.
+    parts: Vec<PartState<V>>,
+    /// Partitions this iteration activated, and which are processed.
+    pending: PendingSet,
+    /// Average active delta magnitude per partition, as of the last Push.
+    change: Vec<f64>,
+    /// Current iteration (1-based; 0 before the first activation).
+    iteration: u64,
+    converged: bool,
 }
 
 impl<P: VertexProgram> TypedJob<P> {
@@ -155,7 +170,7 @@ impl<P: VertexProgram> TypedJob<P> {
                 st.deltas[li] = d;
             }
             infos.push(info);
-            parts.push(Mutex::new(st));
+            parts.push(st);
         }
 
         Self::assemble(id, program, view, infos, parts)
@@ -215,7 +230,7 @@ impl<P: VertexProgram> TypedJob<P> {
                 }
             }
             infos.push(info);
-            parts.push(Mutex::new(st));
+            parts.push(st);
         }
 
         Self::assemble(id, program, view, infos, parts)
@@ -228,10 +243,17 @@ impl<P: VertexProgram> TypedJob<P> {
         program: P,
         view: GraphView,
         infos: Vec<Vec<VertexInfo>>,
-        parts: Vec<Mutex<PartState<P::Value>>>,
+        parts: Vec<PartState<P::Value>>,
     ) -> Self {
         let np = parts.len();
         let (plan, plan_built) = view.bind_replica_plan();
+        let state = JobState {
+            parts,
+            pending: PendingSet::new(np),
+            change: vec![0.0; np],
+            iteration: 0,
+            converged: false,
+        };
         let job = TypedJob {
             id,
             program,
@@ -240,17 +262,16 @@ impl<P: VertexProgram> TypedJob<P> {
             plan,
             plan_built,
             mirror_records: None,
-            parts,
-            pending: Mutex::new(PendingSet::new(np)),
-            change: Mutex::new(vec![0.0; np]),
-            iteration: AtomicU64::new(0),
-            converged: AtomicBool::new(false),
+            state: Mutex::new(state),
         };
-        job.recompute_activation((0..np as PartitionId).collect());
-        if !job.pending.lock().any_active() {
-            job.converged.store(true, Ordering::SeqCst);
-        } else {
-            job.iteration.store(1, Ordering::SeqCst);
+        {
+            let mut st = job.state.lock();
+            job.recompute_activation(&mut st, 0..np as PartitionId);
+            if st.pending.any_active() {
+                st.iteration = 1;
+            } else {
+                st.converged = true;
+            }
         }
         job
     }
@@ -290,6 +311,7 @@ impl<P: VertexProgram> TypedJob<P> {
     /// Isolated vertices (no replicas) report their initial finalized state.
     pub fn extract(&self) -> Vec<P::Value> {
         let n = self.view.num_vertices() as usize;
+        let st = self.state.lock();
         let mut out = Vec::with_capacity(n);
         for vid in 0..n as VertexId {
             let (od, id_) = self.view.degree_of(vid);
@@ -301,8 +323,11 @@ impl<P: VertexProgram> TypedJob<P> {
             } else {
                 let part = self.view.partition(mp);
                 let li = part.local_of(vid).expect("master replica present") as usize;
-                let st = self.parts[mp as usize].lock();
-                out.push(self.program.finalize(&info, st.values[li], st.deltas[li]));
+                let table = &st.parts[mp as usize];
+                out.push(
+                    self.program
+                        .finalize(&info, table.values[li], table.deltas[li]),
+                );
             }
         }
         out
@@ -310,24 +335,68 @@ impl<P: VertexProgram> TypedJob<P> {
 
     /// Recounts activation for the given partitions and updates the
     /// pending set and per-partition change averages.
-    fn recompute_activation(&self, pids: Vec<PartitionId>) {
-        let mut pending = self.pending.lock();
-        let mut change = self.change.lock();
+    fn recompute_activation(
+        &self,
+        st: &mut JobState<P::Value>,
+        pids: impl IntoIterator<Item = PartitionId>,
+    ) {
         for pid in pids {
-            let st = self.parts[pid as usize].lock();
+            let table = &st.parts[pid as usize];
             let mut count = 0u32;
             let mut mag = 0.0f64;
-            for li in 0..st.len() {
-                if self.program.is_active(&st.values[li], &st.deltas[li]) {
+            for (value, delta) in table.values.iter().zip(&table.deltas) {
+                if self.program.is_active(value, delta) {
                     count += 1;
-                    mag += self.program.delta_magnitude(&st.deltas[li]);
+                    mag += self.program.delta_magnitude(delta);
                 }
             }
-            change[pid as usize] = if count == 0 { 0.0 } else { mag / count as f64 };
+            st.change[pid as usize] = if count == 0 { 0.0 } else { mag / count as f64 };
             if count > 0 {
-                pending.activate(pid, count);
+                st.pending.activate(pid);
             }
         }
+    }
+
+    /// Trigger over local vertices `range` of `pid`'s table, in place:
+    /// each active vertex folds its delta into its value, then scatters
+    /// along its out-edges and then its in-edges, every contribution
+    /// folded into `acc` as it is produced.
+    fn trigger(
+        &self,
+        table: &mut PartState<P::Value>,
+        pid: PartitionId,
+        range: Range<usize>,
+    ) -> ProcessStats {
+        let part = self.view.partition(pid);
+        let infos = &self.infos[pid as usize];
+        let identity = self.program.identity();
+        let dir = self.program.direction();
+        let mut stats = ProcessStats::default();
+        for li in range {
+            let (value, delta) = (table.values[li], table.deltas[li]);
+            if !self.program.is_active(&value, &delta) {
+                continue;
+            }
+            stats.vertex_ops += 1;
+            let info = &infos[li];
+            let (new_value, basis) = self.program.compute(info, value, delta);
+            table.values[li] = new_value;
+            table.deltas[li] = identity;
+            let Some(basis) = basis else { continue };
+            let mut fold = |(t, w): (LocalId, Weight)| {
+                stats.edge_ops += 1;
+                let contrib = self.program.edge_contrib(basis, w, info);
+                let slot = &mut table.acc[t as usize];
+                *slot = self.program.acc(*slot, contrib);
+            };
+            if matches!(dir, EdgeDirection::Out | EdgeDirection::Both) {
+                part.out_edges(li as LocalId).for_each(&mut fold);
+            }
+            if matches!(dir, EdgeDirection::In | EdgeDirection::Both) {
+                part.in_edges(li as LocalId).for_each(&mut fold);
+            }
+        }
+        stats
     }
 }
 
@@ -345,143 +414,81 @@ impl<P: VertexProgram> JobRuntime for TypedJob<P> {
     }
 
     fn iteration(&self) -> u64 {
-        self.iteration.load(Ordering::SeqCst)
+        self.state.lock().iteration
     }
 
     fn pending(&self) -> Vec<PartitionId> {
-        self.pending.lock().pending()
+        self.state.lock().pending.pending()
     }
 
     fn is_pending(&self, pid: PartitionId) -> bool {
-        self.pending.lock().is_pending(pid)
-    }
-
-    fn unprocessed_vertices(&self, pid: PartitionId) -> u64 {
-        self.pending.lock().active_counts[pid as usize] as u64
+        self.state.lock().pending.is_pending(pid)
     }
 
     fn private_table_bytes(&self, pid: PartitionId) -> u64 {
-        self.parts[pid as usize].lock().table_bytes()
+        self.state.lock().parts[pid as usize].table_bytes()
     }
 
     fn process_chunk(&self, pid: PartitionId, chunk: usize, nchunks: usize) -> ProcessStats {
-        let part = self.view.partition(pid).clone();
-        let infos = &self.infos[pid as usize];
-        let nv = part.num_local_vertices();
-        let lo = nv * chunk / nchunks;
-        let hi = nv * (chunk + 1) / nchunks;
-        if lo >= hi {
-            return ProcessStats::default();
-        }
-
-        // Copy out this chunk's (value, delta) pairs under the lock, then
-        // compute scatter contributions lock-free.
-        let identity = self.program.identity();
-        let mut pairs: Vec<(P::Value, P::Value)> = Vec::with_capacity(hi - lo);
-        {
-            let st = self.parts[pid as usize].lock();
-            for li in lo..hi {
-                pairs.push((st.values[li], st.deltas[li]));
-            }
-        }
-
-        let mut stats = ProcessStats::default();
-        let mut scatter: Vec<(u32, P::Value)> = Vec::new();
-        let dir = self.program.direction();
-        for (off, (value, delta)) in pairs.iter_mut().enumerate() {
-            let li = (lo + off) as u32;
-            if !self.program.is_active(value, delta) {
-                continue;
-            }
-            stats.vertex_ops += 1;
-            let info = &infos[li as usize];
-            let (new_value, basis) = self.program.compute(info, *value, *delta);
-            *value = new_value;
-            *delta = identity;
-            if let Some(basis) = basis {
-                if matches!(dir, EdgeDirection::Out | EdgeDirection::Both) {
-                    for (t, w) in part.out_edges(li) {
-                        stats.edge_ops += 1;
-                        scatter.push((t, self.program.edge_contrib(basis, w, info)));
-                    }
-                }
-                if matches!(dir, EdgeDirection::In | EdgeDirection::Both) {
-                    for (s, w) in part.in_edges(li) {
-                        stats.edge_ops += 1;
-                        scatter.push((s, self.program.edge_contrib(basis, w, info)));
-                    }
-                }
-            }
-        }
-
-        // Write back the chunk range and fold contributions into `acc`.
-        {
-            let mut st = self.parts[pid as usize].lock();
-            for (off, (v, d)) in pairs.into_iter().enumerate() {
-                st.values[lo + off] = v;
-                st.deltas[lo + off] = d;
-            }
-            for (t, c) in scatter {
-                let cur = st.acc[t as usize];
-                st.acc[t as usize] = self.program.acc(cur, c);
-            }
-        }
-        stats
+        let nv = self.view.partition(pid).num_local_vertices();
+        let range = nv * chunk / nchunks..nv * (chunk + 1) / nchunks;
+        let mut st = self.state.lock();
+        self.trigger(&mut st.parts[pid as usize], pid, range)
     }
 
     fn mark_processed(&self, pid: PartitionId) {
-        self.pending.lock().mark_processed(pid);
+        self.state.lock().pending.mark_processed(pid);
     }
 
     fn reenter_partition(&self, pid: PartitionId, max_rounds: u64) -> ProcessStats {
         let identity = self.program.identity();
-        let part = self.view.partition(pid).clone();
+        let part = self.view.partition(pid);
+        let mut st = self.state.lock();
+        let table = &mut st.parts[pid as usize];
         let mut total = ProcessStats::default();
         for _ in 0..max_rounds {
             let mut any = false;
-            {
-                let mut st = self.parts[pid as usize].lock();
-                for li in 0..st.len() {
-                    if st.acc[li] == identity {
-                        continue;
-                    }
-                    let vid = part.global_of(li as u32);
-                    // Only vertices fully local to this partition may fold
-                    // early; replicated vertices still owe a Push.
-                    if self.view.replicas_of(vid) != [pid] {
-                        continue;
-                    }
-                    let val = st.acc[li];
-                    st.acc[li] = identity;
-                    let cur = st.deltas[li];
-                    st.deltas[li] = self.program.acc(cur, val);
-                    if self.program.is_active(&st.values[li], &st.deltas[li]) {
-                        any = true;
-                    }
+            for li in 0..table.len() {
+                if table.acc[li] == identity {
+                    continue;
+                }
+                let vid = part.global_of(li as u32);
+                // Only vertices fully local to this partition may fold
+                // early; replicated vertices still owe a Push.
+                if self.view.replicas_of(vid) != [pid] {
+                    continue;
+                }
+                let val = table.acc[li];
+                table.acc[li] = identity;
+                let cur = table.deltas[li];
+                table.deltas[li] = self.program.acc(cur, val);
+                if self.program.is_active(&table.values[li], &table.deltas[li]) {
+                    any = true;
                 }
             }
             if !any {
                 break;
             }
-            total += self.process_chunk(pid, 0, 1);
+            total += self.trigger(table, pid, 0..table.len());
         }
         total
     }
 
     fn iteration_complete(&self) -> bool {
-        self.pending.lock().remaining() == 0
+        self.state.lock().pending.remaining() == 0
     }
 
     fn push_and_advance(&self) -> PushStats {
-        self.push_with(Self::fan_out_mirrors)
+        let mut st = self.state.lock();
+        self.push_with(&mut st, Self::fan_out_mirrors)
     }
 
     fn is_converged(&self) -> bool {
-        self.converged.load(Ordering::SeqCst)
+        self.state.lock().converged
     }
 
     fn partition_change(&self, pid: PartitionId) -> f64 {
-        self.change.lock()[pid as usize]
+        self.state.lock().change[pid as usize]
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -495,7 +502,8 @@ impl<P: VertexProgram> TypedJob<P> {
     /// the sort-based oracle in the differential test.
     fn push_with(
         &self,
-        fan_out: impl FnOnce(&Self, &[(PartitionId, u32)], &mut PushStats),
+        st: &mut JobState<P::Value>,
+        fan_out: impl FnOnce(&Self, &mut [PartState<P::Value>], &[(PartitionId, u32)], &mut PushStats),
     ) -> PushStats {
         let identity = self.program.identity();
         let np = self.view.num_partitions();
@@ -507,22 +515,22 @@ impl<P: VertexProgram> TypedJob<P> {
         // Masters that received any new delta: (partition, local index).
         let mut touched_masters: Vec<(PartitionId, u32)> = Vec::new();
         for pid in 0..np as PartitionId {
-            let part = self.view.partition(pid).clone();
-            let mut st = self.parts[pid as usize].lock();
-            for li in 0..st.len() {
-                if st.acc[li] == identity {
+            let part = self.view.partition(pid);
+            let table = &mut st.parts[pid as usize];
+            for li in 0..table.len() {
+                if table.acc[li] == identity {
                     continue;
                 }
-                let val = st.acc[li];
-                st.acc[li] = identity;
+                let val = table.acc[li];
+                table.acc[li] = identity;
                 // Master location comes from the view (it may have moved
                 // under a snapshot delta while this partition's metadata
                 // stayed untouched).
                 let vid = part.global_of(li as u32);
                 let master_partition = self.view.master_of(vid);
                 if master_partition == pid {
-                    let cur = st.deltas[li];
-                    st.deltas[li] = self.program.acc(cur, val);
+                    let cur = table.deltas[li];
+                    table.deltas[li] = self.program.acc(cur, val);
                     touched_masters.push((pid, li as u32));
                 } else {
                     records.push((master_partition, vid, val));
@@ -539,13 +547,13 @@ impl<P: VertexProgram> TypedJob<P> {
             while i < records.len() {
                 let dpid = records[i].0;
                 let start = i;
-                let part = self.view.partition(dpid).clone();
-                let mut st = self.parts[dpid as usize].lock();
+                let part = self.view.partition(dpid);
+                let table = &mut st.parts[dpid as usize];
                 while i < records.len() && records[i].0 == dpid {
                     let (_, vid, val) = records[i];
                     let li = part.local_of(vid).expect("master replica present") as usize;
-                    let cur = st.deltas[li];
-                    st.deltas[li] = self.program.acc(cur, val);
+                    let cur = table.deltas[li];
+                    table.deltas[li] = self.program.acc(cur, val);
                     touched_masters.push((dpid, li as u32));
                     i += 1;
                 }
@@ -557,7 +565,7 @@ impl<P: VertexProgram> TypedJob<P> {
         // to its mirror replicas, counted per mirror partition.
         touched_masters.sort_unstable();
         touched_masters.dedup();
-        fan_out(self, &touched_masters, &mut stats);
+        fan_out(self, &mut st.parts, &touched_masters, &mut stats);
         let mut touched_partitions: Vec<PartitionId> =
             stats.touched_mirror_parts.iter().map(|&(p, _)| p).collect();
         touched_partitions.extend(stats.touched_master_parts.iter().map(|&(p, _)| p));
@@ -567,26 +575,19 @@ impl<P: VertexProgram> TypedJob<P> {
         let mut recount: Vec<PartitionId> = touched_partitions;
         recount.extend((0..np as PartitionId).filter(|&p| {
             // Partitions with direct master-local folds.
-            self.parts[p as usize]
-                .lock()
-                .deltas
-                .iter()
-                .any(|d| *d != identity)
+            st.parts[p as usize].deltas.iter().any(|d| *d != identity)
         }));
         recount.sort_unstable();
         recount.dedup();
-        self.pending.lock().reset();
-        {
-            let mut change = self.change.lock();
-            change.iter_mut().for_each(|c| *c = 0.0);
-        }
-        self.recompute_activation(recount);
+        st.pending.reset();
+        st.change.fill(0.0);
+        self.recompute_activation(st, recount);
 
-        let any = self.pending.lock().any_active();
+        let any = st.pending.any_active();
         if any {
-            self.iteration.fetch_add(1, Ordering::SeqCst);
+            st.iteration += 1;
         } else {
-            self.converged.store(true, Ordering::SeqCst);
+            st.converged = true;
         }
         stats.converged = !any;
         stats
@@ -597,28 +598,28 @@ impl<P: VertexProgram> TypedJob<P> {
     /// Pure assignment — each mirror slot has exactly one master and
     /// master slots are never written here — so the order of the copies
     /// cannot show in any value.
-    fn fan_out_mirrors(&self, touched_masters: &[(PartitionId, u32)], stats: &mut PushStats) {
+    fn fan_out_mirrors(
+        &self,
+        parts: &mut [PartState<P::Value>],
+        touched_masters: &[(PartitionId, u32)],
+        stats: &mut PushStats,
+    ) {
         let identity = self.program.identity();
-        // Push runs alone on the main thread once the iteration is
-        // complete, so holding every private table at once contends
-        // with nothing.
-        let mut tables: Vec<_> = self.parts.iter().map(|t| t.lock()).collect();
-        let mut records = vec![0u64; tables.len()];
+        let mut records = vec![0u64; parts.len()];
         for &(pid, li) in touched_masters {
             let mirrors = self.plan.mirrors(pid, li);
             if mirrors.is_empty() {
                 continue;
             }
-            let total = tables[pid as usize].deltas[li as usize];
+            let total = parts[pid as usize].deltas[li as usize];
             if total == identity {
                 continue;
             }
             for &(mp, mli) in mirrors {
-                tables[mp as usize].deltas[mli as usize] = total;
+                parts[mp as usize].deltas[mli as usize] = total;
                 records[mp as usize] += 1;
             }
         }
-        drop(tables);
         let mut sent = 0;
         for (mp, &n) in records.iter().enumerate() {
             if n > 0 {
@@ -629,53 +630,6 @@ impl<P: VertexProgram> TypedJob<P> {
         stats.sync_records += sent;
         if let Some(counter) = &self.mirror_records {
             counter.add(sent);
-        }
-    }
-
-    /// The sort-based Phase C that [`fan_out_mirrors`](Self::fan_out_mirrors)
-    /// replaced, kept as its differential oracle: re-derives each touched
-    /// master's mirrors from the view, sorts the records by (partition,
-    /// vertex) and applies them through a search per record.
-    #[cfg(test)]
-    fn fan_out_mirrors_sorted(
-        &self,
-        touched_masters: &[(PartitionId, u32)],
-        stats: &mut PushStats,
-    ) {
-        let identity = self.program.identity();
-        let mut mirror_updates: Vec<(PartitionId, VertexId, P::Value)> = Vec::new();
-        for &(pid, li) in touched_masters {
-            let part = self.view.partition(pid);
-            let vid = part.global_of(li);
-            let replicas = self.view.replicas_of(vid);
-            if replicas.len() <= 1 {
-                continue;
-            }
-            let total = self.parts[pid as usize].lock().deltas[li as usize];
-            if total == identity {
-                continue;
-            }
-            for &mp in replicas {
-                if mp != pid {
-                    mirror_updates.push((mp, vid, total));
-                }
-            }
-        }
-        mirror_updates.sort_unstable_by_key(|&(p, vid, _)| (p, vid));
-        stats.sync_records += mirror_updates.len() as u64;
-        let mut i = 0;
-        while i < mirror_updates.len() {
-            let mpid = mirror_updates[i].0;
-            let start = i;
-            let part = self.view.partition(mpid).clone();
-            let mut st = self.parts[mpid as usize].lock();
-            while i < mirror_updates.len() && mirror_updates[i].0 == mpid {
-                let (_, vid, val) = mirror_updates[i];
-                let li = part.local_of(vid).expect("mirror replica present") as usize;
-                st.deltas[li] = val;
-                i += 1;
-            }
-            stats.touched_mirror_parts.push((mpid, (i - start) as u64));
         }
     }
 
@@ -866,17 +820,122 @@ pub(crate) mod tests {
         assert!(job.pending().is_empty());
     }
 
-    #[test]
-    fn straggler_counts_known_before_processing() {
-        let v = view(16, 2);
-        let job = TypedJob::new(0, Bfs { source: 0 }, v);
-        let pending = job.pending();
-        for pid in pending {
-            assert!(job.unprocessed_vertices(pid) > 0);
+    // ---- Differential oracles: the copied Trigger and the sorted Phase C ----
+
+    impl<P: VertexProgram> TypedJob<P> {
+        /// The copy-out Trigger that the in-place
+        /// [`trigger`](TypedJob::trigger) replaced, kept as its
+        /// differential oracle: copies the chunk's `(value, delta)` pairs
+        /// out, computes every contribution into a scatter vector, then
+        /// writes the pairs back and folds the vector into `acc` in order.
+        fn process_chunk_copied(
+            &self,
+            pid: PartitionId,
+            chunk: usize,
+            nchunks: usize,
+        ) -> ProcessStats {
+            let part = self.view.partition(pid);
+            let infos = &self.infos[pid as usize];
+            let nv = part.num_local_vertices();
+            let lo = nv * chunk / nchunks;
+            let hi = nv * (chunk + 1) / nchunks;
+            let identity = self.program.identity();
+            let mut pairs: Vec<(P::Value, P::Value)> = {
+                let st = self.state.lock();
+                let table = &st.parts[pid as usize];
+                (lo..hi)
+                    .map(|li| (table.values[li], table.deltas[li]))
+                    .collect()
+            };
+            let mut stats = ProcessStats::default();
+            let mut scatter: Vec<(u32, P::Value)> = Vec::new();
+            let dir = self.program.direction();
+            for (off, (value, delta)) in pairs.iter_mut().enumerate() {
+                let li = (lo + off) as u32;
+                if !self.program.is_active(value, delta) {
+                    continue;
+                }
+                stats.vertex_ops += 1;
+                let info = &infos[li as usize];
+                let (new_value, basis) = self.program.compute(info, *value, *delta);
+                *value = new_value;
+                *delta = identity;
+                if let Some(basis) = basis {
+                    if matches!(dir, EdgeDirection::Out | EdgeDirection::Both) {
+                        for (t, w) in part.out_edges(li) {
+                            stats.edge_ops += 1;
+                            scatter.push((t, self.program.edge_contrib(basis, w, info)));
+                        }
+                    }
+                    if matches!(dir, EdgeDirection::In | EdgeDirection::Both) {
+                        for (s, w) in part.in_edges(li) {
+                            stats.edge_ops += 1;
+                            scatter.push((s, self.program.edge_contrib(basis, w, info)));
+                        }
+                    }
+                }
+            }
+            let mut st = self.state.lock();
+            let table = &mut st.parts[pid as usize];
+            for (off, (v, d)) in pairs.into_iter().enumerate() {
+                table.values[lo + off] = v;
+                table.deltas[lo + off] = d;
+            }
+            for (t, c) in scatter {
+                let cur = table.acc[t as usize];
+                table.acc[t as usize] = self.program.acc(cur, c);
+            }
+            stats
+        }
+
+        /// The sort-based Phase C that
+        /// [`fan_out_mirrors`](TypedJob::fan_out_mirrors) replaced, kept as
+        /// its differential oracle: re-derives each touched master's
+        /// mirrors from the view, sorts the records by (partition, vertex)
+        /// and applies them through a search per record.
+        fn fan_out_mirrors_sorted(
+            &self,
+            parts: &mut [PartState<P::Value>],
+            touched_masters: &[(PartitionId, u32)],
+            stats: &mut PushStats,
+        ) {
+            let identity = self.program.identity();
+            let mut mirror_updates: Vec<(PartitionId, VertexId, P::Value)> = Vec::new();
+            for &(pid, li) in touched_masters {
+                let part = self.view.partition(pid);
+                let vid = part.global_of(li);
+                let replicas = self.view.replicas_of(vid);
+                if replicas.len() <= 1 {
+                    continue;
+                }
+                let total = parts[pid as usize].deltas[li as usize];
+                if total == identity {
+                    continue;
+                }
+                for &mp in replicas {
+                    if mp != pid {
+                        mirror_updates.push((mp, vid, total));
+                    }
+                }
+            }
+            mirror_updates.sort_unstable_by_key(|&(p, vid, _)| (p, vid));
+            stats.sync_records += mirror_updates.len() as u64;
+            let mut i = 0;
+            while i < mirror_updates.len() {
+                let mpid = mirror_updates[i].0;
+                let start = i;
+                let part = self.view.partition(mpid);
+                let table = &mut parts[mpid as usize];
+                while i < mirror_updates.len() && mirror_updates[i].0 == mpid {
+                    let (_, vid, val) = mirror_updates[i];
+                    let li = part.local_of(vid).expect("mirror replica present") as usize;
+                    table.deltas[li] = val;
+                    i += 1;
+                }
+                stats.touched_mirror_parts.push((mpid, (i - start) as u64));
+            }
         }
     }
-
-    // ---- Phase C differential: routed fan-out vs. the sort-based oracle ----
 
     /// The improve-and-propagate programs of `cgraph-algos` (which builds
     /// on this crate, so cannot be linked into its unit tests) as one
@@ -1014,6 +1073,49 @@ pub(crate) mod tests {
         }
     }
 
+    /// A weighted float diffusion along both edge directions.  A vertex
+    /// on a 2-cycle sends its partner one contribution per direction,
+    /// differently weighted, so this program's sums show the order
+    /// Trigger folds out-edges and in-edges in.
+    struct Diffuse;
+
+    impl VertexProgram for Diffuse {
+        type Value = f64;
+
+        fn direction(&self) -> EdgeDirection {
+            EdgeDirection::Both
+        }
+
+        fn init(&self, _i: &VertexInfo) -> (f64, f64) {
+            (0.0, 0.15)
+        }
+
+        fn identity(&self) -> f64 {
+            0.0
+        }
+
+        fn acc(&self, a: f64, b: f64) -> f64 {
+            a + b
+        }
+
+        fn is_active(&self, _value: &f64, delta: &f64) -> bool {
+            delta.abs() > 1e-3
+        }
+
+        fn compute(&self, _i: &VertexInfo, value: f64, delta: f64) -> (f64, Option<f64>) {
+            (value + delta, Some(delta))
+        }
+
+        fn edge_contrib(&self, basis: f64, w: Weight, info: &VertexInfo) -> f64 {
+            let degree = (info.out_degree + info.in_degree).max(1) as f64;
+            0.85 * basis * (w as f64 / 10.0) / degree
+        }
+
+        fn delta_magnitude(&self, delta: &f64) -> f64 {
+            delta.abs()
+        }
+    }
+
     /// The exact bit pattern of a program value.
     trait Bits {
         fn bits(self) -> u64;
@@ -1044,52 +1146,55 @@ pub(crate) mod tests {
     }
 
     /// Runs two copies of one program in lockstep — `routed` through the
-    /// production Push, `sorted` through the oracle Phase C — and pins
-    /// them equal after every Push: stats, activation, and every private
-    /// table bit for bit.
-    fn assert_fan_out_matches_oracle<P>(make: impl Fn() -> P, view: &GraphView, what: &str)
-    where
+    /// production Trigger and Push, `oracle` through the copied Trigger
+    /// at `nchunks` chunks per partition and the sorted Phase C — and
+    /// pins them equal after every Trigger (stats) and every Push (stats,
+    /// activation, and every private table bit for bit).
+    fn assert_fan_out_matches_oracle<P>(
+        make: impl Fn() -> P,
+        view: &GraphView,
+        nchunks: usize,
+        what: &str,
+    ) where
         P: VertexProgram,
         P::Value: Bits,
     {
         let routed = TypedJob::new(0, make(), view.clone());
-        let sorted = TypedJob::new(1, make(), view.clone());
+        let oracle = TypedJob::new(1, make(), view.clone());
         let np = view.num_partitions() as PartitionId;
         let mut pushes = 0;
         while !routed.is_converged() {
             for pid in routed.pending() {
-                for job in [&routed, &sorted] {
-                    job.process_chunk(pid, 0, 1);
-                    job.mark_processed(pid);
+                let got = routed.process_chunk(pid, 0, 1);
+                let mut want = ProcessStats::default();
+                for chunk in 0..nchunks {
+                    want += oracle.process_chunk_copied(pid, chunk, nchunks);
                 }
+                assert_eq!(got, want, "{what}: trigger stats of partition {pid}");
+                routed.mark_processed(pid);
+                oracle.mark_processed(pid);
             }
             let got = routed.push_and_advance();
-            let want = sorted.push_with(TypedJob::fan_out_mirrors_sorted);
+            let want = oracle.push_with(&mut oracle.state.lock(), TypedJob::fan_out_mirrors_sorted);
             pushes += 1;
             assert_eq!(got, want, "{what}: PushStats at push {pushes}");
-            assert_eq!(routed.pending(), sorted.pending(), "{what}: pending");
+            assert_eq!(routed.pending(), oracle.pending(), "{what}: pending");
             for pid in 0..np {
                 assert_eq!(
-                    routed.unprocessed_vertices(pid),
-                    sorted.unprocessed_vertices(pid),
-                    "{what}: active replicas of partition {pid}"
-                );
-                assert_eq!(
                     routed.partition_change(pid).to_bits(),
-                    sorted.partition_change(pid).to_bits(),
+                    oracle.partition_change(pid).to_bits(),
                     "{what}: change of partition {pid}"
                 );
-                let (a, b) = (
-                    routed.parts[pid as usize].lock(),
-                    sorted.parts[pid as usize].lock(),
-                );
-                let bits = |xs: &[P::Value]| xs.iter().map(|x| x.bits()).collect::<Vec<_>>();
+            }
+            let (a, b) = (routed.state.lock(), oracle.state.lock());
+            let bits = |xs: &[P::Value]| xs.iter().map(|x| x.bits()).collect::<Vec<_>>();
+            for (pid, (a, b)) in a.parts.iter().zip(&b.parts).enumerate() {
                 assert_eq!(bits(&a.values), bits(&b.values), "{what}: values of {pid}");
                 assert_eq!(bits(&a.deltas), bits(&b.deltas), "{what}: deltas of {pid}");
             }
             assert!(pushes < 10_000, "{what}: no convergence");
         }
-        assert!(sorted.is_converged(), "{what}: oracle still running");
+        assert!(oracle.is_converged(), "{what}: oracle still running");
         assert!(pushes > 0, "{what}: nothing to compare");
     }
 
@@ -1160,14 +1265,17 @@ pub(crate) mod tests {
                     ("ts20", store.view_at(20)),
                     ("latest", store.latest()),
                 ];
-                for (at, view) in &views {
-                    let what = |prog: &str| format!("{prog} on {graph}/{np} parts @{at}");
-                    assert_fan_out_matches_oracle(|| Bfs { source: src }, view, &what("BFS"));
-                    assert_fan_out_matches_oracle(|| sssp(src), view, &what("SSSP"));
-                    assert_fan_out_matches_oracle(|| sswp(src), view, &what("SSWP"));
-                    assert_fan_out_matches_oracle(wcc, view, &what("WCC"));
-                    assert_fan_out_matches_oracle(|| reach(src), view, &what("Reach"));
-                    assert_fan_out_matches_oracle(|| PageRank, view, &what("PageRank"));
+                for ((at, view), n) in views.iter().flat_map(|v| [(v, 1), (v, 4)]) {
+                    let what = |prog: &str| {
+                        format!("{prog} on {graph}/{np} parts @{at}, {n} oracle chunks")
+                    };
+                    assert_fan_out_matches_oracle(|| Bfs { source: src }, view, n, &what("BFS"));
+                    assert_fan_out_matches_oracle(|| sssp(src), view, n, &what("SSSP"));
+                    assert_fan_out_matches_oracle(|| sswp(src), view, n, &what("SSWP"));
+                    assert_fan_out_matches_oracle(wcc, view, n, &what("WCC"));
+                    assert_fan_out_matches_oracle(|| reach(src), view, n, &what("Reach"));
+                    assert_fan_out_matches_oracle(|| PageRank, view, n, &what("PageRank"));
+                    assert_fan_out_matches_oracle(|| Diffuse, view, n, &what("Diffuse"));
                 }
             }
         }

@@ -13,9 +13,9 @@
 //!   batched sorted Push (Alg. 2).
 //! * [`Engine`] — the executor (Alg. 3): loads a scheduler-planned
 //!   wavefront of structure partitions once per round through the
-//!   simulated memory hierarchy, triggers every interested job (in
-//!   batches, with straggler splitting, one shared chunk-task drain per
-//!   round), then runs each finishing job's Push.
+//!   simulated memory hierarchy, triggers every interested job (one
+//!   in-place pass per job and partition, drained once per round on the
+//!   calling thread), then runs each finishing job's Push.
 //! * [`exec`] — the layered execution core the engine composes: the
 //!   incrementally maintained slot planner, the unified charge ledger,
 //!   and the pipelined wavefront round executor.

@@ -18,10 +18,10 @@ pub const NONE: u32 = u32::MAX;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
-    /// Main loop installed one fetched partition: ledger charges plus
-    /// trigger-chunk handoff.
+    /// Main loop installed one planned partition: ledger charges plus
+    /// its trigger entries.
     Install = 3,
-    /// A compute worker drained one trigger chunk.
+    /// The trigger drain ran one `(job, partition)` entry.
     TriggerChunk = 4,
     /// End-of-round Push stage (batched sorted push, all finishing jobs).
     Push = 5,

@@ -29,9 +29,9 @@ use super::event::{Event, EVENT_WORDS};
 
 /// Default per-thread ring capacity, in events.  At 40 bytes per event
 /// this is 640 KiB per ring.  One `cgraph-trigger` ring records every
-/// chunk span of an engine's run: the serve-loop test's run of a few
-/// hundred jobs puts 6494 events there, which this holds before
-/// drop-oldest engages.
+/// trigger span of an engine's run, one per `(job, partition)` entry:
+/// the serve-loop test's run of a few hundred jobs puts 3642 events
+/// there, which this holds before drop-oldest engages.
 pub const DEFAULT_RING_EVENTS: usize = 1 << 14;
 
 /// A single-producer bounded ring of packed [`Event`]s.

@@ -1,4 +1,6 @@
-//! Per-job private vertex-state tables (the paper's "private tables").
+//! Per-job private vertex-state tables (the paper's "private tables")
+//! and the pending set, which a `TypedJob` keeps together behind its one
+//! lock.
 
 use cgraph_graph::PartitionId;
 
@@ -45,38 +47,29 @@ impl<V: Copy> PartState<V> {
 pub struct PendingSet {
     active: Vec<bool>,
     processed: Vec<bool>,
-    /// Active replicas per partition (straggler detection and `N(P)`).
-    pub active_counts: Vec<u32>,
     remaining: usize,
 }
 
 impl PendingSet {
     /// Creates an all-inactive set over `np` partitions.
     pub fn new(np: usize) -> Self {
-        PendingSet {
-            active: vec![false; np],
-            processed: vec![false; np],
-            active_counts: vec![0; np],
-            remaining: 0,
-        }
+        PendingSet { active: vec![false; np], processed: vec![false; np], remaining: 0 }
     }
 
-    /// Marks `pid` active for this iteration with `count` active replicas.
-    pub fn activate(&mut self, pid: PartitionId, count: u32) {
+    /// Marks `pid` active (and unprocessed) for this iteration.
+    pub fn activate(&mut self, pid: PartitionId) {
         let i = pid as usize;
         if !self.active[i] {
             self.active[i] = true;
             self.remaining += 1;
         }
         self.processed[i] = false;
-        self.active_counts[i] = count;
     }
 
     /// Clears everything for a new iteration.
     pub fn reset(&mut self) {
         self.active.iter_mut().for_each(|a| *a = false);
         self.processed.iter_mut().for_each(|p| *p = false);
-        self.active_counts.iter_mut().for_each(|c| *c = 0);
         self.remaining = 0;
     }
 
@@ -138,8 +131,8 @@ mod tests {
     fn pending_lifecycle() {
         let mut p = PendingSet::new(4);
         assert_eq!(p.remaining(), 0);
-        p.activate(1, 5);
-        p.activate(3, 2);
+        p.activate(1);
+        p.activate(3);
         assert_eq!(p.pending(), vec![1, 3]);
         assert!(p.is_pending(1));
         assert!(!p.is_pending(0));
@@ -154,9 +147,9 @@ mod tests {
     #[test]
     fn double_activation_keeps_single_slot() {
         let mut p = PendingSet::new(2);
-        p.activate(0, 1);
-        p.activate(0, 9);
+        p.activate(0);
+        p.activate(0);
         assert_eq!(p.remaining(), 1);
-        assert_eq!(p.active_counts[0], 9);
+        assert_eq!(p.pending(), vec![0]);
     }
 }

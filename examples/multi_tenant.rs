@@ -1,7 +1,7 @@
 //! Multi-tenant analytics platform: sixteen concurrent jobs — four
 //! rotations of the paper's mix — sharing one graph.  Demonstrates job
-//! batching (more jobs than workers), straggler splitting, and the spared
-//! data accesses that grow with concurrency (the paper's Fig. 19 effect).
+//! batching (more jobs than workers) and the spared data accesses that
+//! grow with concurrency (the paper's Fig. 19 effect).
 //!
 //! ```sh
 //! cargo run --release --example multi_tenant

@@ -1,7 +1,8 @@
 //! Steady-state allocation bound: once an engine is warm, stepping it
-//! round by round must not grow the heap — the round buffers, probe
-//! counts and chunk task list all recycle instead of reallocating per
-//! round.
+//! round by round must not grow the heap — the round buffers and the
+//! trigger entry list recycle instead of reallocating per round, and
+//! Trigger folds in place without scratch vectors, so what a round still
+//! allocates stays under a fixed count of calls.
 //!
 //! The counter is process-wide, so this binary holds **exactly one**
 //! `#[test]`: a sibling test's allocations would land in the measured
@@ -53,6 +54,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Net live-byte growth allowed across the measured rounds.
 const BOUND: i64 = 64 * 1024;
+/// Allocation calls allowed across the measured rounds.
+const CALLS_BOUND: u64 = 1200;
 
 #[test]
 fn steady_state_rounds_do_not_grow_the_heap() {
@@ -90,5 +93,10 @@ fn steady_state_rounds_do_not_grow_the_heap() {
         growth <= BOUND,
         "steady-state rounds must not grow the heap: {growth} bytes over 8 rounds \
          and {calls} allocation calls (bound {BOUND})"
+    );
+    assert!(
+        calls <= CALLS_BOUND,
+        "steady-state rounds allocate too often: {calls} allocation calls over 8 rounds \
+         (bound {CALLS_BOUND})"
     );
 }

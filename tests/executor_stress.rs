@@ -254,15 +254,15 @@ fn racing_engines_on_one_shared_store_stay_deterministic() {
 #[test]
 fn injected_worker_panic_surfaces_typed_without_hanging() {
     // The fault plane's worker-death drill: a panic injected into the
-    // trigger stage at a fixed (partition, chunk) coordinate must travel
-    // the same path as crashing user code — a typed
-    // `ExecError::WorkerPanic` parked on the engine, run not completed,
-    // no hang (CI's per-binary timeout is the deadlock detector).
+    // trigger stage at a fixed partition must travel the same path as
+    // crashing user code — a typed `ExecError::WorkerPanic` parked on the
+    // engine, run not completed, no hang (CI's per-binary timeout is the
+    // deadlock detector).
     let store = shared_store();
     let plane = FaultPlane::new(FaultConfig {
-        // Chunk 0 of partition 0 is processed by every run that touches
-        // the partition, so the drill always fires.
-        panic_chunk: Some((0, 0)),
+        // Partition 0 is processed by every run that touches it, so the
+        // drill always fires.
+        panic_chunk: Some(0),
         ..FaultConfig::default()
     });
     let mut engine = Engine::new(

@@ -8,8 +8,9 @@
 //!    (and absent) observer.
 //! 2. **Trace order** — the same traced runs obey the round pipeline's
 //!    ordering rules ([`trace_order_violation`]): no install and no
-//!    trigger chunk of a round runs into that round's Push, and no chunk
-//!    starts before its round's installs are done.
+//!    trigger chunk of a round runs into that round's Push, no chunk
+//!    starts before its round's installs are done, and no job triggers
+//!    one partition twice in a round.
 //! 3. **Histogram honesty** — log-bucketed quantiles stay within the
 //!    documented `[oracle, oracle * (1 + 1/16)]` envelope of the exact
 //!    nearest-rank quantile, under proptest.
@@ -20,7 +21,7 @@
 //!    metrics snapshot all round-trip through the strict JSON parser
 //!    with the fields dashboards and `about://tracing` rely on.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -116,7 +117,10 @@ fn run_cfg(
 ///    meaningful if Push or the drain ever moves off the calling thread;
 /// 3. a `trigger_chunk` of round *r* belongs to that round's drain: it
 ///    may not start before round *r*'s last `install` has ended, and
-///    must end before round *r*'s `push` starts.
+///    must end before round *r*'s `push` starts;
+/// 4. a `trigger_chunk` of round *r* for job *j* over partition *p*
+///    opens "*j* has processed *p* in round *r*": no second
+///    `trigger_chunk` of the same round, job and partition may follow.
 ///
 /// A round with no `push` (one that failed before its tail) closes
 /// nothing.  Returns the first violation, naming its rule.
@@ -138,6 +142,7 @@ fn trace_order_violation(events: &[Event]) -> Option<String> {
     }
     let mut push_starts: Vec<u64> = push_start_of.values().copied().collect();
     push_starts.sort_unstable();
+    let mut triggered = HashSet::new();
     for e in events {
         let push_start = push_start_of.get(&e.round).copied();
         match e.kind {
@@ -161,6 +166,11 @@ fn trace_order_violation(events: &[Event]) -> Option<String> {
                 }
                 if push_start.is_some_and(|p| end(e) > p) {
                     return Some(format!("rule 3: chunk {e:?} runs into its round's push"));
+                }
+                if !triggered.insert((e.round, e.job, e.shard)) {
+                    return Some(format!(
+                        "rule 4: chunk {e:?} triggers its job's partition twice in a round"
+                    ));
                 }
             }
             _ => {}
@@ -216,10 +226,17 @@ fn trace_order_rules_each_reject_a_hand_built_bad_trace() {
 
     // Rule 3: round 1's chunk starts while its install is still running,
     // though it ends well before any push.
-    let mut bad = good;
+    let mut bad = good.clone();
     bad[4].start_ns = 225;
     let violation = trace_order_violation(&bad).expect("rule 3 must fire");
     assert!(violation.starts_with("rule 3"), "{violation}");
+
+    // Rule 4: round 1 triggers the same job's partition a second time,
+    // inside the round's drain window.
+    let mut bad = good;
+    bad.insert(5, event(EventKind::TriggerChunk, 1, 237, 2));
+    let violation = trace_order_violation(&bad).expect("rule 4 must fire");
+    assert!(violation.starts_with("rule 4"), "{violation}");
 }
 
 #[test]
