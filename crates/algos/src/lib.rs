@@ -14,7 +14,7 @@
 //! * [`Katz`] — Katz centrality.
 //! * [`Reachability`] — forward reachability closure.
 //!
-//! [`reference`] holds simple single-threaded implementations of the same
+//! [`reference`](mod@reference) holds simple single-threaded implementations of the same
 //! algorithms used to validate every engine in the workspace, and
 //! [`arrivals`] adapts `cgraph_trace` job spans into the serving layer's
 //! arrival stream with these programs bound.

@@ -331,12 +331,6 @@ impl StreamEngine {
         self.ledger.spill_fetch_bytes()
     }
 
-    /// Disk fetch bytes jobs pulled from outside their home shards (the
-    /// lane carrying most of each job's traffic).
-    pub fn cross_shard_fetch_bytes(&self) -> u64 {
-        self.ledger.cross_shard_fetch_bytes()
-    }
-
     /// The configuration.
     pub fn config(&self) -> &StreamConfig {
         &self.config

@@ -5,9 +5,9 @@
 //! dataset construction, simulated-hierarchy sizing, the engine zoo, the
 //! four-job benchmark mix (PageRank, SSSP, SCC, BFS), table printing —
 //! and the workload generators the integration suites under `tests/`
-//! reuse (wavefront runs, evolving
-//! stores, ingest streams, the community graph).  Wall-clock measurement
-//! lives in `benchmark/`; behaviour is asserted under `tests/`.
+//! reuse (wavefront runs, evolving stores, ingest streams).  Wall-clock
+//! measurement lives in `benchmark/`; behaviour is asserted under
+//! `tests/`.
 //!
 //! All binaries accept `--full` (paper-scale graphs, slower) or `--tiny`
 //! (smoke-test scale); the default is a quick scale that preserves every
@@ -21,7 +21,7 @@ use cgraph_core::{Engine, EngineConfig, JobEngine, JobId, SchedulerKind};
 use cgraph_graph::generate::Dataset;
 use cgraph_graph::snapshot::{CompactionPolicy, GraphDelta, SnapshotStore};
 use cgraph_graph::vertex_cut::VertexCutPartitioner;
-use cgraph_graph::{generate, Edge, EdgeList, PartitionSet, Partitioner};
+use cgraph_graph::{Edge, EdgeList, PartitionSet, Partitioner};
 use cgraph_memsim::{HierarchyConfig, JobMetrics, Metrics};
 
 pub use cgraph_algos::BenchmarkJob;
@@ -528,43 +528,6 @@ pub fn ingest_run(
         }
     }
     IngestRun { policy: policy_label.to_string(), points, apply_us }
-}
-
-/// A graph of `communities` disjoint R-MAT communities laid out over
-/// consecutive vertex ranges: community `c` occupies
-/// `[c * 2^scale, (c+1) * 2^scale)` and no edge crosses communities.
-/// Partitioned in order, each partition's edges belong to (almost
-/// always exactly) one community — the clustered-footprint workload the
-/// locality placer exists for: a frontier job started inside one
-/// community only ever touches that community's partitions.
-pub fn community_graph(communities: usize, scale: u32, edge_factor: u32, seed: u64) -> EdgeList {
-    let block = 1u32 << scale;
-    let n = block * communities as u32;
-    let mut edges: Vec<Edge> = Vec::new();
-    for c in 0..communities as u32 {
-        let el = generate::rmat(
-            scale,
-            edge_factor,
-            generate::RmatParams::default(),
-            seed.wrapping_add(c as u64),
-        );
-        edges.extend(el.edges().iter().map(|e| Edge {
-            src: e.src + c * block,
-            dst: e.dst + c * block,
-            ..*e
-        }));
-    }
-    EdgeList::from_edges(edges, n)
-}
-
-/// Submits one BFS and one SSSP per community, sourced at each
-/// community's base vertex — `2 * communities` jobs whose partition
-/// footprints are disjoint community blocks.
-pub fn submit_community_jobs<E: JobEngine>(engine: &mut E, communities: usize, block: u32) {
-    for c in 0..communities as u32 {
-        engine.submit_program(Bfs::new(c * block));
-        engine.submit_program(Sssp::new(c * block + 1));
-    }
 }
 
 /// Prints an aligned table.

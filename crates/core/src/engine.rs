@@ -8,12 +8,12 @@
 use std::sync::Arc;
 
 use cgraph_graph::snapshot::SnapshotStore;
-use cgraph_graph::{FootprintProfile, PartitionSet};
+use cgraph_graph::PartitionSet;
 use cgraph_memsim::{CostModel, HierarchyConfig, JobMetrics, Metrics};
 
 use crate::exec::ledger::JobTiming;
 use crate::exec::wavefront::RoundBuffers;
-use crate::exec::{ChargeLedger, PrefetchQueue, SlotPlanner};
+use crate::exec::{ChargeLedger, SlotPlanner};
 use crate::fault::{FaultError, FaultPlane};
 use crate::incr::{IncrementalProgram, ResumeSubmit};
 use crate::job::{JobId, JobRuntime, TypedJob};
@@ -71,14 +71,13 @@ pub struct EngineConfig {
     /// [`crate::exec::wavefront`]).  Algorithm results are identical at
     /// any width; only the access schedule and modeled makespan change.
     pub wavefront: usize,
-    /// Prefetch window depth: how many wave slots ahead the
-    /// [`crate::exec::PrefetchQueue`] models a slot's disk fetch issuing
-    /// on its shard's lane while earlier slots install and compute.  The
-    /// lanes are the store's shards, placed by the store's placement.
-    /// At 0 (the default) Load stays the fused two-stage model — a
-    /// single-shard store at depth 0 reproduces PR 1 bit-for-bit.  Depth
-    /// only prices the overlap: it never changes what runs, algorithm
-    /// results or traffic counters.
+    /// Prefetch window depth: how many wave slots ahead
+    /// [`crate::exec::pipeline_makespan`] models a slot's disk fetch
+    /// issuing on its shard's lane while earlier slots install and
+    /// compute.  The lanes are the store's shards
+    /// ([`SnapshotStore::shard_of`]).  At 0 (the default) Load stays the
+    /// fused two-stage model.  Depth only prices the overlap: it never
+    /// changes what runs, algorithm results or traffic counters.
     pub prefetch_depth: usize,
     /// Safety valve: abort `run` after this many partition loads (a
     /// round never splits, so a wide wavefront may finish the round it
@@ -191,7 +190,6 @@ pub struct Engine {
     pub(crate) jobs: Vec<JobEntry>,
     pub(crate) ledger: ChargeLedger,
     pub(crate) planner: SlotPlanner,
-    pub(crate) prefetch: PrefetchQueue,
     pub(crate) round: RoundBuffers,
     pub(crate) loads: u64,
     pub(crate) pipeline_seconds: f64,
@@ -222,13 +220,6 @@ impl Engine {
             SchedulerKind::Priority { theta } => Box::new(PriorityScheduler::new(theta)),
             SchedulerKind::FixedOrder => Box::new(OrderScheduler),
         };
-        // The store dictates the lanes *and* the placement, keeping the
-        // model and per-lane attribution aligned with the actual chains.
-        let prefetch = PrefetchQueue::with_placement(
-            store.num_shards(),
-            config.prefetch_depth,
-            store.placement().clone(),
-        );
         let ledger = ChargeLedger::new(config.hierarchy);
         let obs = config.observer.clone().unwrap_or_else(Observer::disabled);
         let rec = obs.recorder("main");
@@ -243,7 +234,6 @@ impl Engine {
             jobs: Vec::new(),
             ledger,
             planner: SlotPlanner::new(),
-            prefetch,
             round: RoundBuffers::default(),
             loads: 0,
             pipeline_seconds: 0.0,
@@ -390,9 +380,7 @@ impl Engine {
         let picks = {
             let runtimes: Vec<&dyn JobRuntime> =
                 self.jobs.iter().map(|entry| &*entry.runtime).collect();
-            let infos =
-                self.planner
-                    .infos(&runtimes, self.prefetch.shards(), self.prefetch.placement());
+            let infos = self.planner.infos(&runtimes);
             self.scheduler.plan(&infos, width)
         };
         // Fault admission: every planned slot fetch passes through the
@@ -435,7 +423,7 @@ impl Engine {
         for &idx in picks {
             let ((pid, version), jobs) = self.planner.slot(idx);
             let jobs = jobs.to_vec();
-            let lane = self.prefetch.lane_of(pid);
+            let lane = self.store.shard_of(pid);
             match plane.admit_fetch(lane, pid as u64, version as u64, round as u64) {
                 Ok(adm) => {
                     injected_delay += adm.delay_seconds;
@@ -664,12 +652,6 @@ impl Engine {
         self.pipeline_seconds
     }
 
-    /// The prefetch queue: the stage-one lane count (snapshot-store
-    /// shards) and window depth this engine executes with.
-    pub fn prefetch_queue(&self) -> &PrefetchQueue {
-        &self.prefetch
-    }
-
     /// Disk bytes fetched through each shard's stage-one I/O lane so far
     /// (index = shard; may be shorter than the shard count when tail
     /// lanes never saw disk traffic).
@@ -689,31 +671,6 @@ impl Engine {
     /// [`shard_fetch_bytes`](Self::shard_fetch_bytes)).
     pub fn retry_fetch_bytes(&self) -> &[u64] {
         self.ledger.retry_fetch_bytes()
-    }
-
-    /// Disk fetch bytes jobs pulled from outside their home shards (the
-    /// lane carrying most of each job's traffic) — the cross-node
-    /// traffic figure locality-aware placement shrinks.
-    pub fn cross_shard_fetch_bytes(&self) -> u64 {
-        self.ledger.cross_shard_fetch_bytes()
-    }
-
-    /// One job's disk fetch bytes per shard lane.
-    pub fn job_fetch_by_lane(&self, job: JobId) -> &[u64] {
-        self.ledger.job_fetch_by_lane(job as usize)
-    }
-
-    /// The partition co-access footprints observed so far (every
-    /// partition each job ever had pending), as a profile
-    /// [`ShardPlacement::locality`] can consume: profile a
-    /// representative run, then rebuild the store under the resulting
-    /// placement.
-    pub fn footprint_profile(&self) -> FootprintProfile {
-        let mut profile = FootprintProfile::new();
-        for fp in self.planner.job_footprints() {
-            profile.record(fp);
-        }
-        profile
     }
 
     /// Modeled makespan of everything run so far (linear model over the

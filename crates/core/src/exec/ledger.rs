@@ -59,10 +59,6 @@ pub struct ChargeLedger {
     /// a fetch — injected-failure round-trips, a subset of
     /// `shard_fetch_bytes` (disjoint from `spill_fetch_bytes`).
     retry_fetch_bytes: Vec<u64>,
-    /// Per job: disk bytes fetched through each lane (parallel to
-    /// `job_metrics`; inner vectors grown on demand).  A job's dominant
-    /// lane is its *home shard*; everything else is cross-shard traffic.
-    job_lane_fetch: Vec<Vec<u64>>,
 }
 
 /// Grows `lanes` as needed and adds `bytes` to lane `lane`.
@@ -83,7 +79,6 @@ impl ChargeLedger {
             shard_fetch_bytes: Vec::new(),
             spill_fetch_bytes: Vec::new(),
             retry_fetch_bytes: Vec::new(),
-            job_lane_fetch: Vec::new(),
         }
     }
 
@@ -91,7 +86,6 @@ impl ChargeLedger {
     pub fn register_job(&mut self) {
         self.job_metrics.push(JobMetrics::default());
         self.timings.push(None);
-        self.job_lane_fetch.push(Vec::new());
     }
 
     /// Records a served job's arrival and admission times (no-op for
@@ -143,11 +137,6 @@ impl ChargeLedger {
         let outcome = self.charge_access(job, obj, bytes);
         if outcome.bytes_from_disk > 0 {
             bump_lane(&mut self.shard_fetch_bytes, shard, outcome.bytes_from_disk);
-            bump_lane(
-                &mut self.job_lane_fetch[job],
-                shard,
-                outcome.bytes_from_disk,
-            );
         }
         outcome
     }
@@ -178,16 +167,13 @@ impl ChargeLedger {
 
     /// The pricing spill and retry re-fetches share: `bytes` of disk
     /// traffic on the global counter, the job's attribution, and shard
-    /// lane `shard` (globally and for the job).
+    /// lane `shard`.
     fn charge_refetch(&mut self, shard: usize, job: usize, bytes: u64) {
         self.hierarchy.metrics_mut().bytes_disk_to_mem += bytes;
         if let Some(jm) = self.job_metrics.get_mut(job) {
             jm.attributed_bytes += bytes as f64;
         }
         bump_lane(&mut self.shard_fetch_bytes, shard, bytes);
-        if let Some(lanes) = self.job_lane_fetch.get_mut(job) {
-            bump_lane(lanes, shard, bytes);
-        }
     }
 
     /// Disk bytes fetched per shard lane (index = shard id).  Shorter
@@ -206,30 +192,6 @@ impl ChargeLedger {
     /// subset of [`shard_fetch_bytes`](Self::shard_fetch_bytes)).
     pub fn retry_fetch_bytes(&self) -> &[u64] {
         &self.retry_fetch_bytes
-    }
-
-    /// One job's disk fetch bytes per lane (empty if the job never hit
-    /// disk or is unknown).
-    pub fn job_fetch_by_lane(&self, job: usize) -> &[u64] {
-        self.job_lane_fetch
-            .get(job)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Total disk fetch bytes jobs pulled from outside their home
-    /// shards, where a job's home shard is the lane carrying most of
-    /// its fetch traffic.  In a multi-node deployment this is the
-    /// traffic that crosses the network — the figure locality-aware
-    /// placement exists to shrink.
-    pub fn cross_shard_fetch_bytes(&self) -> u64 {
-        self.job_lane_fetch
-            .iter()
-            .map(|lanes| {
-                let total: u64 = lanes.iter().sum();
-                total - lanes.iter().max().copied().unwrap_or(0)
-            })
-            .sum()
     }
 
     /// Folds one Trigger pass's compute counts into the job's and the
@@ -399,20 +361,6 @@ mod tests {
         assert_eq!(l.job_metrics(0).attributed_bytes, 65.0);
         // Cache counters untouched: a spill round-trip is not an access.
         assert_eq!(l.metrics().cache_accesses, 1);
-    }
-
-    #[test]
-    fn cross_shard_bytes_count_traffic_off_the_home_lane() {
-        let mut l = ledger();
-        // Job 0: 60 bytes on lane 0 (home), 10 on lane 2.
-        l.charge_access_on(0, 0, CacheObject::Structure { pid: 0, version: 0 }, 60);
-        l.charge_access_on(2, 0, CacheObject::Structure { pid: 2, version: 0 }, 10);
-        // Job 1: everything on one lane — no cross traffic.
-        l.charge_access_on(1, 1, CacheObject::Structure { pid: 1, version: 0 }, 50);
-        assert_eq!(l.job_fetch_by_lane(0), &[60, 0, 10]);
-        assert_eq!(l.job_fetch_by_lane(1), &[0, 50]);
-        assert_eq!(l.job_fetch_by_lane(42), &[] as &[u64]);
-        assert_eq!(l.cross_shard_fetch_bytes(), 10);
     }
 
     #[test]

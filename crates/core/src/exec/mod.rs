@@ -20,12 +20,12 @@
 //!   the round's modeled time overlaps slot *i+1*'s Load with slot *i*'s
 //!   Trigger (two-stage flow-shop makespan).  `k = 1` is a wave of one
 //!   slot, not a separate path.
-//! * [`prefetch`] — the asynchronous-prefetch model of stage one: the
-//!   [`PrefetchQueue`] prices wave slots' disk fetches on the store's
-//!   per-shard I/O lanes, issued up to `prefetch_depth` slots early,
-//!   with the three-stage pipeline makespan (disk-fetch →
-//!   memory-install → trigger).  At depth 0 it degenerates to the
-//!   two-stage model above.
+//! * [`prefetch`] — the asynchronous-prefetch model of stage one:
+//!   [`pipeline_makespan`] prices wave slots' disk fetches on the
+//!   store's per-shard I/O lanes (each slot on its partition's shard),
+//!   issued up to `prefetch_depth` slots early, as a three-stage
+//!   pipeline (disk-fetch → memory-install → trigger).  At depth 0 it
+//!   degenerates to the two-stage model above.
 //!
 //! The trigger stage drains each round's `(job, partition)` entries
 //! through [`crate::workers::TriggerDrain`] on the calling thread, one
@@ -40,5 +40,5 @@ pub mod wavefront;
 pub use crate::workers::ExecError;
 pub use ledger::{ChargeLedger, JobTiming};
 pub use planner::{SlotKey, SlotPlanner};
-pub use prefetch::{pipeline_makespan, PrefetchQueue};
+pub use prefetch::pipeline_makespan;
 pub use wavefront::flowshop_makespan;

@@ -10,9 +10,9 @@
 //! set), so those events patch the map in place and a round costs only
 //! O(slots) to describe to the scheduler.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use cgraph_graph::{PartitionId, PlacementStats, ShardPlacement, VersionId};
+use cgraph_graph::{PartitionId, VersionId};
 
 use crate::job::JobRuntime;
 use crate::scheduler::SlotInfo;
@@ -30,10 +30,6 @@ pub struct SlotPlanner {
     slots: BTreeMap<SlotKey, Vec<usize>>,
     /// Per job: the slot keys it is currently registered under.
     job_slots: Vec<Vec<SlotKey>>,
-    /// Per job: every partition the job has ever had pending — the
-    /// observed co-access footprint the locality placer consumes
-    /// (never cleared; retiring a job keeps its history).
-    footprints: Vec<BTreeSet<PartitionId>>,
     /// Sorted slot keys, rebuilt lazily after mutations, giving the
     /// scheduler's indices O(1) resolution (plus one map lookup).
     index: Vec<SlotKey>,
@@ -51,7 +47,6 @@ impl SlotPlanner {
     pub fn track_job(&mut self, job: usize, runtime: &dyn JobRuntime, active: bool) {
         debug_assert_eq!(job, self.job_slots.len(), "jobs must be tracked in order");
         self.job_slots.push(Vec::new());
-        self.footprints.push(BTreeSet::new());
         if active {
             self.add_job_slots(job, runtime.pending_slots());
         }
@@ -108,22 +103,16 @@ impl SlotPlanner {
     }
 
     /// Describes every pending slot to the scheduler, in key order —
-    /// the same `SlotInfo` the legacy full rescan produced.  `shards`
-    /// is the engine's stage-one lane count and `placement` its
-    /// partition→lane assignment: each slot carries its lane so the
+    /// the same `SlotInfo` the legacy full rescan produced.  Each slot
+    /// carries its partition's shard (its stage-one I/O lane) so the
     /// scheduler can interleave shards when priorities tie.
-    pub fn infos(
-        &mut self,
-        runtimes: &[&dyn JobRuntime],
-        shards: usize,
-        placement: &ShardPlacement,
-    ) -> Vec<SlotInfo> {
+    pub fn infos(&mut self, runtimes: &[&dyn JobRuntime]) -> Vec<SlotInfo> {
         self.rebuild_index();
-        let shards = shards.max(1);
         self.slots
             .iter()
             .map(|(&(pid, version), jobs)| {
-                let part = runtimes[jobs[0]].view().partition(pid);
+                let view = runtimes[jobs[0]].view();
+                let part = view.partition(pid);
                 let avg_change = jobs
                     .iter()
                     .map(|&j| runtimes[j].partition_change(pid))
@@ -132,24 +121,12 @@ impl SlotPlanner {
                 SlotInfo {
                     pid,
                     version,
-                    shard: placement.shard_of(pid, shards),
+                    shard: view.shard_of(pid),
                     num_jobs: jobs.len(),
                     avg_degree: part.avg_degree(),
                     avg_change,
                 }
             })
-            .collect()
-    }
-
-    /// Every tracked job's observed partition footprint (ascending,
-    /// retired jobs included) — the co-access record
-    /// [`ShardPlacement::locality`](cgraph_graph::ShardPlacement::locality)
-    /// consumes.  Jobs that never had a pending slot are skipped.
-    pub fn job_footprints(&self) -> Vec<Vec<PartitionId>> {
-        self.footprints
-            .iter()
-            .filter(|fp| !fp.is_empty())
-            .map(|fp| fp.iter().copied().collect())
             .collect()
     }
 
@@ -159,7 +136,6 @@ impl SlotPlanner {
             if let Err(pos) = jobs.binary_search(&job) {
                 jobs.insert(pos, job);
             }
-            self.footprints[job].insert(key.0);
             self.job_slots[job].push(key);
         }
         self.index_dirty = true;
@@ -186,12 +162,6 @@ impl SlotPlanner {
             self.index.extend(self.slots.keys().copied());
             self.index_dirty = false;
         }
-    }
-}
-
-impl PlacementStats for SlotPlanner {
-    fn footprints(&self) -> Vec<Vec<PartitionId>> {
-        self.job_footprints()
     }
 }
 
@@ -239,7 +209,7 @@ mod tests {
     fn job(n: u32, parts: usize) -> TypedJob<Bfs> {
         let el = generate::cycle(n);
         let ps = VertexCutPartitioner::new(parts).partition(&el);
-        let store = Arc::new(SnapshotStore::new(ps));
+        let store = Arc::new(SnapshotStore::with_shards(ps, 2));
         TypedJob::new(0, Bfs, store.base_view())
     }
 
@@ -303,7 +273,7 @@ mod tests {
         let mut p = SlotPlanner::new();
         p.track_job(0, runtimes[0], true);
         p.track_job(1, runtimes[1], true);
-        let infos = p.infos(&runtimes, 2, &ShardPlacement::RoundRobin);
+        let infos = p.infos(&runtimes);
         assert_eq!(infos.len(), p.len());
         for (i, info) in infos.iter().enumerate() {
             let (key, jobs) = p.slot(i);
@@ -314,28 +284,6 @@ mod tests {
             assert_eq!(info.num_jobs, jobs.len());
             assert_eq!(info.shard, info.pid as usize % 2, "round-robin lane");
         }
-    }
-
-    /// Footprints accumulate every partition a job ever pends and
-    /// survive retirement — the locality placer's co-access record.
-    #[test]
-    fn footprints_accumulate_and_survive_retirement() {
-        let a = job(24, 4);
-        let mut p = SlotPlanner::new();
-        p.track_job(0, &a, true);
-        let before = p.job_footprints();
-        assert_eq!(before.len(), 1);
-        assert!(!before[0].is_empty());
-        let mut sorted = before[0].clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(before[0], sorted, "footprints are ascending and distinct");
-        p.retire_job(0);
-        assert_eq!(
-            PlacementStats::footprints(&p),
-            before,
-            "retirement keeps the observed footprint"
-        );
     }
 
     #[test]

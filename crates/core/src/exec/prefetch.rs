@@ -1,31 +1,31 @@
-//! Asynchronous partition prefetch: the three-stage pipelined wavefront.
+//! Asynchronous partition prefetch: the three-stage pipeline model of
+//! a wavefront round.
 //!
-//! PR 1's executor overlapped slot *i+1*'s Load with slot *i*'s Trigger,
-//! but Load itself was still one serialized disk→memory→cache stage —
-//! and disk is the slowest resource in the cost model (0.5 GB/s vs the
-//! memory channel's 20 GB/s).  The prefetch queue splits Load in two and
+//! A serialized Load would be one disk→memory→cache stage, and disk is
+//! the slowest resource in the cost model (0.5 GB/s vs the memory
+//! channel's 20 GB/s).  [`pipeline_makespan`] splits Load in two and
 //! schedules the halves on the resources they actually occupy:
 //!
 //! 1. **fetch** (disk → memory) — runs on per-shard I/O lanes: the
 //!    sharded snapshot store gives every shard an independent delta
 //!    chain, so fetches of slots on distinct shards proceed in parallel.
-//!    A fetch may be *issued early*: up to `depth` wave slots ahead of
-//!    the slot currently installing, bounded by the prefetch buffer.
+//!    A slot's lane is its partition's shard,
+//!    [`cgraph_graph::ShardedSnapshotStore::shard_of`].  A fetch may be
+//!    *issued early*: up to `EngineConfig::prefetch_depth` wave slots
+//!    ahead of the slot currently installing, bounded by the prefetch
+//!    buffer.
 //! 2. **install** (memory → cache, plus miss latency) — serialized on
 //!    the one shared memory channel, in plan order.
-//! 3. **trigger** (compute) — the worker cores, as before.
+//! 3. **trigger** (compute) — the worker cores.
 //!
-//! With `depth = 0` the first two stages fuse back into one serialized
+//! With depth 0 the first two stages fuse back into one serialized
 //! Load chain and the model degenerates *exactly* to the two-stage
-//! flow-shop of [`super::wavefront::flowshop_makespan`] — which is why
-//! `prefetch_depth = 0` reproduces PR 1 bit-for-bit.
+//! flow-shop of [`super::wavefront::flowshop_makespan`].
 //!
 //! The window is modeled only.  The executor ([`super::wavefront`])
 //! installs each slot inline, in plan order: structure partitions are
 //! already in memory, so no thread could win the overlap this model
 //! prices for a real disk.
-
-use cgraph_graph::{PartitionId, ShardPlacement};
 
 /// Makespan of a fixed-sequence three-stage pipeline whose first stage
 /// has per-lane capacity and a bounded issue window.
@@ -73,71 +73,6 @@ pub fn pipeline_makespan(
         c3_prev = c2[i].max(c3_prev) + trigger[i];
     }
     c3_prev
-}
-
-/// The stage-one scheduler of the wavefront executor: owns the lane
-/// placement (mirroring the sharded snapshot store's partition→shard
-/// assignment) and the prefetch window, and prices waves under the
-/// three-stage pipeline model.
-#[derive(Clone, Debug)]
-pub struct PrefetchQueue {
-    shards: usize,
-    depth: usize,
-    placement: ShardPlacement,
-}
-
-impl PrefetchQueue {
-    /// A queue over `shards` round-robin stage-one I/O lanes with a
-    /// `depth`-slot prefetch window (`depth = 0` disables asynchronous
-    /// fetch).
-    pub fn new(shards: usize, depth: usize) -> Self {
-        Self::with_placement(shards, depth, ShardPlacement::RoundRobin)
-    }
-
-    /// A queue whose lane assignment follows `placement` — the engine
-    /// passes the backing store's placement so modeled lanes and actual
-    /// shard chains always agree.
-    pub fn with_placement(shards: usize, depth: usize, placement: ShardPlacement) -> Self {
-        PrefetchQueue { shards: shards.max(1), depth, placement }
-    }
-
-    /// Number of stage-one I/O lanes (snapshot-store shards).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Prefetch window depth in wave slots.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Whether asynchronous prefetch is enabled at all.
-    pub fn is_active(&self) -> bool {
-        self.depth > 0
-    }
-
-    /// The partition→lane placement strategy.
-    pub fn placement(&self) -> &ShardPlacement {
-        &self.placement
-    }
-
-    /// The I/O lane partition `pid` fetches on.
-    pub fn lane_of(&self, pid: PartitionId) -> usize {
-        self.placement.shard_of(pid, self.shards)
-    }
-
-    /// Modeled makespan of a wave whose slot `i` fetches `fetch[i]`
-    /// seconds on lane `lanes[i]`, installs `install[i]` seconds, and
-    /// triggers `trigger[i]` seconds, under this queue's window.
-    pub fn makespan(
-        &self,
-        fetch: &[f64],
-        install: &[f64],
-        trigger: &[f64],
-        lanes: &[usize],
-    ) -> f64 {
-        pipeline_makespan(fetch, install, trigger, lanes, self.depth)
-    }
 }
 
 #[cfg(test)]
@@ -222,30 +157,5 @@ mod tests {
         assert!(c >= 2.0 + 4.0, "lane 0 fetch floor");
         assert!(c >= install.iter().sum::<f64>());
         assert!(c >= trigger.iter().sum::<f64>());
-    }
-
-    #[test]
-    fn queue_accessors_and_lane_placement() {
-        let q = PrefetchQueue::new(4, 2);
-        assert_eq!(q.shards(), 4);
-        assert_eq!(q.depth(), 2);
-        assert!(q.is_active());
-        assert_eq!(q.lane_of(0), 0);
-        assert_eq!(q.lane_of(6), 2);
-        let off = PrefetchQueue::new(0, 0);
-        assert_eq!(off.shards(), 1, "lanes clamp to one");
-        assert!(!off.is_active());
-    }
-
-    #[test]
-    fn lane_placement_follows_strategy() {
-        let hashed = PrefetchQueue::with_placement(4, 2, ShardPlacement::Hash);
-        assert_eq!(*hashed.placement(), ShardPlacement::Hash);
-        for pid in 0..16u32 {
-            assert_eq!(hashed.lane_of(pid), ShardPlacement::Hash.shard_of(pid, 4));
-        }
-        let rr = PrefetchQueue::new(4, 2);
-        assert_eq!(*rr.placement(), ShardPlacement::RoundRobin);
-        assert_eq!(rr.lane_of(6), 2);
     }
 }

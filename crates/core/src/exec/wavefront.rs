@@ -43,7 +43,7 @@
 //! splits into disk-fetch (per-shard lanes, issued up to `depth` slots
 //! early) and memory-install (shared channel), and the round is priced
 //! by the three-stage
-//! [`pipeline_makespan`](super::prefetch::pipeline_makespan).  A width-1
+//! [`pipeline_makespan`].  A width-1
 //! wave has nothing to prefetch behind and always takes the two-stage
 //! price.  No thread count changes a modeled figure.
 
@@ -51,6 +51,7 @@ use cgraph_memsim::{CacheObject, Metrics};
 
 use crate::engine::Engine;
 use crate::exec::planner::SlotKey;
+use crate::exec::prefetch::pipeline_makespan;
 use crate::job::ProcessStats;
 use crate::obs::{EventKind, NONE};
 use crate::workers::ExecError;
@@ -130,7 +131,7 @@ impl Engine {
         // The prefetch window only prices multi-slot waves: a single
         // slot has nothing to overlap, so it keeps the two-stage price
         // even when `prefetch_depth > 0`.
-        let prefetching = picks.len() > 1 && self.prefetch.is_active();
+        let prefetching = picks.len() > 1 && self.config.prefetch_depth > 0;
 
         let mut round = std::mem::take(&mut self.round);
         round.begin(picks.len());
@@ -218,7 +219,7 @@ impl Engine {
         let structure = CacheObject::Structure { pid, version };
         let part = self.jobs[round.jobs[start]].runtime.view().partition(pid);
         let sbytes = part.structure_bytes();
-        let lane = self.prefetch.lane_of(pid);
+        let lane = self.store.shard_of(pid);
         round.lanes.push(lane);
         let spills_possible = self.store.has_spills();
         let mut pinned = false;
@@ -347,8 +348,13 @@ impl Engine {
         }
 
         let wave = if prefetching {
-            self.prefetch
-                .makespan(&round.fetch, &round.install, &round.trigger, &round.lanes)
+            pipeline_makespan(
+                &round.fetch,
+                &round.install,
+                &round.trigger,
+                &round.lanes,
+                self.config.prefetch_depth,
+            )
         } else {
             flowshop_makespan(&round.load, &round.trigger)
         };

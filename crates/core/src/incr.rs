@@ -37,7 +37,8 @@
 //! to retract an already-propagated value.  So a resume is attempted
 //! only over addition-only delta ranges:
 //! [`Engine::submit_resumed_at`](crate::Engine::submit_resumed_at)
-//! consults [`SnapshotStore::delta_summary`] and falls back to a
+//! consults [`SnapshotStore::delta_summary`](cgraph_graph::ShardedSnapshotStore::delta_summary)
+//! and falls back to a
 //! from-scratch submission whenever the range carries any removal (or
 //! the prior binds a newer snapshot than the target).  Results are
 //! identical either way; only the cost differs.

@@ -56,7 +56,7 @@ pub mod workers;
 
 pub use api::JobEngine;
 pub use engine::{Engine, EngineConfig, RunReport, SchedulerKind, SyncStrategy};
-pub use exec::{ChargeLedger, ExecError, JobTiming, PrefetchQueue, SlotPlanner};
+pub use exec::{ChargeLedger, ExecError, JobTiming, SlotPlanner};
 pub use fault::{
     BreakerConfig, FaultBoundary, FaultConfig, FaultError, FaultKind, FaultPlane, FaultStats,
     FetchAdmission, RetryPolicy,

@@ -31,8 +31,8 @@ pub trait Scheduler: Send {
     /// first.  `slots` is never empty; the result is non-empty, has no
     /// duplicates, and `plan(slots, 1)` equals `[pick(slots)]`.
     ///
-    /// The default implementation picks greedily: it calls [`pick`]
-    /// (Self::pick) on the not-yet-chosen remainder once per wave slot,
+    /// The default implementation picks greedily: it calls
+    /// [`pick`](Self::pick) on the not-yet-chosen remainder once per wave slot,
     /// so every existing scheduler keeps its exact single-slot semantics
     /// and gains a consistent multi-slot extension for free.
     fn plan(&mut self, slots: &[SlotInfo], width: usize) -> Vec<usize> {

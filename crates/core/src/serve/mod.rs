@@ -7,8 +7,8 @@
 //! arrival-driven system:
 //!
 //! * [`Arrival`] — one job arriving at a virtual time, carrying its
-//!   deferred submission (a closure over any [`JobEngine`]
-//!   (crate::JobEngine), so concrete vertex programs stay out of core).
+//!   deferred submission (a closure over any
+//!   [`JobEngine`](crate::JobEngine), so concrete vertex programs stay out of core).
 //! * [`AdmissionController`] — holds arrivals in a bounded deferral
 //!   window and releases them as **waves keyed by bound snapshot
 //!   version**: when an arrival's deferral expires, every queued

@@ -87,16 +87,6 @@ impl EdgeList {
         &self.edges
     }
 
-    /// Mutable access to the edges (e.g. to assign weights after generation).
-    pub fn edges_mut(&mut self) -> &mut [Edge] {
-        &mut self.edges
-    }
-
-    /// Consumes the list, returning the raw edge vector.
-    pub fn into_edges(self) -> Vec<Edge> {
-        self.edges
-    }
-
     /// Sorts edges by `(src, dst)` and removes exact duplicates
     /// (keeping the first occurrence's weight).
     pub fn sort_and_dedup(&mut self) {

@@ -63,8 +63,8 @@ pub use obs::StoreObserver;
 pub use partition::{Partition, PartitionSet, VertexMeta};
 pub use plan::{MirrorSlot, ReplicaPlan};
 pub use snapshot::{
-    CompactionPolicy, FootprintProfile, GraphDelta, GraphView, PlacementStats, ShardCapacity,
-    ShardPlacement, ShardedSnapshotStore, SnapshotShard, SnapshotStore,
+    CompactionPolicy, GraphDelta, GraphView, ShardCapacity, ShardedSnapshotStore, SnapshotShard,
+    SnapshotStore,
 };
 pub use types::{LocalId, PartitionId, VersionId, VertexId, Weight, NO_PARTITION};
 pub use wal::{SegmentId, StoreError};

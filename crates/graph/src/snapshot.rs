@@ -31,22 +31,17 @@
 //! Layering and compaction are pure representation: they never change
 //! what any view observes.
 //!
-//! # Placement, capacity, and concurrency
+//! # Shards, capacity, and concurrency
 //!
-//! Two knobs and one self-sized mechanism turn the sharded store into a
-//! genuinely multi-node-shaped store.  The knobs default off and none of
-//! the three ever changes what a view observes — placement moves chains
-//! between shards, capacity moves cold records to (modeled) spill
-//! storage, and concurrent apply only reorders *internal* work:
+//! The sharded store is multi-node-shaped: partition `pid` lives on
+//! shard `pid % shards` ([`ShardedSnapshotStore::shard_of`], the one
+//! place that rule is written), each shard grows its own delta chain,
+//! and each shard is one stage-one I/O lane in the engines' cost model.
+//! One knob and one self-sized mechanism sit on top.  The knob defaults
+//! off and neither ever changes what a view observes — capacity moves
+//! cold records to (modeled) spill storage, and concurrent apply only
+//! reorders *internal* work:
 //!
-//! - **Placement** ([`ShardPlacement`], default `RoundRobin`): how
-//!   partitions are assigned to shards, and therefore which stage-one
-//!   I/O lane a partition load occupies.  `Locality` is a greedy
-//!   co-access placer: fed observed job footprints (a
-//!   [`PlacementStats`], e.g. the engine's slot planner or a
-//!   [`FootprintProfile`]), it groups partitions that the same jobs
-//!   co-access onto the same shard — in a multi-node deployment that
-//!   keeps each job's traffic on its home node.
 //! - **Capacity** ([`ShardCapacity`], default unlimited): a per-shard
 //!   `max_resident_bytes` budget on the chain's resident state,
 //!   enforced at install time by *checkpoint-aware spill*: the coldest
@@ -363,155 +358,6 @@ struct CurrentIndex {
     versions: HashMap<PartitionId, VersionId>,
 }
 
-/// A source of observed job footprints for the locality placer: one
-/// entry per job, each listing the distinct partitions that job
-/// co-accessed.  The engine's slot planner implements this (it watches
-/// every pending set a job ever registers); ad-hoc profiles use
-/// [`FootprintProfile`].
-pub trait PlacementStats {
-    /// One footprint per observed job: the distinct partitions that
-    /// job's accesses span.  Order and duplicates are irrelevant.
-    fn footprints(&self) -> Vec<Vec<PartitionId>>;
-}
-
-/// A hand-rolled [`PlacementStats`]: record each job's partition
-/// footprint and feed the profile to [`ShardPlacement::locality`].
-#[derive(Clone, Debug, Default)]
-pub struct FootprintProfile {
-    footprints: Vec<Vec<PartitionId>>,
-}
-
-impl FootprintProfile {
-    /// An empty profile.
-    pub fn new() -> Self {
-        FootprintProfile::default()
-    }
-
-    /// Records one job's footprint (deduplicated and sorted on entry).
-    pub fn record<I: IntoIterator<Item = PartitionId>>(&mut self, parts: I) {
-        let mut fp: Vec<PartitionId> = parts.into_iter().collect();
-        fp.sort_unstable();
-        fp.dedup();
-        self.footprints.push(fp);
-    }
-
-    /// Number of recorded footprints.
-    pub fn len(&self) -> usize {
-        self.footprints.len()
-    }
-
-    /// Whether no footprint was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.footprints.is_empty()
-    }
-}
-
-impl PlacementStats for FootprintProfile {
-    fn footprints(&self) -> Vec<Vec<PartitionId>> {
-        self.footprints.clone()
-    }
-}
-
-/// How partitions are assigned to the shards of a
-/// [`ShardedSnapshotStore`] (and therefore which stage-one I/O lane a
-/// partition load occupies).  Placement never changes what any view
-/// observes — only the chain layout and lane attribution.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub enum ShardPlacement {
-    /// `pid % shards`: consecutive partitions land on distinct shards,
-    /// so an in-order scan naturally interleaves lanes.
-    #[default]
-    RoundRobin,
-    /// Fibonacci-hashed (`pid * 2^64/φ`): decorrelates the lane from the
-    /// partition id, so placement stays balanced when the workload's
-    /// partition footprint is itself strided or clustered.
-    Hash,
-    /// An explicit partition → shard table, as computed by the greedy
-    /// co-access placer ([`ShardPlacement::locality`]): partitions that
-    /// the same jobs co-access share a shard, so each job's traffic
-    /// concentrates on its home lane.  Partitions beyond the table fall
-    /// back to round-robin.
-    Locality(Arc<[u32]>),
-}
-
-impl ShardPlacement {
-    /// The shard partition `pid` lands on under this placement.
-    pub fn shard_of(&self, pid: PartitionId, shards: usize) -> usize {
-        let shards = shards.max(1);
-        match self {
-            ShardPlacement::RoundRobin => pid as usize % shards,
-            ShardPlacement::Hash => {
-                (((pid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % shards
-            }
-            ShardPlacement::Locality(table) => table
-                .get(pid as usize)
-                .map(|&s| s as usize % shards)
-                .unwrap_or(pid as usize % shards),
-        }
-    }
-
-    /// Builds a [`ShardPlacement::Locality`] table from observed job
-    /// footprints: a greedy co-access placer.
-    ///
-    /// Two partitions' co-access weight is the number of footprints
-    /// naming both.  Partitions are placed in descending total-weight
-    /// order, each onto the shard (with remaining capacity — every
-    /// shard holds at most `ceil(np / shards)` partitions, so placement
-    /// stays balanced) holding the most co-accessed weight already;
-    /// ties break toward the lighter then lower-indexed shard, and
-    /// partitions appearing in no footprint backfill the least-loaded
-    /// shards in pid order.  Fully deterministic for a given input.
-    pub fn locality(stats: &dyn PlacementStats, num_partitions: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let np = num_partitions;
-        let cap = np.div_ceil(shards).max(1);
-        let mut nbrs: Vec<HashMap<u32, u64>> = vec![HashMap::new(); np];
-        for fp in stats.footprints() {
-            let mut fp: Vec<u32> = fp.into_iter().filter(|&p| (p as usize) < np).collect();
-            fp.sort_unstable();
-            fp.dedup();
-            for (i, &p) in fp.iter().enumerate() {
-                for &q in &fp[i + 1..] {
-                    *nbrs[p as usize].entry(q).or_insert(0) += 1;
-                    *nbrs[q as usize].entry(p).or_insert(0) += 1;
-                }
-            }
-        }
-        let deg: Vec<u64> = nbrs.iter().map(|m| m.values().sum()).collect();
-        let mut order: Vec<usize> = (0..np).collect();
-        order.sort_by_key(|&p| (std::cmp::Reverse(deg[p]), p));
-        let mut assign = vec![u32::MAX; np];
-        let mut load = vec![0usize; shards];
-        for &p in &order {
-            let mut aff = vec![0u64; shards];
-            for (&q, &w) in &nbrs[p] {
-                let a = assign[q as usize];
-                if a != u32::MAX {
-                    aff[a as usize] += w;
-                }
-            }
-            let mut best = usize::MAX;
-            for (s, &l) in load.iter().enumerate() {
-                if l >= cap {
-                    continue;
-                }
-                if best == usize::MAX
-                    || aff[s] > aff[best]
-                    || (aff[s] == aff[best] && l < load[best])
-                {
-                    best = s;
-                }
-            }
-            // cap * shards >= np, so a shard with room always exists;
-            // the fallback only guards a zero-partition store.
-            let best = if best == usize::MAX { 0 } else { best };
-            assign[p] = best as u32;
-            load[best] += 1;
-        }
-        ShardPlacement::Locality(assign.into())
-    }
-}
-
 /// Per-shard resident-state budget of a [`ShardedSnapshotStore`]
 /// (default: unlimited).  See the module docs: enforcement spills the
 /// coldest pre-checkpoint record payloads at install time and surfaces
@@ -594,8 +440,9 @@ impl SnapshotShard {
 }
 
 /// The store: a base [`PartitionSet`] (timestamp 0) plus incremental
-/// snapshots, with the partition delta chains sharded by the store's
-/// [`ShardPlacement`] across independently `Arc`'d [`SnapshotShard`]s.
+/// snapshots, with the partition delta chains sharded round-robin
+/// (partition `pid` on shard `pid % shards`) across independently
+/// `Arc`'d [`SnapshotShard`]s.
 /// Vertex-level overrides (masters, replica lists, degrees) span
 /// partitions and therefore stay store-global; [`GraphView`] resolves
 /// across shards transparently, so shard count never changes what any
@@ -610,7 +457,6 @@ impl SnapshotShard {
 pub struct ShardedSnapshotStore {
     base: PartitionSet,
     shards: Vec<Arc<SnapshotShard>>,
-    placement: ShardPlacement,
     records: Vec<SnapshotRecord>,
     current: CurrentIndex,
     compaction: CompactionPolicy,
@@ -742,19 +588,12 @@ impl ShardedSnapshotStore {
     /// Wraps a base graph with its partitions placed round-robin across
     /// `shards` shards (clamped to `1..=num_partitions`).
     pub fn with_shards(base: PartitionSet, shards: usize) -> Self {
-        Self::with_placement(base, shards, ShardPlacement::RoundRobin)
-    }
-
-    /// Wraps a base graph with its partitions assigned to `shards` shards
-    /// (clamped to `1..=num_partitions`) under the given placement.
-    pub fn with_placement(base: PartitionSet, shards: usize, placement: ShardPlacement) -> Self {
         let shards = shards.clamp(1, base.num_partitions().max(1));
         ShardedSnapshotStore {
             base,
             shards: (0..shards)
                 .map(|_| Arc::new(SnapshotShard::default()))
                 .collect(),
-            placement,
             records: Vec::new(),
             current: CurrentIndex::default(),
             compaction: CompactionPolicy::default(),
@@ -859,14 +698,11 @@ impl ShardedSnapshotStore {
         self.shards.len()
     }
 
-    /// The shard partition `pid` is placed on.
+    /// The shard partition `pid` is placed on: `pid % shards`, so
+    /// consecutive partitions land on distinct shards and an in-order
+    /// scan interleaves lanes.  Every shard lookup asks here.
     pub fn shard_of(&self, pid: PartitionId) -> usize {
-        self.placement.shard_of(pid, self.shards.len())
-    }
-
-    /// The partition→shard placement strategy.
-    pub fn placement(&self) -> &ShardPlacement {
-        &self.placement
+        pid as usize % self.shards.len()
     }
 
     /// One shard's delta chain (each shard is its own `Arc`).
@@ -2144,7 +1980,6 @@ impl ShardedSnapshotStore {
         Ok(ShardedSnapshotStore {
             base,
             shards,
-            placement: manifest.placement,
             records,
             current,
             compaction: manifest.compaction,
@@ -2263,7 +2098,6 @@ struct Manifest {
     num_partitions: usize,
     compaction: CompactionPolicy,
     capacity: ShardCapacity,
-    placement: ShardPlacement,
 }
 
 fn encode_manifest_frame(store: &ShardedSnapshotStore) -> Vec<u8> {
@@ -2281,17 +2115,6 @@ fn encode_manifest_frame(store: &ShardedSnapshotStore) -> Vec<u8> {
         }
     }
     wal::put_u64(&mut out, store.capacity.max_resident_bytes);
-    match &store.placement {
-        ShardPlacement::RoundRobin => wal::put_u8(&mut out, 0),
-        ShardPlacement::Hash => wal::put_u8(&mut out, 1),
-        ShardPlacement::Locality(table) => {
-            wal::put_u8(&mut out, 2);
-            wal::put_u32(&mut out, table.len() as u32);
-            for &s in table.iter() {
-                wal::put_u32(&mut out, s);
-            }
-        }
-    }
     out
 }
 
@@ -2311,23 +2134,10 @@ fn decode_manifest_frame(f: &Frame) -> Result<Manifest, StoreError> {
         _ => return Err(r.corrupt("unknown compaction policy tag")),
     };
     let capacity = ShardCapacity { max_resident_bytes: r.u64()? };
-    let placement = match r.u8()? {
-        0 => ShardPlacement::RoundRobin,
-        1 => ShardPlacement::Hash,
-        2 => {
-            let n = r.len(4)?;
-            let mut table = Vec::with_capacity(n);
-            for _ in 0..n {
-                table.push(r.u32()?);
-            }
-            ShardPlacement::Locality(table.into())
-        }
-        _ => return Err(r.corrupt("unknown placement tag")),
-    };
     if shards == 0 || r.remaining() != 0 {
         return Err(r.corrupt("malformed manifest"));
     }
-    Ok(Manifest { shards, num_partitions, compaction, capacity, placement })
+    Ok(Manifest { shards, num_partitions, compaction, capacity })
 }
 
 /// The base partition set as write-once frames: one meta frame (the
@@ -2992,7 +2802,7 @@ mod tests {
     }
 
     /// Shard count is invisible to views: every partition, version, and
-    /// edge list is identical at any placement — only the chain layout
+    /// edge list is identical at any shard count — only the chain layout
     /// and the `shard_of` lane assignment differ.
     #[test]
     fn sharding_is_transparent_to_views() {
@@ -3041,7 +2851,7 @@ mod tests {
         }
     }
 
-    /// Placement is round-robin and shard chains grow independently:
+    /// Shards are round-robin and their chains grow independently:
     /// a delta touching only shard `s`'s partitions leaves every other
     /// shard's chain untouched.
     #[test]
@@ -3075,7 +2885,7 @@ mod tests {
         );
     }
 
-    /// Shard count clamps to the partition count so placement never
+    /// Shard count clamps to the partition count so `shard_of` never
     /// leaves a shard unaddressable.
     #[test]
     fn shards_clamp_to_partitions() {
@@ -3084,69 +2894,6 @@ mod tests {
         assert_eq!(s.num_shards(), 2);
         let s0 = ShardedSnapshotStore::with_shards(VertexCutPartitioner::new(2).partition(&el), 0);
         assert_eq!(s0.num_shards(), 1);
-    }
-
-    /// Hash placement is as transparent as round-robin: every view
-    /// resolves identically; only the lane assignment differs.
-    #[test]
-    fn hash_placement_is_transparent_to_views() {
-        let build = |placement: ShardPlacement| {
-            let el = GraphBuilder::new(8)
-                .edges([
-                    (0, 1),
-                    (1, 2),
-                    (2, 3),
-                    (3, 4),
-                    (4, 5),
-                    (5, 6),
-                    (6, 7),
-                    (7, 0),
-                ])
-                .build();
-            let mut s = ShardedSnapshotStore::with_placement(
-                VertexCutPartitioner::new(4).partition(&el),
-                2,
-                placement,
-            );
-            s.apply(1, &GraphDelta::adding([Edge::unit(0, 2)])).unwrap();
-            s.apply(2, &GraphDelta::removing([(3, 4)])).unwrap();
-            Arc::new(s)
-        };
-        let rr = build(ShardPlacement::RoundRobin);
-        let hashed = build(ShardPlacement::Hash);
-        assert_eq!(*hashed.placement(), ShardPlacement::Hash);
-        for ts in [0, 1, 2] {
-            let a = rr.view_at(ts);
-            let b = hashed.view_at(ts);
-            for pid in 0..4 {
-                assert_eq!(a.version_of(pid), b.version_of(pid), "ts {ts} pid {pid}");
-                assert_eq!(
-                    a.partition(pid).edges_global(),
-                    b.partition(pid).edges_global(),
-                    "ts {ts} pid {pid}"
-                );
-            }
-        }
-        // The store's lane assignment follows the placement function.
-        for pid in 0..4u32 {
-            assert_eq!(hashed.shard_of(pid), ShardPlacement::Hash.shard_of(pid, 2));
-        }
-    }
-
-    #[test]
-    fn hash_placement_spreads_and_stays_in_range() {
-        for shards in [1usize, 2, 3, 8] {
-            let lanes: Vec<usize> = (0..64u32)
-                .map(|pid| ShardPlacement::Hash.shard_of(pid, shards))
-                .collect();
-            assert!(lanes.iter().all(|&l| l < shards));
-            for lane in 0..shards {
-                assert!(
-                    lanes.contains(&lane),
-                    "lane {lane} unused at {shards} shards"
-                );
-            }
-        }
     }
 
     #[test]
@@ -3420,97 +3167,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // ---- placement, capacity, and concurrent apply ----
-
-    /// The greedy co-access placer groups partitions the same jobs
-    /// touch, stays balanced, and is deterministic.
-    #[test]
-    fn locality_placer_groups_co_accessed_partitions() {
-        let mut profile = FootprintProfile::new();
-        // Two disjoint communities, each seen by two jobs.
-        for _ in 0..2 {
-            profile.record([0u32, 2, 5]);
-            profile.record([1u32, 3, 4]);
-        }
-        let placement = ShardPlacement::locality(&profile, 6, 2);
-        let lane = |pid: u32| placement.shard_of(pid, 2);
-        assert_eq!(lane(0), lane(2), "community A shares a shard");
-        assert_eq!(lane(0), lane(5));
-        assert_eq!(lane(1), lane(3), "community B shares a shard");
-        assert_eq!(lane(1), lane(4));
-        assert_ne!(lane(0), lane(1), "balance splits the communities");
-        // Determinism: same stats, same table.
-        assert_eq!(placement, ShardPlacement::locality(&profile, 6, 2));
-        // Balance cap: no shard exceeds ceil(np / shards).
-        for shards in [2usize, 3, 4] {
-            let p = ShardPlacement::locality(&profile, 6, shards);
-            let mut load = vec![0usize; shards];
-            for pid in 0..6u32 {
-                load[p.shard_of(pid, shards)] += 1;
-            }
-            assert!(
-                load.iter().all(|&l| l <= 6usize.div_ceil(shards)),
-                "{load:?}"
-            );
-        }
-        // Empty stats still place every partition in range, balanced.
-        let empty = ShardPlacement::locality(&FootprintProfile::new(), 5, 2);
-        let mut load = [0usize; 2];
-        for pid in 0..5u32 {
-            load[empty.shard_of(pid, 2)] += 1;
-        }
-        assert_eq!(load.iter().sum::<usize>(), 5);
-        assert!(load.iter().all(|&l| l <= 3));
-    }
-
-    /// Locality placement is as transparent as the others: views are
-    /// bit-identical; only the lane assignment differs.
-    #[test]
-    fn locality_placement_is_transparent_to_views() {
-        let mut profile = FootprintProfile::new();
-        profile.record([0u32, 3]);
-        profile.record([1u32, 2]);
-        let build = |placement: ShardPlacement| {
-            let el = GraphBuilder::new(8)
-                .edges([
-                    (0, 1),
-                    (1, 2),
-                    (2, 3),
-                    (3, 4),
-                    (4, 5),
-                    (5, 6),
-                    (6, 7),
-                    (7, 0),
-                ])
-                .build();
-            let mut s = ShardedSnapshotStore::with_placement(
-                VertexCutPartitioner::new(4).partition(&el),
-                2,
-                placement,
-            );
-            s.apply(1, &GraphDelta::adding([Edge::unit(0, 2)])).unwrap();
-            s.apply(2, &GraphDelta::removing([(3, 4)])).unwrap();
-            Arc::new(s)
-        };
-        let rr = build(ShardPlacement::RoundRobin);
-        let local = build(ShardPlacement::locality(&profile, 4, 2));
-        for ts in [0, 1, 2] {
-            let a = rr.view_at(ts);
-            let b = local.view_at(ts);
-            for pid in 0..4 {
-                assert_eq!(a.version_of(pid), b.version_of(pid), "ts {ts} pid {pid}");
-                assert_eq!(
-                    a.partition(pid).edges_global(),
-                    b.partition(pid).edges_global(),
-                    "ts {ts} pid {pid}"
-                );
-            }
-        }
-        // The store's lane assignment follows the computed table.
-        assert_eq!(local.shard_of(0), local.shard_of(3));
-        assert_eq!(local.shard_of(1), local.shard_of(2));
-        assert_ne!(local.shard_of(0), local.shard_of(1));
-    }
+    // ---- capacity and concurrent apply ----
 
     /// Capacity enforcement spills only checkpoint-covered records,
     /// brings the shard back under budget, stays transparent to every

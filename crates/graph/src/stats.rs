@@ -1,8 +1,7 @@
-//! Degree-distribution and partition-quality statistics used by the
-//! experiment harness (Table 1 reproduction) and the scheduler tests.
+//! Degree-distribution statistics used by the experiment harness
+//! (Table 1 reproduction).
 
 use crate::edge::EdgeList;
-use crate::partition::PartitionSet;
 
 /// Summary statistics for an edge list.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -63,25 +62,10 @@ pub fn gini(values: &[u32]) -> f64 {
     weighted / (n * total as f64)
 }
 
-/// Edge-balance quality of a partitioning: `max partition edges / mean`.
-/// 1.0 is perfectly balanced.
-pub fn edge_balance(parts: &PartitionSet) -> f64 {
-    let sizes: Vec<usize> = parts.partitions().iter().map(|p| p.num_edges()).collect();
-    let max = sizes.iter().copied().max().unwrap_or(0) as f64;
-    let mean = parts.num_edges() as f64 / parts.num_partitions().max(1) as f64;
-    if mean == 0.0 {
-        1.0
-    } else {
-        max / mean
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generate;
-    use crate::vertex_cut::VertexCutPartitioner;
-    use crate::Partitioner;
 
     #[test]
     fn stats_on_path() {
@@ -122,12 +106,5 @@ mod tests {
         let el = crate::EdgeList::from_edges(vec![crate::Edge::unit(0, 1)], 10);
         let s = graph_stats(&el);
         assert!((s.isolated_fraction - 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn vertex_cut_is_balanced() {
-        let el = generate::rmat(10, 8, generate::RmatParams::default(), 5);
-        let ps = VertexCutPartitioner::new(16).partition(&el);
-        assert!(edge_balance(&ps) < 1.01);
     }
 }

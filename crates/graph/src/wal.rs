@@ -71,7 +71,7 @@ use crate::snapshot::SnapshotError;
 /// On-disk format version stamped into every segment header and the
 /// manifest.  Bump on any incompatible layout change; `open` refuses a
 /// mismatch with [`StoreError::VersionMismatch`].
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Magic bytes opening every segment file.
 pub const SEG_MAGIC: [u8; 4] = *b"CGWL";

@@ -25,9 +25,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use cgraph::graph::fault;
-use cgraph::graph::snapshot::{
-    CompactionPolicy, GraphDelta, ShardCapacity, ShardPlacement, ShardedSnapshotStore,
-};
+use cgraph::graph::snapshot::{CompactionPolicy, GraphDelta, ShardCapacity, ShardedSnapshotStore};
 use cgraph::graph::vertex_cut::VertexCutPartitioner;
 use cgraph::graph::{Edge, EdgeList, Partitioner, StoreError};
 
@@ -185,12 +183,10 @@ proptest! {
 
         // The in-memory survivor and the durable store apply the same
         // stream in lockstep.
-        let mut survivor = ShardedSnapshotStore::with_placement(
-            base(&el), shards, ShardPlacement::RoundRobin)
+        let mut survivor = ShardedSnapshotStore::with_shards(base(&el), shards)
             .with_compaction(compaction)
             .with_capacity(capacity);
-        let mut durable = ShardedSnapshotStore::with_placement(
-            base(&el), shards, ShardPlacement::RoundRobin)
+        let mut durable = ShardedSnapshotStore::with_shards(base(&el), shards)
             .with_compaction(compaction)
             .with_capacity(capacity)
             .persist_to(&dir)
@@ -382,12 +378,12 @@ fn spilled_store_recovers_and_rehydrates() {
 }
 
 /// persist_to snapshots the store configuration into the manifest:
-/// recovery restores placement, compaction, and capacity.
+/// recovery restores shard count, compaction, and capacity.
 #[test]
 fn manifest_restores_configuration() {
     let el = cgraph::graph::generate::cycle(N);
     let dir = temp_dir("manifest");
-    let s = ShardedSnapshotStore::with_placement(base(&el), 3, ShardPlacement::Hash)
+    let s = ShardedSnapshotStore::with_shards(base(&el), 3)
         .with_compaction(CompactionPolicy::EveryK(5))
         .with_capacity(ShardCapacity::bytes(1 << 20))
         .persist_to(&dir)
@@ -395,9 +391,38 @@ fn manifest_restores_configuration() {
     drop(s);
     let r = ShardedSnapshotStore::open(&dir).unwrap();
     assert_eq!(r.num_shards(), 3);
-    assert_eq!(r.placement(), &ShardPlacement::Hash);
     assert_eq!(r.compaction(), CompactionPolicy::EveryK(5));
     assert_eq!(r.capacity(), ShardCapacity::bytes(1 << 20));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A directory written in the previous on-disk format (version 1, whose
+/// manifest carried a placement tag) opens as a typed version mismatch,
+/// never as corruption and never as a silently misread store.
+#[test]
+fn previous_format_directory_fails_typed() {
+    let el = cgraph::graph::generate::cycle(N);
+    let dir = temp_dir("old-format");
+    let mut s = ShardedSnapshotStore::with_shards(base(&el), 2)
+        .persist_to(&dir)
+        .unwrap();
+    s.apply(10, &GraphDelta::adding([Edge::unit(0, 5)]))
+        .unwrap();
+    let shards = s.num_shards();
+    drop(s);
+    let mut files = segment_files(&dir, shards);
+    files.push(dir.join("MANIFEST"));
+    files.push(dir.join("base.seg"));
+    for f in &files {
+        let mut bytes = std::fs::read(f).unwrap();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(f, bytes).unwrap();
+    }
+    let opened = ShardedSnapshotStore::open(&dir).map(|_| ());
+    assert_eq!(
+        opened,
+        Err(StoreError::VersionMismatch { found: 1, supported: 2 })
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

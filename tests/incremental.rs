@@ -3,8 +3,8 @@
 //! The core property: for every monotone program and every snapshot
 //! version of a random delta stream, a job **resumed** from the
 //! previous version's converged result is bit-identical to a job run
-//! **from scratch** against the same view — across {shards ×
-//! placement × capacity × trigger workers} store/executor configurations.
+//! **from scratch** against the same view — across {shards × capacity
+//! × modeled workers} store/executor configurations.
 //! Addition-only ranges must take the seeded path; any removal in the
 //! range must take the from-scratch fallback (and still match).
 //!
@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use cgraph::algos::{Bfs, Reachability, Sssp, Sswp, Wcc};
 use cgraph::core::{Arrival, Standing};
 use cgraph::core::{Engine, EngineConfig, IncrementalProgram, ServeConfig, ServeLoop};
-use cgraph::graph::snapshot::{GraphDelta, ShardCapacity, ShardPlacement, SnapshotStore};
+use cgraph::graph::snapshot::{GraphDelta, ShardCapacity, SnapshotStore};
 use cgraph::graph::vertex_cut::VertexCutPartitioner;
 use cgraph::graph::{Edge, EdgeList, Partitioner};
 
@@ -267,20 +267,19 @@ fn resolve_stream(el: &EdgeList, rounds: &[Round]) -> Vec<GraphDelta> {
     deltas
 }
 
-/// Builds the store under one {shards, placement, capacity} layout and
-/// runs the chained differential for every program on `workers`
-/// trigger threads.
+/// Builds the store under one {shards, capacity} layout and runs the
+/// chained differential for every program at `workers` modeled
+/// workers.
 fn differential_layout(
     el: &EdgeList,
     deltas: &[GraphDelta],
     shards: usize,
-    placement: ShardPlacement,
     cap: ShardCapacity,
     workers: usize,
 ) {
     use cgraph::graph::snapshot::ShardedSnapshotStore;
     let ps = VertexCutPartitioner::new(PARTS).partition(el);
-    let mut store = ShardedSnapshotStore::with_placement(ps, shards, placement).with_capacity(cap);
+    let mut store = ShardedSnapshotStore::with_shards(ps, shards).with_capacity(cap);
     for (i, d) in deltas.iter().enumerate() {
         store.apply((i as u64 + 1) * 10, d).expect("delta applies");
     }
@@ -332,12 +331,12 @@ proptest! {
         layout in 0usize..3,
     ) {
         let deltas = resolve_stream(&el, &rounds);
-        let (shards, placement, cap, workers) = match layout {
-            0 => (1, ShardPlacement::RoundRobin, ShardCapacity::UNLIMITED, 1),
-            1 => (2, ShardPlacement::Hash, ShardCapacity::UNLIMITED, 2),
-            _ => (3, ShardPlacement::RoundRobin, ShardCapacity::bytes(1), 4),
+        let (shards, cap, workers) = match layout {
+            0 => (1, ShardCapacity::UNLIMITED, 1),
+            1 => (2, ShardCapacity::UNLIMITED, 2),
+            _ => (3, ShardCapacity::bytes(1), 4),
         };
-        differential_layout(&el, &deltas, shards, placement, cap, workers);
+        differential_layout(&el, &deltas, shards, cap, workers);
     }
 }
 

@@ -5,8 +5,7 @@ use proptest::prelude::*;
 use cgraph::algos::{reference, Bfs, Wcc};
 use cgraph::core::{Engine, EngineConfig};
 use cgraph::graph::snapshot::{
-    CompactionPolicy, FootprintProfile, GraphDelta, ShardCapacity, ShardPlacement,
-    ShardedSnapshotStore, SnapshotStore,
+    CompactionPolicy, GraphDelta, ShardCapacity, ShardedSnapshotStore, SnapshotStore,
 };
 use cgraph::graph::vertex_cut::VertexCutPartitioner;
 use cgraph::graph::{Csr, Edge, EdgeList, GraphView, Partitioner};
@@ -269,11 +268,9 @@ proptest! {
             deltas.push(GraphDelta { additions, removals });
         }
 
-        let build = |policy: CompactionPolicy, shards: usize, post_hoc: bool,
-                     placement: ShardPlacement| {
+        let build = |policy: CompactionPolicy, shards: usize, post_hoc: bool| {
             let ps = VertexCutPartitioner::new(4).partition(&el);
-            let mut s = ShardedSnapshotStore::with_placement(ps, shards, placement)
-                .with_compaction(policy);
+            let mut s = ShardedSnapshotStore::with_shards(ps, shards).with_compaction(policy);
             for (d, (ts, _)) in deltas.iter().zip(&expected) {
                 s.apply(*ts, d).unwrap();
             }
@@ -282,24 +279,15 @@ proptest! {
             }
             std::sync::Arc::new(s)
         };
-        let mut profile = FootprintProfile::new();
-        profile.record([0u32, 2]);
-        profile.record([1u32, 3]);
-        let rr = ShardPlacement::RoundRobin;
-        let reference = build(CompactionPolicy::Off, 1, false, rr.clone());
+        let reference = build(CompactionPolicy::Off, 1, false);
         let variants = [
-            build(CompactionPolicy::EveryK(1), 1, false, rr.clone()),
-            build(CompactionPolicy::EveryK(4), 1, false, rr.clone()),
-            build(CompactionPolicy::Off, 1, true, rr.clone()),
-            build(CompactionPolicy::EveryK(1), 3, false, rr.clone()),
-            build(CompactionPolicy::Off, 3, true, rr),
-            build(CompactionPolicy::EveryK(2), 3, false, ShardPlacement::Hash),
-            build(
-                CompactionPolicy::EveryK(2),
-                2,
-                true,
-                ShardPlacement::locality(&profile, 4, 2),
-            ),
+            build(CompactionPolicy::EveryK(1), 1, false),
+            build(CompactionPolicy::EveryK(4), 1, false),
+            build(CompactionPolicy::Off, 1, true),
+            build(CompactionPolicy::EveryK(1), 3, false),
+            build(CompactionPolicy::Off, 3, true),
+            build(CompactionPolicy::EveryK(2), 3, false),
+            build(CompactionPolicy::EveryK(2), 2, true),
         ];
         let mut base_sorted: Vec<(u32, u32)> =
             el.edges().iter().map(|e| (e.src, e.dst)).collect();
@@ -343,14 +331,13 @@ proptest! {
         }
     }
 
-    /// Placement and capacity are pure mechanism: a random delta stream
-    /// observed through {round-robin, hash,
-    /// locality-over-random-footprints} × {unlimited, tight capacity}
-    /// yields bit-identical historical views
-    /// everywhere (edges, versions, masters, replicas, degrees), and
-    /// spill signals only ever fire on capacity-limited stores.
+    /// Capacity is pure mechanism: a random delta stream observed
+    /// through a round-robin store at {unlimited, tight capacity} yields
+    /// bit-identical historical views everywhere (edges, versions,
+    /// masters, replicas, degrees), and spill signals only ever fire on
+    /// capacity-limited stores.
     #[test]
-    fn placement_is_transparent(
+    fn capacity_is_transparent(
         el in arb_edges(),
         stream in proptest::collection::vec(
             (
@@ -358,10 +345,6 @@ proptest! {
                 proptest::collection::vec(0usize..64, 0..6),
             ),
             1..5,
-        ),
-        footprints in proptest::collection::vec(
-            proptest::collection::vec(0u32..4, 1..4),
-            0..6,
         ),
     ) {
         // Resolve the stream against a host-side multiset so removals
@@ -385,13 +368,9 @@ proptest! {
             deltas.push(((i as u64 + 1) * 10, GraphDelta { additions, removals }));
         }
 
-        let mut profile = FootprintProfile::new();
-        for fp in &footprints {
-            profile.record(fp.iter().copied());
-        }
-        let build = |placement: ShardPlacement, cap: ShardCapacity| {
+        let build = |cap: ShardCapacity| {
             let ps = VertexCutPartitioner::new(4).partition(&el);
-            let mut s = ShardedSnapshotStore::with_placement(ps, 2, placement)
+            let mut s = ShardedSnapshotStore::with_shards(ps, 2)
                 .with_compaction(CompactionPolicy::EveryK(2))
                 .with_capacity(cap);
             for (ts, d) in &deltas {
@@ -399,17 +378,8 @@ proptest! {
             }
             std::sync::Arc::new(s)
         };
-        let unlimited = ShardCapacity::UNLIMITED;
-        let tight = ShardCapacity::bytes(512);
-        let locality = ShardPlacement::locality(&profile, 4, 2);
-        let reference = build(ShardPlacement::RoundRobin, unlimited);
-        let variants = [
-            build(ShardPlacement::RoundRobin, tight),
-            build(ShardPlacement::Hash, unlimited),
-            build(ShardPlacement::Hash, tight),
-            build(locality.clone(), unlimited),
-            build(locality, tight),
-        ];
+        let reference = build(ShardCapacity::UNLIMITED);
+        let variants = [build(ShardCapacity::bytes(512))];
         let timestamps: Vec<u64> = std::iter::once(0)
             .chain(deltas.iter().map(|(ts, _)| *ts))
             .chain(std::iter::once(999))

@@ -11,7 +11,7 @@ use cgraph::core::{
 };
 use cgraph::graph::snapshot::{GraphDelta, SnapshotStore};
 use cgraph::graph::vertex_cut::VertexCutPartitioner;
-use cgraph::graph::{generate, Edge, Partitioner, ShardCapacity, ShardPlacement};
+use cgraph::graph::{generate, Edge, Partitioner, ShardCapacity};
 use cgraph::trace::{generate_trace, JobSpan, TraceConfig};
 
 /// Virtual seconds per trace hour for the test streams.
@@ -306,15 +306,13 @@ fn serving_beats_stream_fifo_denominator() {
     );
 }
 
-/// Shard placement is transparent to execution at *every* variant —
-/// round-robin, hash, and a locality table profiled from a prior run —
-/// on an evolving store with jobs bound to old and new snapshots:
-/// identical results, loads, and global counters, with the engine's
-/// lanes always following the store's placement.  A capacity-tight
-/// store additionally serves bit-identical results while pricing its
-/// spill re-fetches (so only the traffic counters may move).
+/// Capacity is transparent to execution on an evolving store with jobs
+/// bound to old and new snapshots: a capacity-tight store serves
+/// bit-identical results on the same schedule as an unlimited one,
+/// while pricing its spill re-fetches — so only the disk traffic
+/// counter moves, by exactly the spill bytes.
 #[test]
-fn placement_serves_identically() {
+fn capacity_serves_identically() {
     let el = generate::rmat(9, 6, generate::RmatParams::default(), 77);
     let ps = VertexCutPartitioner::new(12).partition(&el);
     let evolve = |st: &mut SnapshotStore| {
@@ -335,14 +333,13 @@ fn placement_serves_identically() {
             .unwrap();
         }
     };
-    let run = |placement: ShardPlacement, capacity: ShardCapacity| {
-        let mut st = SnapshotStore::with_placement(ps.clone(), 4, placement)
+    let run = |capacity: ShardCapacity| {
+        let mut st = SnapshotStore::with_shards(ps.clone(), 4)
             .with_compaction(cgraph::graph::CompactionPolicy::EveryK(3))
             .with_capacity(capacity);
         evolve(&mut st);
-        let st = Arc::new(st);
         let mut e = Engine::new(
-            Arc::clone(&st),
+            Arc::new(st),
             EngineConfig { wavefront: 2, prefetch_depth: 1, ..EngineConfig::default() },
         );
         // One job bound mid-stream (its historical walks reach spilled
@@ -353,13 +350,6 @@ fn placement_serves_identically() {
         let new = e.submit_program(Bfs::new(3));
         let report = e.run();
         assert!(report.completed);
-        for pid in 0..12u32 {
-            assert_eq!(
-                e.prefetch_queue().lane_of(pid),
-                st.shard_of(pid),
-                "engine lanes must follow store placement"
-            );
-        }
         (
             (
                 e.results::<Bfs>(old).unwrap(),
@@ -368,39 +358,21 @@ fn placement_serves_identically() {
             report.metrics,
             report.loads,
             e.spill_fetch_bytes().iter().sum::<u64>(),
-            e.footprint_profile(),
         )
     };
-    let unlimited = ShardCapacity::UNLIMITED;
-    let (res_rr, m_rr, loads_rr, spill_rr, profile) = run(ShardPlacement::RoundRobin, unlimited);
-    assert_eq!(spill_rr, 0, "unlimited capacity never spills");
-    let locality = ShardPlacement::locality(&profile, ps.num_partitions(), 4);
-    for placement in [ShardPlacement::Hash, locality.clone()] {
-        let (res, m, loads, spill, _) = run(placement.clone(), unlimited);
-        assert_eq!(res_rr, res, "{placement:?}");
-        assert_eq!(loads_rr, loads, "{placement:?}");
-        assert_eq!(
-            m_rr, m,
-            "global counters must not depend on shard placement ({placement:?})"
-        );
-        assert_eq!(spill, 0);
-    }
+    let (res_free, m_free, loads_free, spill_free) = run(ShardCapacity::UNLIMITED);
+    assert_eq!(spill_free, 0, "unlimited capacity never spills");
     // Tight capacity: same results and schedule, but historic reads of
     // spilled records now carry a priced re-fetch.
-    for placement in [ShardPlacement::RoundRobin, locality] {
-        let (res, m, loads, spill, _) = run(placement.clone(), ShardCapacity::bytes(4096));
-        assert_eq!(
-            res_rr, res,
-            "capacity is cost, never results ({placement:?})"
-        );
-        assert_eq!(loads_rr, loads, "{placement:?}");
-        assert!(spill > 0, "tight capacity must price spill re-fetches");
-        assert_eq!(
-            m.bytes_disk_to_mem,
-            m_rr.bytes_disk_to_mem + spill,
-            "spill re-fetches are exactly the extra disk traffic"
-        );
-    }
+    let (res, m, loads, spill) = run(ShardCapacity::bytes(4096));
+    assert_eq!(res_free, res, "capacity is cost, never results");
+    assert_eq!(loads_free, loads);
+    assert!(spill > 0, "tight capacity must price spill re-fetches");
+    assert_eq!(
+        m.bytes_disk_to_mem,
+        m_free.bytes_disk_to_mem + spill,
+        "spill re-fetches are exactly the extra disk traffic"
+    );
 }
 
 /// A killed serving loop resumes mid-trace through its completion

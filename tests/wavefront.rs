@@ -259,21 +259,6 @@ fn sharded_store_engine_counters_identical_at_width_one() {
     assert_eq!(run(1), run(4));
 }
 
-/// Lane placement never diverges from the store: the store dictates the
-/// engine's lanes (identical `shard_of` for every partition — the same
-/// placement `StreamEngine` attributes by).
-#[test]
-fn engine_lanes_agree_with_store_placement() {
-    let ps = partitions();
-    let np = ps.num_partitions() as u32;
-    let store = Arc::new(SnapshotStore::with_shards(ps, 4));
-    let e = Engine::new(Arc::clone(&store), EngineConfig::default());
-    assert_eq!(e.prefetch_queue().shards(), store.num_shards());
-    for pid in 0..np {
-        assert_eq!(e.prefetch_queue().lane_of(pid), store.shard_of(pid));
-    }
-}
-
 /// Width 1 through the layered executor is the classic engine: a second
 /// engine at the default config produces identical counters (the
 /// engines-agree and determinism suites pin the rest).
