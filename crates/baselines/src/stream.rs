@@ -3,10 +3,9 @@
 use std::sync::Arc;
 
 use cgraph_core::exec::ChargeLedger;
-use cgraph_core::job::{JobId, JobRuntime, ProcessStats, TypedJob};
+use cgraph_core::job::{JobId, JobRuntime, TypedJob};
 use cgraph_core::program::VertexProgram;
-use cgraph_core::workers::TriggerDrain;
-use cgraph_core::{Observer, RunReport, SyncStrategy};
+use cgraph_core::{RunReport, SyncStrategy};
 use cgraph_graph::snapshot::SnapshotStore;
 use cgraph_graph::{PartitionId, PartitionSet, VersionId};
 use cgraph_memsim::{CacheObject, CostModel, HierarchyConfig, JobMetrics};
@@ -87,8 +86,6 @@ pub struct StreamEngine {
     /// uses), so the engines differ only in *when and for whom* they
     /// request data — never in how work is accounted.
     ledger: ChargeLedger,
-    /// The same trigger drain the CGraph engine runs its rounds through.
-    trigger: TriggerDrain,
     jobs: Vec<JobEntry>,
     loads: u64,
 }
@@ -100,7 +97,6 @@ impl StreamEngine {
             config,
             store,
             ledger: ChargeLedger::new(config.hierarchy),
-            trigger: TriggerDrain::new(&Observer::disabled(), None),
             jobs: Vec::new(),
             loads: 0,
         }
@@ -212,12 +208,8 @@ impl StreamEngine {
             tbytes,
         );
 
-        // Trigger: one entry, this job over the whole partition.
-        let mut s = [ProcessStats::default()];
-        self.trigger
-            .run([(&*self.jobs[j].runtime, pid)], self.loads as u32, &mut s)
-            .unwrap_or_else(|err| panic!("streaming baseline trigger: {err}"));
-        let [mut s] = s;
+        // Trigger: this job over the whole partition, in place.
+        let mut s = self.jobs[j].runtime.process_chunk(pid, 0, 1);
         self.jobs[j].runtime.mark_processed(pid);
 
         // CLIP-style re-entry while the partition is still resident.

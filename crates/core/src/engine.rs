@@ -13,7 +13,7 @@ use cgraph_memsim::{CostModel, HierarchyConfig, JobMetrics, Metrics};
 
 use crate::exec::ledger::JobTiming;
 use crate::exec::wavefront::RoundBuffers;
-use crate::exec::{ChargeLedger, SlotPlanner};
+use crate::exec::{ChargeLedger, ExecError, SlotPlanner};
 use crate::fault::{FaultError, FaultPlane};
 use crate::incr::{IncrementalProgram, ResumeSubmit};
 use crate::job::{JobId, JobRuntime, TypedJob};
@@ -21,7 +21,6 @@ use crate::obs::event::{EventKind, NONE};
 use crate::obs::{Observer, Recorder};
 use crate::program::VertexProgram;
 use crate::scheduler::{OrderScheduler, PriorityScheduler, Scheduler};
-use crate::workers::{ExecError, TriggerDrain};
 
 /// How Push charges vertex-state synchronization to the memory hierarchy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,7 +53,8 @@ pub struct EngineConfig {
     /// The paper's per-core Trigger workers, as modeled: the divisor of
     /// modeled compute time and the install batch size when more jobs
     /// share a partition than workers.  It never sizes a thread: the
-    /// trigger drain runs on the calling thread ([`crate::workers`]).
+    /// trigger pass runs on the calling thread
+    /// ([`crate::exec::wavefront`]).
     pub workers: usize,
     /// Simulated cache/memory capacities.
     pub hierarchy: HierarchyConfig,
@@ -151,7 +151,7 @@ pub struct RunReport {
 
 pub(crate) struct JobEntry {
     /// Every mutation goes through `&self` interior mutability, so the
-    /// trigger drain runs entries through a shared borrow.
+    /// round triggers entries through a shared borrow.
     pub(crate) runtime: Box<dyn JobRuntime>,
     pub(crate) done: bool,
     /// Set when fault admission exhausted a fetch's retry budget while
@@ -193,8 +193,6 @@ pub struct Engine {
     pub(crate) round: RoundBuffers,
     pub(crate) loads: u64,
     pub(crate) pipeline_seconds: f64,
-    /// The trigger stage's drain and its recorder.
-    pub(crate) trigger: TriggerDrain,
     /// Set when a trigger chunk panicked (user code): the engine refuses
     /// further rounds.  See [`Engine::exec_error`].
     pub(crate) fault: Option<ExecError>,
@@ -209,6 +207,9 @@ pub struct Engine {
     /// instants.  Permanently off unless the config carried an enabled
     /// observer.
     pub(crate) rec: Recorder,
+    /// The trigger stage's recorder: one `trigger_chunk` span per entry,
+    /// on a ring of its own (`cgraph-trigger`).
+    pub(crate) trigger_rec: Recorder,
     /// Rounds executed so far — the round stamp on trace events.
     pub(crate) round_no: u32,
 }
@@ -223,6 +224,7 @@ impl Engine {
         let ledger = ChargeLedger::new(config.hierarchy);
         let obs = config.observer.clone().unwrap_or_else(Observer::disabled);
         let rec = obs.recorder("main");
+        let trigger_rec = obs.recorder("cgraph-trigger");
         // A disabled plane is the same as no plane: drop it here so the
         // per-round admission check stays a single `None` branch.
         let faults = config.faults.clone().filter(|plane| plane.is_enabled());
@@ -237,12 +239,12 @@ impl Engine {
             round: RoundBuffers::default(),
             loads: 0,
             pipeline_seconds: 0.0,
-            trigger: TriggerDrain::new(&obs, faults.clone()),
             fault: None,
             faults,
             quarantines: 0,
             obs,
             rec,
+            trigger_rec,
             round_no: 0,
         }
     }
@@ -550,11 +552,6 @@ impl Engine {
             .as_any()
             .downcast_ref::<TypedJob<P>>()
             .map(|t| t.extract())
-    }
-
-    /// The job's display name.
-    pub fn job_name(&self, job: JobId) -> Option<String> {
-        self.jobs.get(job as usize).map(|e| e.runtime.name())
     }
 
     /// Whether the job has converged.

@@ -27,18 +27,16 @@
 //!   pipeline (disk-fetch → memory-install → trigger).  At depth 0 it
 //!   degenerates to the two-stage model above.
 //!
-//! The trigger stage drains each round's `(job, partition)` entries
-//! through [`crate::workers::TriggerDrain`] on the calling thread, one
-//! in-place pass per entry, before the round's Push; the engine starts
-//! no thread of its own.
+//! The trigger stage runs each round's `(job, partition)` entries inside
+//! [`wavefront`] on the calling thread, one in-place pass per entry,
+//! before the round's Push; the engine starts no thread of its own.
 
 pub mod ledger;
 pub mod planner;
 pub mod prefetch;
 pub mod wavefront;
 
-pub use crate::workers::ExecError;
 pub use ledger::{ChargeLedger, JobTiming};
 pub use planner::{SlotKey, SlotPlanner};
 pub use prefetch::pipeline_makespan;
-pub use wavefront::flowshop_makespan;
+pub use wavefront::{flowshop_makespan, ExecError};

@@ -8,9 +8,9 @@
 //!    (structures stay pinned for the whole round) and one trigger entry
 //!    per interested job joins the round's entry list.
 //! 2. **Trigger** — once every slot is installed, the round's entries
-//!    drain once, in install order, through
-//!    [`TriggerDrain`](crate::workers::TriggerDrain): one in-place pass
-//!    of the job over the whole partition per entry.
+//!    run once, in install order: one in-place
+//!    [`process_chunk(pid, 0, 1)`](crate::JobRuntime::process_chunk)
+//!    pass of the job over the whole partition per entry.
 //! 3. **Push** — each job whose iteration completed synchronizes
 //!    replicas and advances, and the slot planner is patched
 //!    incrementally.
@@ -18,9 +18,25 @@
 //! # Configurations, not paths
 //!
 //! Every stage runs on the calling thread at every configuration, and
-//! the drain starts no thread (see [`crate::workers`]).  A width-1 wave
-//! is a wave of one slot, and `prefetch_depth` changes how a round is
-//! priced (below), never what runs.  Everything is the same code.
+//! the trigger pass starts no thread.  Paired against the same pass
+//! fanned out over host-sized scoped helpers on a 2-CPU host, the
+//! helpers won no benchmark workload; helpers that come back would split
+//! the round's entry list by entry.  `EngineConfig::workers` is the
+//! *modeled* core count: it divides the compute cost and batches
+//! installs, and never sizes a thread.  Modeled compute is `compute /
+//! workers`, perfect balance across the modeled cores, so the paper's
+//! straggler assistance (§3.2.3) needs no chunk split to be priced.
+//!
+//! A width-1 wave is a wave of one slot, and `prefetch_depth` changes
+//! how a round is priced (below), never what runs.  Everything is the
+//! same code.
+//!
+//! # Failure
+//!
+//! A panic inside `process_chunk` (user code, or the fault plane's
+//! injected drill) must not unwind through the engine: the round catches
+//! it and parks [`ExecError::WorkerPanic`] on the engine, which refuses
+//! further rounds.
 //!
 //! # Why the results are deterministic
 //!
@@ -28,7 +44,7 @@
 //!
 //! * Ledger charging — the only mutation that decides modeled times and
 //!   traffic counters — happens in plan order.
-//! * Entries drain in install order, and each folds its contributions
+//! * Entries run in install order, and each folds its contributions
 //!   into the job's accumulators in vertex order, out-edges before
 //!   in-edges.
 //! * Entry statistics accumulate as exact `u64` additions; the `f64`
@@ -47,6 +63,8 @@
 //! wave has nothing to prefetch behind and always takes the two-stage
 //! price.  No thread count changes a modeled figure.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use cgraph_memsim::{CacheObject, Metrics};
 
 use crate::engine::Engine;
@@ -54,7 +72,27 @@ use crate::exec::planner::SlotKey;
 use crate::exec::prefetch::pipeline_makespan;
 use crate::job::ProcessStats;
 use crate::obs::{EventKind, NONE};
-use crate::workers::ExecError;
+
+/// An executor failure: a trigger chunk panicked (user code).  Surfaced
+/// by [`Engine::exec_error`], never a panic on the calling thread.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ExecError {
+    /// A trigger chunk panicked; the label says where.
+    WorkerPanic(&'static str),
+}
+
+impl std::fmt::Display for ExecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExecError::WorkerPanic(what) => write!(f, "executor worker panicked: {what}"),
+        }
+    }
+}
+
+impl std::error::Error for ExecError {}
+
+/// The label of every trigger-chunk panic.
+const CHUNK_PANIC: &str = "process_chunk panicked in a trigger worker";
 
 /// Makespan of a fixed-sequence two-stage pipeline: stage-one times
 /// `loads` (serialized, e.g. the shared memory channel) feed stage-two
@@ -169,7 +207,9 @@ impl Engine {
     }
 
     /// The failable half of a round: the plan-order install loop and the
-    /// trigger drain.  A panicked entry surfaces here as a typed
+    /// trigger pass, each `(job, partition)` entry processed once, in
+    /// install order, its stats added into the entry's slot of
+    /// `round.stats`.  A panicked entry surfaces here as a typed
     /// [`ExecError`].
     fn pump_round(&mut self, round: &mut RoundBuffers, prefetching: bool) -> Result<(), ExecError> {
         for si in 0..round.slots.len() {
@@ -200,12 +240,30 @@ impl Engine {
         round
             .stats
             .resize(round.origins.len(), ProcessStats::default());
-        let (jobs, slots) = (&self.jobs, &round.slots);
-        let entries = round.origins.iter().map(|&(si, j)| {
-            let ((pid, _), _, _) = slots[si];
-            (&*jobs[j].runtime, pid)
-        });
-        self.trigger.run(entries, self.round_no, &mut round.stats)
+        let faults = self.faults.as_deref();
+        catch_unwind(AssertUnwindSafe(|| {
+            for (&(si, j), total) in round.origins.iter().zip(&mut round.stats) {
+                let ((pid, _), _, _) = round.slots[si];
+                // The injected worker-death drill panics exactly where
+                // crashing user code would.
+                assert!(
+                    !faults.is_some_and(|plane| plane.should_panic_chunk(pid)),
+                    "injected fault-plane chunk panic"
+                );
+                let runtime = &*self.jobs[j].runtime;
+                let t0 = self.trigger_rec.start();
+                *total += runtime.process_chunk(pid, 0, 1);
+                self.trigger_rec.complete(
+                    EventKind::TriggerChunk,
+                    runtime.id(),
+                    pid,
+                    self.round_no,
+                    t0,
+                    0,
+                );
+            }
+        }))
+        .map_err(|_| ExecError::WorkerPanic(CHUNK_PANIC))
     }
 
     /// Installs one slot: the slot's ledger charge loop plus its trigger
@@ -265,7 +323,7 @@ impl Engine {
             }
             off = batch_end;
         }
-        // Trigger compute is charged after the round drains, so this
+        // Trigger compute is charged after the trigger pass, so this
         // interval is pure data access: the slot's Load leg — fused for
         // the two-stage model, split disk/memory for the three-stage one.
         let delta = self.ledger.metrics().since(&before);

@@ -25,7 +25,7 @@
 //!   the recovery suite's territory, driven by the file harness
 //!   re-exported below).
 //! * **Trigger workers** — [`FaultConfig::panic_chunk`] injects a panic
-//!   into the trigger drain when it processes a chosen partition (for
+//!   into the trigger pass when it processes a chosen partition (for
 //!   any job), exercising the worker-death path (`Engine::exec_error`)
 //!   end to end.
 //!
@@ -61,11 +61,12 @@
 //! untouched (pinned by `tests/chaos.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use cgraph_graph::fault::{FaultInjector, StoreFaultBoundary};
 use cgraph_graph::PartitionId;
-use parking_lot::Mutex;
+
+use crate::lock;
 
 pub use cgraph_graph::fault::{file_len, flip_bit, truncate_at, FaultPlan, FaultyFile};
 
@@ -417,7 +418,7 @@ impl FaultPlane {
         }
     }
 
-    /// Whether the trigger drain must panic on partition `pid` (the
+    /// Whether the trigger pass must panic on partition `pid` (the
     /// injected worker-death drill).
     pub(crate) fn should_panic_chunk(&self, pid: PartitionId) -> bool {
         self.enabled && self.cfg.panic_chunk == Some(pid)
@@ -483,7 +484,7 @@ impl FaultPlane {
         if !self.enabled {
             return Ok(FetchAdmission::default());
         }
-        let mut breakers = self.breakers.lock();
+        let mut breakers = lock(&self.breakers);
         if breakers.len() <= lane {
             breakers.resize(lane + 1, Breaker::Closed { consecutive: 0 });
         }

@@ -13,14 +13,13 @@
 
 use std::any::Any;
 use std::ops::Range;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use cgraph_graph::{
     GraphView, LocalId, PartitionId, ReplicaPlan, VersionId, VertexId, Weight, NO_PARTITION,
 };
 
+use crate::lock;
 use crate::obs::{Counter, Observer};
 use crate::program::{EdgeDirection, VertexInfo, VertexProgram};
 use crate::state::{PartState, PendingSet};
@@ -64,8 +63,6 @@ pub struct PushStats {
 pub trait JobRuntime: Send + Sync {
     /// Engine-assigned id.
     fn id(&self) -> JobId;
-    /// Job name for reports.
-    fn name(&self) -> String;
     /// The snapshot view the job is bound to.
     fn view(&self) -> &GraphView;
     /// Current iteration number (1-based; 0 before the first activation).
@@ -82,8 +79,6 @@ pub trait JobRuntime: Send + Sync {
             .map(|pid| (pid, view.version_of(pid)))
             .collect()
     }
-    /// Whether `pid` is active and unprocessed this iteration.
-    fn is_pending(&self, pid: PartitionId) -> bool;
     /// Bytes of this job's private table for `pid`.
     fn private_table_bytes(&self, pid: PartitionId) -> u64;
     /// Processes chunk `chunk` of `nchunks` of partition `pid` (Trigger):
@@ -265,7 +260,7 @@ impl<P: VertexProgram> TypedJob<P> {
             state: Mutex::new(state),
         };
         {
-            let mut st = job.state.lock();
+            let mut st = lock(&job.state);
             job.recompute_activation(&mut st, 0..np as PartitionId);
             if st.pending.any_active() {
                 st.iteration = 1;
@@ -311,7 +306,7 @@ impl<P: VertexProgram> TypedJob<P> {
     /// Isolated vertices (no replicas) report their initial finalized state.
     pub fn extract(&self) -> Vec<P::Value> {
         let n = self.view.num_vertices() as usize;
-        let st = self.state.lock();
+        let st = lock(&self.state);
         let mut out = Vec::with_capacity(n);
         for vid in 0..n as VertexId {
             let (od, id_) = self.view.degree_of(vid);
@@ -405,45 +400,37 @@ impl<P: VertexProgram> JobRuntime for TypedJob<P> {
         self.id
     }
 
-    fn name(&self) -> String {
-        self.program.name()
-    }
-
     fn view(&self) -> &GraphView {
         &self.view
     }
 
     fn iteration(&self) -> u64 {
-        self.state.lock().iteration
+        lock(&self.state).iteration
     }
 
     fn pending(&self) -> Vec<PartitionId> {
-        self.state.lock().pending.pending()
-    }
-
-    fn is_pending(&self, pid: PartitionId) -> bool {
-        self.state.lock().pending.is_pending(pid)
+        lock(&self.state).pending.pending()
     }
 
     fn private_table_bytes(&self, pid: PartitionId) -> u64 {
-        self.state.lock().parts[pid as usize].table_bytes()
+        lock(&self.state).parts[pid as usize].table_bytes()
     }
 
     fn process_chunk(&self, pid: PartitionId, chunk: usize, nchunks: usize) -> ProcessStats {
         let nv = self.view.partition(pid).num_local_vertices();
         let range = nv * chunk / nchunks..nv * (chunk + 1) / nchunks;
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         self.trigger(&mut st.parts[pid as usize], pid, range)
     }
 
     fn mark_processed(&self, pid: PartitionId) {
-        self.state.lock().pending.mark_processed(pid);
+        lock(&self.state).pending.mark_processed(pid);
     }
 
     fn reenter_partition(&self, pid: PartitionId, max_rounds: u64) -> ProcessStats {
         let identity = self.program.identity();
         let part = self.view.partition(pid);
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let table = &mut st.parts[pid as usize];
         let mut total = ProcessStats::default();
         for _ in 0..max_rounds {
@@ -475,20 +462,20 @@ impl<P: VertexProgram> JobRuntime for TypedJob<P> {
     }
 
     fn iteration_complete(&self) -> bool {
-        self.state.lock().pending.remaining() == 0
+        lock(&self.state).pending.remaining() == 0
     }
 
     fn push_and_advance(&self) -> PushStats {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         self.push_with(&mut st, Self::fan_out_mirrors)
     }
 
     fn is_converged(&self) -> bool {
-        self.state.lock().converged
+        lock(&self.state).converged
     }
 
     fn partition_change(&self, pid: PartitionId) -> f64 {
-        self.state.lock().change[pid as usize]
+        lock(&self.state).change[pid as usize]
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -647,7 +634,7 @@ pub(crate) mod tests {
     use std::sync::Arc;
 
     /// Min-hop BFS used to exercise the runtime (and the engine's
-    /// trigger drain) directly.
+    /// trigger pass) directly.
     pub(crate) struct Bfs {
         pub(crate) source: VertexId,
     }
@@ -841,7 +828,7 @@ pub(crate) mod tests {
             let hi = nv * (chunk + 1) / nchunks;
             let identity = self.program.identity();
             let mut pairs: Vec<(P::Value, P::Value)> = {
-                let st = self.state.lock();
+                let st = lock(&self.state);
                 let table = &st.parts[pid as usize];
                 (lo..hi)
                     .map(|li| (table.values[li], table.deltas[li]))
@@ -875,7 +862,7 @@ pub(crate) mod tests {
                     }
                 }
             }
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             let table = &mut st.parts[pid as usize];
             for (off, (v, d)) in pairs.into_iter().enumerate() {
                 table.values[lo + off] = v;
@@ -1175,7 +1162,7 @@ pub(crate) mod tests {
                 oracle.mark_processed(pid);
             }
             let got = routed.push_and_advance();
-            let want = oracle.push_with(&mut oracle.state.lock(), TypedJob::fan_out_mirrors_sorted);
+            let want = oracle.push_with(&mut lock(&oracle.state), TypedJob::fan_out_mirrors_sorted);
             pushes += 1;
             assert_eq!(got, want, "{what}: PushStats at push {pushes}");
             assert_eq!(routed.pending(), oracle.pending(), "{what}: pending");
@@ -1186,7 +1173,7 @@ pub(crate) mod tests {
                     "{what}: change of partition {pid}"
                 );
             }
-            let (a, b) = (routed.state.lock(), oracle.state.lock());
+            let (a, b) = (lock(&routed.state), lock(&oracle.state));
             let bits = |xs: &[P::Value]| xs.iter().map(|x| x.bits()).collect::<Vec<_>>();
             for (pid, (a, b)) in a.parts.iter().zip(&b.parts).enumerate() {
                 assert_eq!(bits(&a.values), bits(&b.values), "{what}: values of {pid}");

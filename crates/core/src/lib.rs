@@ -14,7 +14,7 @@
 //! * [`Engine`] — the executor (Alg. 3): loads a scheduler-planned
 //!   wavefront of structure partitions once per round through the
 //!   simulated memory hierarchy, triggers every interested job (one
-//!   in-place pass per job and partition, drained once per round on the
+//!   in-place pass per job and partition, once per round on the
 //!   calling thread), then runs each finishing job's Push.
 //! * [`exec`] — the layered execution core the engine composes: the
 //!   incrementally maintained slot planner, the unified charge ledger,
@@ -52,7 +52,6 @@ pub mod program;
 pub mod scheduler;
 pub mod serve;
 pub mod state;
-pub mod workers;
 
 pub use api::JobEngine;
 pub use engine::{Engine, EngineConfig, RunReport, SchedulerKind, SyncStrategy};
@@ -70,3 +69,12 @@ pub use serve::{
     AdmissionController, Arrival, JobLatency, JobOutcome, JobRow, ServeConfig, ServeJournal,
     ServeLoop, ServeReport,
 };
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, ignoring poison: a holder that panicked (a vertex
+/// program's user code, caught by the round as an
+/// [`ExecError`]) leaves state the engine still reads.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -21,7 +21,7 @@ pub enum EventKind {
     /// Main loop installed one planned partition: ledger charges plus
     /// its trigger entries.
     Install = 3,
-    /// The trigger drain ran one `(job, partition)` entry.
+    /// The trigger pass ran one `(job, partition)` entry.
     TriggerChunk = 4,
     /// End-of-round Push stage (batched sorted push, all finishing jobs).
     Push = 5,

@@ -1,7 +1,7 @@
 //! `core::obs` — zero-cost-when-disabled tracing and metrics.
 //!
 //! The engine is a concurrent pipeline (a plan-order install stage, a
-//! trigger drain, WAL fsyncs, capacity spills, admission waves); this
+//! trigger pass, WAL fsyncs, capacity spills, admission waves); this
 //! module is its flight recorder.  Two planes share one [`Observer`]:
 //!
 //! * **Event tracing** — each pipeline thread gets a [`Recorder`]
@@ -62,10 +62,10 @@ pub mod ring;
 pub mod sink;
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use crate::lock;
 
 pub use event::{Event, EventKind, NONE};
 pub use hist::Histogram;
@@ -141,7 +141,7 @@ impl Observer {
         if !self.on {
             return Recorder { ring: None, tid: 0, epoch: self.epoch };
         }
-        let mut rings = self.rings.lock();
+        let mut rings = lock(&self.rings);
         let tid = rings.len() as u16;
         let ring = Arc::new(Ring::new(thread_name, self.ring_events));
         rings.push(Arc::clone(&ring));
@@ -150,14 +150,14 @@ impl Observer {
 
     /// Total events lost to ring overflow across all threads so far.
     pub fn dropped_events(&self) -> u64 {
-        self.rings.lock().iter().map(|r| r.dropped()).sum()
+        lock(&self.rings).iter().map(|r| r.dropped()).sum()
     }
 
     /// Drains every ring into one timestamp-sorted snapshot.  Call
     /// between rounds / after a run; see [`ring`] for the quiescence
     /// contract.
     pub fn dump(&self) -> TraceDump {
-        let rings = self.rings.lock();
+        let rings = lock(&self.rings);
         let mut threads = Vec::with_capacity(rings.len());
         let mut events = Vec::new();
         let mut dropped = 0;
@@ -184,7 +184,7 @@ impl fmt::Debug for Observer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Observer")
             .field("enabled", &self.on)
-            .field("rings", &self.rings.lock().len())
+            .field("rings", &lock(&self.rings).len())
             .finish()
     }
 }
@@ -307,7 +307,7 @@ impl cgraph_graph::obs::StoreObserver for StoreBridge {
         r.histogram("store_apply_us").record(micros);
         r.histogram(&format!("store_apply_us_shard{shard}"))
             .record(micros);
-        self.rec.lock().complete_with_dur(
+        lock(&self.rec).complete_with_dur(
             EventKind::ApplyRebuild,
             NONE,
             shard as u32,
@@ -321,7 +321,7 @@ impl cgraph_graph::obs::StoreObserver for StoreBridge {
         let r = self.obs.registry();
         r.counter("wal_append_bytes").add(bytes);
         r.histogram("wal_append_us").record(micros);
-        self.rec.lock().complete_with_dur(
+        lock(&self.rec).complete_with_dur(
             EventKind::WalAppend,
             NONE,
             shard_u32(shard),
@@ -341,7 +341,7 @@ impl cgraph_graph::obs::StoreObserver for StoreBridge {
                 .record(micros),
             None => r.histogram("wal_fsync_us_manifest").record(micros),
         };
-        self.rec.lock().complete_with_dur(
+        lock(&self.rec).complete_with_dur(
             EventKind::WalFsync,
             NONE,
             shard_u32(shard),
@@ -356,16 +356,14 @@ impl cgraph_graph::obs::StoreObserver for StoreBridge {
         r.counter("store_spill_bytes").add(bytes);
         r.histogram(&format!("store_spill_bytes_shard{shard}"))
             .record(bytes);
-        self.rec
-            .lock()
-            .instant(EventKind::Spill, NONE, shard as u32, NONE, bytes);
+        lock(&self.rec).instant(EventKind::Spill, NONE, shard as u32, NONE, bytes);
     }
 
     fn rehydrate(&self, shard: usize, bytes: u64, micros: u64) {
         let r = self.obs.registry();
         r.counter("store_rehydrate_bytes").add(bytes);
         r.histogram("store_rehydrate_us").record(micros);
-        self.rec.lock().complete_with_dur(
+        lock(&self.rec).complete_with_dur(
             EventKind::Rehydrate,
             NONE,
             shard as u32,
@@ -379,7 +377,7 @@ impl cgraph_graph::obs::StoreObserver for StoreBridge {
         let r = self.obs.registry();
         r.counter("store_checkpoints").inc();
         r.histogram("store_checkpoint_us").record(micros);
-        self.rec.lock().complete_with_dur(
+        lock(&self.rec).complete_with_dur(
             EventKind::Checkpoint,
             NONE,
             NONE,
@@ -398,7 +396,7 @@ impl cgraph_graph::obs::StoreObserver for StoreBridge {
             r.gauge("wal_replay_frames_per_s")
                 .set(frames as f64 / (micros as f64 / 1e6));
         }
-        self.rec.lock().complete_with_dur(
+        lock(&self.rec).complete_with_dur(
             EventKind::RecoveryReplay,
             NONE,
             NONE,

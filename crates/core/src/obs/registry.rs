@@ -22,12 +22,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use super::hist::Histogram;
 use super::json::{escape_json, fmt_f64};
+use crate::lock;
 
 /// A monotonically increasing `u64` counter.
 pub struct Counter {
@@ -95,7 +94,7 @@ impl Registry {
 
     /// Get-or-create the counter `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock();
+        let mut map = lock(&self.counters);
         Arc::clone(
             map.entry(name.to_string())
                 .or_insert_with(|| Arc::new(Counter::new())),
@@ -104,7 +103,7 @@ impl Registry {
 
     /// Get-or-create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock();
+        let mut map = lock(&self.gauges);
         Arc::clone(
             map.entry(name.to_string())
                 .or_insert_with(|| Arc::new(Gauge::new())),
@@ -113,7 +112,7 @@ impl Registry {
 
     /// Get-or-create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.hists.lock();
+        let mut map = lock(&self.hists);
         Arc::clone(
             map.entry(name.to_string())
                 .or_insert_with(|| Arc::new(Histogram::new())),
@@ -124,21 +123,21 @@ impl Registry {
     pub fn metrics_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\"counters\":{");
-        for (i, (name, c)) in self.counters.lock().iter().enumerate() {
+        for (i, (name, c)) in lock(&self.counters).iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(&format!("\"{}\":{}", escape_json(name), c.get()));
         }
         out.push_str("},\"gauges\":{");
-        for (i, (name, g)) in self.gauges.lock().iter().enumerate() {
+        for (i, (name, g)) in lock(&self.gauges).iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(&format!("\"{}\":{}", escape_json(name), fmt_f64(g.get())));
         }
         out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.hists.lock().iter().enumerate() {
+        for (i, (name, h)) in lock(&self.hists).iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -162,16 +161,16 @@ impl Registry {
     /// Prometheus text-format exposition page.
     pub fn prometheus_text(&self) -> String {
         let mut out = String::with_capacity(1024);
-        for (name, c) in self.counters.lock().iter() {
+        for (name, c) in lock(&self.counters).iter() {
             out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.get()));
         }
-        for (name, g) in self.gauges.lock().iter() {
+        for (name, g) in lock(&self.gauges).iter() {
             out.push_str(&format!(
                 "# TYPE {name} gauge\n{name} {}\n",
                 fmt_f64(g.get())
             ));
         }
-        for (name, h) in self.hists.lock().iter() {
+        for (name, h) in lock(&self.hists).iter() {
             out.push_str(&format!("# TYPE {name} summary\n"));
             for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
                 out.push_str(&format!(

@@ -1,7 +1,7 @@
 //! Per-thread bounded event ring.
 //!
 //! One [`Ring`] belongs to one producer at a time: the engine's install
-//! loop, its `cgraph-trigger` drain, the serve loop, or the store
+//! loop, its `cgraph-trigger` pass, the serve loop, or the store
 //! bridge.  The producer writes events, a
 //! drainer reads them out after the producer has quiesced (between
 //! rounds, or at export time).  Within that discipline the ring is

@@ -402,12 +402,6 @@ impl ServeLoop {
         self.rejected
     }
 
-    /// Whether the loop is currently browned out (admission window
-    /// widened under backlog or fault pressure).
-    pub fn browned_out(&self) -> bool {
-        self.brownout
-    }
-
     /// The first journal I/O failure, if journaling had to stop (the
     /// serve itself keeps going; later restarts simply resume less).
     pub fn journal_error(&self) -> Option<&StoreError> {

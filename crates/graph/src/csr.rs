@@ -8,8 +8,7 @@
 use crate::edge::EdgeList;
 use crate::types::{VertexId, Weight};
 
-/// Immutable CSR adjacency (out-edges), with an optional reverse (in-edge)
-/// index built on demand.
+/// Immutable CSR adjacency (out-edges).
 #[derive(Clone, Debug)]
 pub struct Csr {
     offsets: Vec<u64>,
@@ -80,34 +79,6 @@ impl Csr {
             .copied()
             .zip(self.weights(v).iter().copied())
     }
-
-    /// Builds the transposed CSR (in-edges become out-edges).
-    pub fn transpose(&self) -> Csr {
-        let n = self.num_vertices() as usize;
-        let mut counts = vec![0u64; n + 1];
-        for &t in &self.targets {
-            counts[t as usize + 1] += 1;
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let offsets = counts.clone();
-        let mut cursor = counts;
-        let mut targets = vec![0 as VertexId; self.targets.len()];
-        let mut weights = vec![0.0 as Weight; self.targets.len()];
-        for v in 0..n as VertexId {
-            let lo = self.offsets[v as usize] as usize;
-            let hi = self.offsets[v as usize + 1] as usize;
-            for i in lo..hi {
-                let t = self.targets[i] as usize;
-                let slot = cursor[t] as usize;
-                targets[slot] = v;
-                weights[slot] = self.weights[i];
-                cursor[t] += 1;
-            }
-        }
-        Csr { offsets, targets, weights }
-    }
 }
 
 #[cfg(test)]
@@ -146,28 +117,5 @@ mod tests {
         let csr = Csr::from_edges(&el);
         assert_eq!(csr.neighbors(2), &[0, 1]);
         assert_eq!(csr.neighbors(0), &[1]);
-    }
-
-    #[test]
-    fn transpose_reverses_edges() {
-        let csr = Csr::from_edges(&diamond());
-        let t = csr.transpose();
-        assert_eq!(t.neighbors(3), &[1, 2]);
-        assert_eq!(t.neighbors(1), &[0]);
-        assert_eq!(t.neighbors(0), &[] as &[VertexId]);
-        assert_eq!(t.num_edges(), csr.num_edges());
-    }
-
-    #[test]
-    fn weights_follow_edges_through_transpose() {
-        let el = GraphBuilder::new(3)
-            .weighted_edge(0, 1, 2.5)
-            .weighted_edge(2, 1, 7.0)
-            .build();
-        let csr = Csr::from_edges(&el);
-        let t = csr.transpose();
-        let from1: Vec<(VertexId, Weight)> = t.edges_of(1).collect();
-        assert!(from1.contains(&(0, 2.5)));
-        assert!(from1.contains(&(2, 7.0)));
     }
 }

@@ -1,9 +1,9 @@
 //! Executor stress: the round pipeline — fetch, plan-order install and
-//! one trigger drain, all on the calling thread — must keep producing
+//! one trigger pass, all on the calling thread — must keep producing
 //! the golden table's bits, one engine at a time and with every golden
 //! configuration racing the others on one shared store.  The table holds digests recorded while
 //! such engines still ran on a separate fork-join executor, so it
-//! catches a change that moves every configuration together; a drain
+//! catches a change that moves every configuration together; a round
 //! that never returns shows up as a hang, caught by CI's per-binary
 //! timeout.
 //!
@@ -16,10 +16,12 @@
 use std::sync::Arc;
 
 use cgraph::algos::{Bfs, Reachability, Sssp, Wcc};
-use cgraph::core::{Engine, EngineConfig, ExecError, FaultConfig, FaultPlane};
+use cgraph::core::{
+    Engine, EngineConfig, ExecError, FaultConfig, FaultPlane, VertexInfo, VertexProgram,
+};
 use cgraph::graph::snapshot::SnapshotStore;
 use cgraph::graph::vertex_cut::VertexCutPartitioner;
-use cgraph::graph::{generate, Partitioner};
+use cgraph::graph::{generate, Partitioner, VertexId, Weight};
 use cgraph::memsim::{HierarchyConfig, Metrics};
 use cgraph_bench::ingest_stream_spread;
 
@@ -233,8 +235,8 @@ fn golden_digests_hold_at_inline_fetch() {
 #[test]
 fn racing_engines_on_one_shared_store_stay_deterministic() {
     // Every golden configuration races all the others on the same Arc'd
-    // store, each engine on its own OS thread with its own trigger
-    // drain; each must still land on its own golden row.
+    // store, each engine on its own OS thread; each must still land on
+    // its own golden row.
     let store = shared_store();
     std::thread::scope(|scope| {
         let handles: Vec<_> = golden_configs(&store)
@@ -257,39 +259,102 @@ fn injected_worker_panic_surfaces_typed_without_hanging() {
     // trigger stage at a fixed partition must travel the same path as
     // crashing user code — a typed `ExecError::WorkerPanic` parked on the
     // engine, run not completed, no hang (CI's per-binary timeout is the
-    // deadlock detector).
+    // deadlock detector).  The first, a middle and the last of the 16
+    // partitions: every one is processed by the mix, so the drill always
+    // fires.
     let store = shared_store();
-    let plane = FaultPlane::new(FaultConfig {
-        // Partition 0 is processed by every run that touches it, so the
-        // drill always fires.
-        panic_chunk: Some(0),
-        ..FaultConfig::default()
-    });
-    let mut engine = Engine::new(
-        Arc::clone(&store),
-        EngineConfig {
-            workers: 2,
-            wavefront: 4,
-            hierarchy: tight_hierarchy(&store),
-            faults: Some(plane),
-            ..EngineConfig::default()
-        },
-    );
-    engine.submit_at(Bfs::new(0), 0);
-    engine.submit_at(Sssp::new(1), 50);
-    let report = engine.run();
+    for pid in [0, 7, 15] {
+        let plane =
+            FaultPlane::new(FaultConfig { panic_chunk: Some(pid), ..FaultConfig::default() });
+        let mut engine = Engine::new(
+            Arc::clone(&store),
+            EngineConfig {
+                workers: 2,
+                wavefront: 4,
+                hierarchy: tight_hierarchy(&store),
+                faults: Some(plane),
+                ..EngineConfig::default()
+            },
+        );
+        engine.submit_at(Bfs::new(0), 0);
+        engine.submit_at(Sssp::new(1), 50);
+        let report = engine.run();
+        assert!(
+            !report.completed,
+            "partition {pid}: a dead worker must not report completion"
+        );
+        assert_eq!(
+            engine.exec_error(),
+            Some(ExecError::WorkerPanic(
+                "process_chunk panicked in a trigger worker"
+            )),
+            "partition {pid}: the injected panic must surface as the typed executor fault"
+        );
+        // The engine parked the fault: further stepping refuses instead
+        // of re-panicking over the half-processed round.
+        assert!(
+            !engine.step_round(),
+            "partition {pid}: faulted engine must refuse rounds"
+        );
+    }
+}
+
+/// BFS whose scatter panics at one vertex: crashing user code, raised
+/// while the job's trigger pass holds its state lock.
+struct PanicsAt {
+    bfs: Bfs,
+    vertex: VertexId,
+}
+
+impl VertexProgram for PanicsAt {
+    type Value = u32;
+
+    fn init(&self, info: &VertexInfo) -> (u32, u32) {
+        self.bfs.init(info)
+    }
+
+    fn identity(&self) -> u32 {
+        self.bfs.identity()
+    }
+
+    fn acc(&self, a: u32, b: u32) -> u32 {
+        self.bfs.acc(a, b)
+    }
+
+    fn is_active(&self, value: &u32, delta: &u32) -> bool {
+        self.bfs.is_active(value, delta)
+    }
+
+    fn compute(&self, info: &VertexInfo, value: u32, delta: u32) -> (u32, Option<u32>) {
+        self.bfs.compute(info, value, delta)
+    }
+
+    fn edge_contrib(&self, basis: u32, w: Weight, info: &VertexInfo) -> u32 {
+        assert_ne!(info.vid, self.vertex, "user code panicked");
+        self.bfs.edge_contrib(basis, w, info)
+    }
+}
+
+#[test]
+fn user_code_panic_leaves_the_engine_readable() {
+    // A panic inside a vertex program unwinds out of the job's locked
+    // trigger pass, so that job's state lock is poisoned.  The engine
+    // parks the typed fault, and every read of the job still answers.
+    let ps = VertexCutPartitioner::new(4).partition(&generate::cycle(64));
+    let mut engine = Engine::from_partitions(ps, EngineConfig::default());
+    let job = engine.submit(PanicsAt { bfs: Bfs::new(0), vertex: 33 });
+    assert!(!engine.run().completed, "a panicked job must not complete");
     assert!(
-        !report.completed,
-        "a dead worker must not report completion"
+        engine.exec_error().is_some(),
+        "the panic parks a typed fault"
     );
-    assert_eq!(
-        engine.exec_error(),
-        Some(ExecError::WorkerPanic(
-            "process_chunk panicked in a trigger worker"
-        )),
-        "the injected panic must surface as the typed executor fault"
+    assert!(!engine.job_done(job));
+    let levels = engine
+        .results::<PanicsAt>(job)
+        .expect("results still answer");
+    assert_eq!((levels.len(), levels[0]), (64, 0));
+    assert!(
+        engine.job_metrics(job).vertex_ops > 0,
+        "metrics still answer"
     );
-    // The engine parked the fault: further stepping refuses instead of
-    // re-panicking over the half-processed round.
-    assert!(!engine.step_round(), "faulted engine must refuse rounds");
 }
