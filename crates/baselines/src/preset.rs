@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use cgraph_graph::snapshot::SnapshotStore;
 use cgraph_graph::PartitionSet;
-use cgraph_memsim::{CostModel, HierarchyConfig};
+use cgraph_memsim::HierarchyConfig;
 
 use crate::stream::{Interleave, StreamConfig, StreamEngine, StructureSharing};
 
@@ -51,12 +51,7 @@ impl BaselinePreset {
 
     /// The stream configuration modeling this system.
     pub fn config(self, workers: usize, hierarchy: HierarchyConfig) -> StreamConfig {
-        let base = StreamConfig {
-            workers,
-            hierarchy,
-            cost: CostModel::default(),
-            ..StreamConfig::default()
-        };
+        let base = StreamConfig { workers, hierarchy, ..StreamConfig::default() };
         match self {
             BaselinePreset::Sequential => StreamConfig {
                 sharing: StructureSharing::SharedMemory,

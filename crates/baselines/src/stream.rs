@@ -40,8 +40,6 @@ pub struct StreamConfig {
     pub workers: usize,
     /// Simulated tier capacities.
     pub hierarchy: HierarchyConfig,
-    /// Cost model for modeled time.
-    pub cost: CostModel,
     /// Structure-copy discipline.
     pub sharing: StructureSharing,
     /// `true` = incremental snapshot versions (Seraph-VT / CGraph style);
@@ -51,8 +49,6 @@ pub struct StreamConfig {
     pub reentry: u64,
     /// Job turn-taking.
     pub interleave: Interleave,
-    /// Safety valve on partition loads.
-    pub max_loads: u64,
 }
 
 impl Default for StreamConfig {
@@ -60,12 +56,10 @@ impl Default for StreamConfig {
         StreamConfig {
             workers: 4,
             hierarchy: HierarchyConfig::default(),
-            cost: CostModel::default(),
             sharing: StructureSharing::SharedMemory,
             incremental_versions: true,
             reentry: 0,
             interleave: Interleave::RoundRobin,
-            max_loads: u64::MAX,
         }
     }
 }
@@ -81,6 +75,9 @@ struct JobEntry {
 /// A per-job streaming engine: loads partitions for one job at a time.
 pub struct StreamEngine {
     config: StreamConfig,
+    /// Cost model for modeled time (the same default model the CGraph
+    /// engine prices with).
+    cost: CostModel,
     store: Arc<SnapshotStore>,
     /// Shared charging/attribution layer (same one the CGraph engine
     /// uses), so the engines differ only in *when and for whom* they
@@ -95,6 +92,7 @@ impl StreamEngine {
     pub fn new(store: Arc<SnapshotStore>, config: StreamConfig) -> Self {
         StreamEngine {
             config,
+            cost: CostModel::default(),
             store,
             ledger: ChargeLedger::new(config.hierarchy),
             jobs: Vec::new(),
@@ -248,17 +246,12 @@ impl StreamEngine {
     pub fn run(&mut self) -> RunReport {
         let start_metrics = *self.ledger.metrics();
         let start_loads = self.loads;
-        let mut completed = true;
-        'outer: loop {
+        loop {
             let mut progressed = false;
             match self.config.interleave {
                 Interleave::Sequential => {
                     for j in 0..self.jobs.len() {
                         while !self.jobs[j].done {
-                            if self.loads - start_loads >= self.config.max_loads {
-                                completed = false;
-                                break 'outer;
-                            }
                             if !self.step_job(j) {
                                 break;
                             }
@@ -268,10 +261,6 @@ impl StreamEngine {
                 }
                 Interleave::RoundRobin => {
                     for j in 0..self.jobs.len() {
-                        if self.loads - start_loads >= self.config.max_loads {
-                            completed = false;
-                            break 'outer;
-                        }
                         progressed |= self.step_job(j);
                     }
                 }
@@ -284,11 +273,8 @@ impl StreamEngine {
         RunReport {
             loads: self.loads - start_loads,
             metrics,
-            modeled_seconds: self
-                .config
-                .cost
-                .total_seconds(&metrics, self.config.workers),
-            completed,
+            modeled_seconds: self.cost.total_seconds(&metrics, self.config.workers),
+            completed: true,
         }
     }
 
@@ -340,15 +326,13 @@ impl StreamEngine {
 
     /// Modeled makespan so far.
     pub fn modeled_seconds(&self) -> f64 {
-        self.config
-            .cost
+        self.cost
             .total_seconds(self.ledger.metrics(), self.config.workers)
     }
 
     /// Modeled CPU utilization so far.
     pub fn utilization(&self) -> f64 {
-        self.config
-            .cost
+        self.cost
             .utilization(self.ledger.metrics(), self.config.workers)
     }
 }
@@ -379,7 +363,7 @@ impl cgraph_core::JobEngine for StreamEngine {
     }
 
     fn cost(&self) -> CostModel {
-        self.config.cost
+        self.cost
     }
 
     fn workers(&self) -> usize {
@@ -496,15 +480,6 @@ mod tests {
             private.bytes_disk_to_mem,
             shared.bytes_disk_to_mem
         );
-    }
-
-    #[test]
-    fn max_loads_stops_early() {
-        let mut e = engine(StreamConfig { max_loads: 3, ..StreamConfig::default() });
-        e.submit(Bfs);
-        let r = e.run();
-        assert!(!r.completed);
-        assert!(r.loads <= 3);
     }
 
     /// The sharded store is transparent to a streaming baseline: same

@@ -2,9 +2,7 @@
 //! (b) ratio of active partitions shared by more than k jobs.
 
 use cgraph_bench::print_table;
-use cgraph_trace::{
-    active_jobs_per_hour, generate_trace, sample_shared_ratios, SharedRatioConfig, TraceConfig,
-};
+use cgraph_trace::{active_jobs_per_hour, generate_trace, sample_shared_ratios, TraceConfig};
 
 fn main() {
     let cfg = TraceConfig::default();
@@ -35,7 +33,7 @@ fn main() {
     );
 
     // (b) shared-partition ratios at the paper's thresholds.
-    let ratios = sample_shared_ratios(&trace, cfg.hours, &SharedRatioConfig::default());
+    let ratios = sample_shared_ratios(&trace, cfg.hours);
     let thresholds = ["#>1", "#>2", "#>4", "#>8", "#>16"];
     let mut rows = Vec::new();
     for (h, row) in ratios.iter().enumerate().step_by(24) {

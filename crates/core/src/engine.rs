@@ -103,13 +103,14 @@ pub struct EngineConfig {
     /// branch, keeping results bit-identical to a fault-free engine
     /// (pinned by `tests/chaos.rs`).  When set and enabled, every
     /// planned slot fetch is admitted through the plane before its
-    /// round executes: transient faults retry under the plane's
-    /// [`RetryPolicy`](crate::fault::RetryPolicy) (retries priced into
-    /// the ledger as disk re-reads, modeled backoff folded into
-    /// pipeline time), exhausted budgets *quarantine* the slot's jobs
-    /// — typed [`FaultError`], [`Engine::job_fault`] — instead of
-    /// aborting the engine, and per-lane circuit breakers reroute
-    /// fetch storms to always-succeeding disk re-fetch pricing.
+    /// round executes: transient faults retry up to the plane's
+    /// [`FaultConfig::max_attempts`](crate::fault::FaultConfig::max_attempts)
+    /// tries (retries priced into the ledger as disk re-reads, modeled
+    /// backoff folded into pipeline time), exhausted budgets
+    /// *quarantine* the slot's jobs — typed [`FaultError`],
+    /// [`Engine::job_fault`] — instead of aborting the engine, and
+    /// per-lane circuit breakers reroute fetch storms to
+    /// always-succeeding disk re-fetch pricing.
     pub faults: Option<Arc<FaultPlane>>,
 }
 

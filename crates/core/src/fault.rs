@@ -9,10 +9,11 @@
 //! * **Shard fetch** (the engine's Load stage) — the fallible
 //!   boundary.  Each planned slot's fetch is
 //!   admitted through [`FaultPlane::admit_fetch`] on the main thread
-//!   before the round executes: transient faults are retried under the
-//!   [`RetryPolicy`] (exponential backoff, deterministic jitter,
-//!   per-attempt timeout, all in *modeled* seconds), retries are
-//!   charged into the `ChargeLedger` as disk re-reads, and an
+//!   before the round executes: transient faults are retried up to
+//!   [`FaultConfig::max_attempts`] tries (fixed exponential backoff,
+//!   deterministic jitter and per-attempt timeout, all in *modeled*
+//!   seconds), retries are charged into the `ChargeLedger` as disk
+//!   re-reads, and an
 //!   exhausted budget surfaces as a typed [`FaultError`] that
 //!   quarantines the slot's jobs instead of aborting the engine.
 //! * **Store boundaries** (WAL append/fsync, spill rehydrate, apply
@@ -152,44 +153,25 @@ impl std::fmt::Display for FaultError {
 
 impl std::error::Error for FaultError {}
 
-/// Retry behaviour applied at every fallible boundary.  All durations
-/// are modeled (virtual) seconds — the plane never sleeps.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// Total tries per operation, the first included; clamped to ≥ 1.
-    pub max_attempts: u32,
-    /// Backoff before the first retry, in modeled seconds.
-    pub backoff_base: f64,
-    /// Multiplier applied to the backoff per further retry.
-    pub backoff_mult: f64,
-    /// Fraction of each backoff drawn as deterministic jitter: the
-    /// modeled wait is `backoff * (1 - jitter + jitter * u)` with `u`
-    /// a per-attempt unit hash.  0 = no jitter.
-    pub jitter: f64,
-    /// Modeled seconds a faulted attempt burns before it is declared
-    /// failed (the per-attempt timeout).
-    pub attempt_timeout: f64,
-}
+/// Backoff before the first retry, in modeled seconds.  Retry timing
+/// is fixed; only [`FaultConfig::max_attempts`] is configurable.  All
+/// durations are modeled (virtual) seconds — the plane never sleeps.
+const BACKOFF_BASE: f64 = 1e-3;
+/// Multiplier applied to the backoff per further retry.
+const BACKOFF_MULT: f64 = 2.0;
+/// Fraction of each backoff drawn as deterministic jitter: the modeled
+/// wait is `backoff * (1 - JITTER + JITTER * u)` with `u` a per-attempt
+/// unit hash.
+const JITTER: f64 = 0.5;
+/// Modeled seconds a faulted attempt burns before it is declared
+/// failed (the per-attempt timeout).
+const ATTEMPT_TIMEOUT: f64 = 5e-3;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            backoff_base: 1e-3,
-            backoff_mult: 2.0,
-            jitter: 0.5,
-            attempt_timeout: 5e-3,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Modeled wait before retry `attempt` (1-based), jittered by the
-    /// unit hash `u` in `[0, 1)`.
-    fn backoff_seconds(&self, attempt: u32, u: f64) -> f64 {
-        let base = self.backoff_base * self.backoff_mult.powi(attempt.saturating_sub(1) as i32);
-        base * (1.0 - self.jitter + self.jitter * u)
-    }
+/// Modeled wait before retry `attempt` (1-based), jittered by the unit
+/// hash `u` in `[0, 1)`.
+fn backoff_seconds(attempt: u32, u: f64) -> f64 {
+    let base = BACKOFF_BASE * BACKOFF_MULT.powi(attempt.saturating_sub(1) as i32);
+    base * (1.0 - JITTER + JITTER * u)
 }
 
 /// Per-lane circuit-breaker tuning for the fetch boundary.
@@ -229,8 +211,9 @@ pub struct FaultConfig {
     pub spike_rate: f64,
     /// Modeled seconds one latency spike adds.
     pub spike_seconds: f64,
-    /// Retry behaviour at every boundary.
-    pub retry: RetryPolicy,
+    /// Total tries per operation at every boundary, the first
+    /// included; clamped to ≥ 1.
+    pub max_attempts: u32,
     /// Per-lane fetch circuit breakers.
     pub breaker: BreakerConfig,
     /// Inject a panic into the executor's trigger stage when it
@@ -247,7 +230,7 @@ impl Default for FaultConfig {
             store_rate: 0.0,
             spike_rate: 0.0,
             spike_seconds: 0.0,
-            retry: RetryPolicy::default(),
+            max_attempts: 4,
             breaker: BreakerConfig::default(),
             panic_chunk: None,
         }
@@ -436,8 +419,7 @@ impl FaultPlane {
         b: u64,
         c: u64,
     ) -> Result<(u32, f64), FaultError> {
-        let policy = &self.cfg.retry;
-        let max = policy.max_attempts.max(1);
+        let max = self.cfg.max_attempts.max(1);
         let tag = boundary.tag();
         let mut delay = 0.0;
         for attempt in 0..max {
@@ -456,11 +438,11 @@ impl FaultPlane {
                 return Ok((attempt, delay));
             }
             self.stats.injected.fetch_add(1, Ordering::Relaxed);
-            delay += policy.attempt_timeout;
+            delay += ATTEMPT_TIMEOUT;
             if attempt + 1 < max {
                 self.stats.retries.fetch_add(1, Ordering::Relaxed);
                 let u = unit(self.cfg.seed, tag ^ 0x4A49_5454, a, b, c, attempt);
-                delay += policy.backoff_seconds(attempt + 1, u);
+                delay += backoff_seconds(attempt + 1, u);
             }
         }
         self.stats.exhausted.fetch_add(1, Ordering::Relaxed);
@@ -589,7 +571,7 @@ mod tests {
         FaultPlane::new(FaultConfig {
             seed: 7,
             fetch_rate,
-            retry: RetryPolicy { max_attempts, ..RetryPolicy::default() },
+            max_attempts,
             breaker: BreakerConfig { trip_after: 0, cooldown_ops: 0 },
             ..FaultConfig::default()
         })
@@ -670,7 +652,7 @@ mod tests {
         let p = FaultPlane::new(FaultConfig {
             seed: 3,
             fetch_rate: 0.9,
-            retry: RetryPolicy { max_attempts: 64, ..RetryPolicy::default() },
+            max_attempts: 64,
             breaker: BreakerConfig { trip_after: 2, cooldown_ops: 3 },
             ..FaultConfig::default()
         });
@@ -753,11 +735,10 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_jitter_stays_bounded() {
-        let policy = RetryPolicy::default();
-        let lo = policy.backoff_seconds(1, 0.0);
-        let hi = policy.backoff_seconds(1, 1.0 - f64::EPSILON);
-        assert!(lo >= policy.backoff_base * (1.0 - policy.jitter) * 0.999);
-        assert!(hi <= policy.backoff_base * 1.001);
-        assert!(policy.backoff_seconds(3, 0.5) > policy.backoff_seconds(1, 0.5));
+        let lo = backoff_seconds(1, 0.0);
+        let hi = backoff_seconds(1, 1.0 - f64::EPSILON);
+        assert!(lo >= BACKOFF_BASE * (1.0 - JITTER) * 0.999);
+        assert!(hi <= BACKOFF_BASE * 1.001);
+        assert!(backoff_seconds(3, 0.5) > backoff_seconds(1, 0.5));
     }
 }

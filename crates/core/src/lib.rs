@@ -58,7 +58,7 @@ pub use engine::{Engine, EngineConfig, RunReport, SchedulerKind, SyncStrategy};
 pub use exec::{ChargeLedger, ExecError, JobTiming, SlotPlanner};
 pub use fault::{
     BreakerConfig, FaultBoundary, FaultConfig, FaultError, FaultKind, FaultPlane, FaultStats,
-    FetchAdmission, RetryPolicy,
+    FetchAdmission,
 };
 pub use incr::{IncrementalProgram, ResumeSubmit, Standing, StandingRunner};
 pub use job::{JobId, JobRuntime, ProcessStats, PushStats, TypedJob};

@@ -49,9 +49,6 @@ pub trait Scheduler: Send {
         }
         chosen
     }
-
-    /// Scheduler name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// The paper's correlations-aware priority scheduler:
@@ -152,10 +149,6 @@ impl Scheduler for PriorityScheduler {
         }
         best
     }
-
-    fn name(&self) -> &'static str {
-        "priority"
-    }
 }
 
 /// Fixed-order loading (lowest partition id first): the `CGraph-without`
@@ -173,10 +166,6 @@ impl Scheduler for OrderScheduler {
             }
         }
         best
-    }
-
-    fn name(&self) -> &'static str {
-        "fixed-order"
     }
 }
 

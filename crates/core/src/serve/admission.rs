@@ -96,18 +96,6 @@ impl<E> AdmissionController<E> {
         self.window
     }
 
-    /// Replaces the deferral window — the serve loop's brownout lever:
-    /// widening it under load trades admission latency for bigger,
-    /// better-shared waves.  Queued arrivals re-evaluate against the new
-    /// window at the next [`release`](Self::release).
-    pub fn set_window(&mut self, window: f64) {
-        assert!(
-            window.is_finite() && window >= 0.0,
-            "admission window must be finite and ≥ 0"
-        );
-        self.window = window;
-    }
-
     /// Queues an arrival (any offer order; the queue stays sorted by
     /// arrival time, ties keeping offer order).
     pub fn offer(&mut self, arrival: Arrival<E>) {

@@ -33,28 +33,11 @@ pub struct ServeConfig {
     /// never submitted, never journaled.  0 (the default) = unbounded,
     /// the pre-existing behavior.
     pub max_backlog: usize,
-    /// Brownout threshold: when the backlog reaches this depth — or a
-    /// job is quarantined by fault admission — the loop enters brownout
-    /// and widens the admission window by
-    /// [`brownout_factor`](Self::brownout_factor), trading admission
-    /// latency for bigger, better-shared waves; it exits (restoring the
-    /// configured window) once the backlog drains to half the
-    /// threshold.  0 (the default) disables brownout.
-    pub brownout_backlog: usize,
-    /// Multiplier applied to the admission window during brownout
-    /// (clamped to ≥ 1).
-    pub brownout_factor: f64,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig {
-            admission_window: 0.0,
-            time_scale: 1.0,
-            max_backlog: 0,
-            brownout_backlog: 0,
-            brownout_factor: 4.0,
-        }
+        ServeConfig { admission_window: 0.0, time_scale: 1.0, max_backlog: 0 }
     }
 }
 
@@ -111,14 +94,9 @@ pub struct ServeLoop {
     arrival_ewma: Option<f64>,
     /// Backlog bound for load shedding (0 = unbounded).
     max_backlog: usize,
-    /// Brownout entry threshold (0 = brownout disabled).
-    brownout_backlog: usize,
-    /// Window multiplier while browned out.
-    brownout_factor: f64,
-    /// The configured admission window, restored on brownout exit.
+    /// The configured admission window, reported in every
+    /// [`ServeReport`].
     base_window: f64,
-    /// Whether the loop is currently browned out.
-    brownout: bool,
     /// Offers shed at the admission door since construction.
     rejected: u64,
     /// Sheds already attributed to an earlier report — offers are shed
@@ -168,10 +146,7 @@ impl ServeLoop {
             last_arrival: None,
             arrival_ewma: None,
             max_backlog: config.max_backlog,
-            brownout_backlog: config.brownout_backlog,
-            brownout_factor: config.brownout_factor.max(1.0),
             base_window: config.admission_window,
-            brownout: false,
             rejected: 0,
             reported_rejected: 0,
             standing: Vec::new(),
@@ -446,38 +421,6 @@ impl ServeLoop {
         );
     }
 
-    /// Brownout hysteresis: enter when the backlog reaches the
-    /// threshold or fault admission has quarantined a job (the window
-    /// widens by the configured factor, so waves batch harder and the
-    /// engine catches up); exit — restoring the configured window —
-    /// once the backlog drains to half the threshold.
-    fn update_brownout(&mut self) {
-        if self.brownout_backlog == 0 {
-            return;
-        }
-        let pending = self.admission.pending();
-        if !self.brownout
-            && (pending >= self.brownout_backlog || self.engine.quarantined_count() > 0)
-        {
-            self.brownout = true;
-            // A zero base window widens to nothing: brownout is a
-            // batching lever, so it needs a window to widen (shedding
-            // still bounds a FIFO loop).
-            self.admission
-                .set_window(self.base_window * self.brownout_factor);
-            if self.rec.on() {
-                self.obs.registry().counter("serve_brownouts").inc();
-                self.obs.registry().gauge("serve_brownout").set(1.0);
-            }
-        } else if self.brownout && pending <= self.brownout_backlog / 2 {
-            self.brownout = false;
-            self.admission.set_window(self.base_window);
-            if self.rec.on() {
-                self.obs.registry().gauge("serve_brownout").set(0.0);
-            }
-        }
-    }
-
     /// Releases every due arrival into the engine, stamping admissions.
     fn admit_due(&mut self) -> bool {
         let wave = self.admission.release(self.clock, self.engine.store());
@@ -614,7 +557,6 @@ impl ServeLoop {
             .unwrap_or(0);
         let mut completed = true;
         loop {
-            self.update_brownout();
             let admitted = self.admit_due();
             let emitted = self.emit_standing();
             if admitted || emitted {

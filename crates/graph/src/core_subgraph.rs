@@ -133,10 +133,6 @@ impl Partitioner for CoreSubgraphPartitioner {
         }
         PartitionSet::assemble(chunks, edges.num_vertices())
     }
-
-    fn name(&self) -> &'static str {
-        "core-subgraph"
-    }
 }
 
 #[cfg(test)]

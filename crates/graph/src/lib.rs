@@ -77,7 +77,4 @@ pub use wal::{SegmentId, StoreError};
 pub trait Partitioner {
     /// Splits `edges` into partitions and builds the replica tables.
     fn partition(&self, edges: &EdgeList) -> PartitionSet;
-
-    /// A short human-readable name for reports and benchmarks.
-    fn name(&self) -> &'static str;
 }

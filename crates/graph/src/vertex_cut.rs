@@ -64,10 +64,6 @@ impl Partitioner for VertexCutPartitioner {
         let chunks = chunk_evenly(&sorted, self.num_partitions);
         PartitionSet::assemble(chunks, edges.num_vertices())
     }
-
-    fn name(&self) -> &'static str {
-        "equal-edge vertex cut"
-    }
 }
 
 /// Splits `edges` into exactly `k` chunks whose sizes differ by at most one.

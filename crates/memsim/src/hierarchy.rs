@@ -143,11 +143,6 @@ impl MemoryHierarchy {
     pub fn cache(&self) -> &LruCache {
         &self.cache
     }
-
-    /// Resets counters but keeps residency (for warm-cache intervals).
-    pub fn reset_metrics(&mut self) {
-        self.metrics = Metrics::default();
-    }
 }
 
 #[cfg(test)]
@@ -244,14 +239,5 @@ mod tests {
             }
         }
         assert!(thrash > h2.metrics().cache_miss_rate());
-    }
-
-    #[test]
-    fn reset_metrics_keeps_residency() {
-        let mut h = small();
-        h.access(obj(0), 50);
-        h.reset_metrics();
-        assert_eq!(h.metrics().cache_accesses, 0);
-        assert!(h.access(obj(0), 50).cache_hit);
     }
 }

@@ -41,15 +41,6 @@ pub enum CacheObject {
 }
 
 impl CacheObject {
-    /// Whether this object is graph-structure data (shared or per-job),
-    /// as opposed to job-specific vertex state.
-    pub fn is_structure(&self) -> bool {
-        matches!(
-            self,
-            CacheObject::Structure { .. } | CacheObject::JobStructure { .. }
-        )
-    }
-
     /// The partition this object belongs to.
     pub fn partition(&self) -> PartitionId {
         match *self {
@@ -69,8 +60,6 @@ mod tests {
         let shared = CacheObject::Structure { pid: 1, version: 0 };
         let per_job = CacheObject::JobStructure { job: 0, pid: 1, version: 0 };
         assert_ne!(shared, per_job);
-        assert!(shared.is_structure());
-        assert!(per_job.is_structure());
     }
 
     #[test]
@@ -82,9 +71,8 @@ mod tests {
     }
 
     #[test]
-    fn private_tables_are_not_structure() {
+    fn private_tables_report_their_partition() {
         let t = CacheObject::PrivateTable { job: 2, pid: 0 };
-        assert!(!t.is_structure());
         assert_eq!(t.partition(), 0);
     }
 }

@@ -11,5 +11,5 @@
 pub mod shared;
 pub mod workload;
 
-pub use shared::{sample_shared_ratios, shared_ratio, SharedRatioConfig};
+pub use shared::{sample_shared_ratios, shared_ratio};
 pub use workload::{active_jobs_per_hour, generate_trace, JobKind, JobSpan, TraceConfig};

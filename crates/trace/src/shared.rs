@@ -5,20 +5,10 @@ use rand::{Rng, SeedableRng};
 
 use crate::workload::JobSpan;
 
-/// How per-job active-partition sets are sampled when measuring sharing.
-#[derive(Clone, Copy, Debug)]
-pub struct SharedRatioConfig {
-    /// Number of graph partitions.
-    pub num_partitions: usize,
-    /// RNG seed for the per-job active sets.
-    pub seed: u64,
-}
-
-impl Default for SharedRatioConfig {
-    fn default() -> Self {
-        SharedRatioConfig { num_partitions: 64, seed: 0xBEEF }
-    }
-}
+/// Number of graph partitions the per-job active sets are drawn over.
+const NUM_PARTITIONS: usize = 64;
+/// RNG seed for the per-job active sets.
+const SEED: u64 = 0xBEEF;
 
 /// Fraction of *active* partitions (needed by ≥ 1 job) that are needed by
 /// **more than** `min_jobs` jobs — exactly the paper's Fig. 1(b) y-axis.
@@ -51,13 +41,9 @@ pub fn shared_ratio(job_sets: &[Vec<bool>], min_jobs: usize) -> f64 {
 /// Each running job's active set is drawn from its kind's coverage with a
 /// popularity skew: low-id partitions (the core subgraph) are active for
 /// every job, mirroring the skewed partition popularity the paper traces.
-pub fn sample_shared_ratios(
-    trace: &[JobSpan],
-    hours: u32,
-    cfg: &SharedRatioConfig,
-) -> Vec<[f64; 5]> {
+pub fn sample_shared_ratios(trace: &[JobSpan], hours: u32) -> Vec<[f64; 5]> {
     let thresholds = [1usize, 2, 4, 8, 16];
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = StdRng::seed_from_u64(SEED);
     (0..hours)
         .map(|h| {
             let t = h as f64 + 0.5;
@@ -66,12 +52,11 @@ pub fn sample_shared_ratios(
                 .filter(|s| s.active_at(t))
                 .map(|s| {
                     let coverage = s.kind.coverage();
-                    (0..cfg.num_partitions)
+                    (0..NUM_PARTITIONS)
                         .map(|p| {
                             // Popularity decays with partition id; hot
                             // partitions are in every job's active set.
-                            let popularity =
-                                1.0 - 0.6 * (p as f64 / cfg.num_partitions.max(1) as f64);
+                            let popularity = 1.0 - 0.6 * (p as f64 / NUM_PARTITIONS as f64);
                             rng.gen::<f64>() < coverage * popularity
                         })
                         .collect()
@@ -110,7 +95,7 @@ mod tests {
     fn ratios_monotone_in_threshold() {
         let cfg = TraceConfig::default();
         let trace = generate_trace(&cfg);
-        let rows = sample_shared_ratios(&trace, 48, &SharedRatioConfig::default());
+        let rows = sample_shared_ratios(&trace, 48);
         for row in rows {
             for w in row.windows(2) {
                 assert!(w[0] >= w[1], "row not monotone: {row:?}");
@@ -122,7 +107,7 @@ mod tests {
     fn busy_hours_share_more() {
         let cfg = TraceConfig::default();
         let trace = generate_trace(&cfg);
-        let rows = sample_shared_ratios(&trace, cfg.hours, &SharedRatioConfig::default());
+        let rows = sample_shared_ratios(&trace, cfg.hours);
         let counts = crate::workload::active_jobs_per_hour(&trace, cfg.hours);
         let busiest = (0..cfg.hours as usize).max_by_key(|&h| counts[h]).unwrap();
         let quietest = (0..cfg.hours as usize).min_by_key(|&h| counts[h]).unwrap();
@@ -136,7 +121,7 @@ mod tests {
         let cfg = TraceConfig::default();
         let trace = generate_trace(&cfg);
         let counts = crate::workload::active_jobs_per_hour(&trace, cfg.hours);
-        let rows = sample_shared_ratios(&trace, cfg.hours, &SharedRatioConfig::default());
+        let rows = sample_shared_ratios(&trace, cfg.hours);
         let busy: Vec<f64> = (0..cfg.hours as usize)
             .filter(|&h| counts[h] >= 4)
             .map(|h| rows[h][0])

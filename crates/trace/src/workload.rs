@@ -59,11 +59,6 @@ impl JobSpan {
         self.submit_hour <= t && t < self.end_hour
     }
 
-    /// The traced duration in hours.
-    pub fn duration_hours(&self) -> f64 {
-        self.end_hour - self.submit_hour
-    }
-
     /// Submission time rescaled to virtual seconds — the serving
     /// layer's clock unit.  `seconds_per_hour` compresses the trace so
     /// arrival gaps land on the same scale as modeled execution time
@@ -206,7 +201,6 @@ mod tests {
         let s = JobSpan { submit_hour: 2.5, end_hour: 4.0, kind: JobKind::Bfs };
         assert!((s.submit_seconds(3600.0) - 9000.0).abs() < 1e-9);
         assert!((s.submit_seconds(0.01) - 0.025).abs() < 1e-12);
-        assert!((s.duration_hours() - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Fault injection: serving a diurnal trace through a seeded chaos
-//! schedule with retries, circuit breakers, shedding, and brownout.
+//! schedule with retries, circuit breakers, and shedding.
 //!
 //! Builds one snapshot store and serves the same arrival trace three
 //! times: clean, under a moderate transient-fault schedule (retries and
 //! breakers absorb everything), and under a hostile schedule with a
-//! starved retry budget (jobs quarantine, admission sheds, the loop
-//! browns out — but the serve still drains and every surviving result
-//! is bit-identical to the clean run).  The whole schedule is a pure
+//! starved retry budget (jobs quarantine and admission sheds — but the
+//! serve still drains and every surviving result is bit-identical to
+//! the clean run).  The whole schedule is a pure
 //! hash of `(seed, boundary, coordinates, attempt)`: re-running this
 //! example reproduces every fault, retry, and trip exactly.
 //!
@@ -18,8 +18,7 @@ use std::sync::Arc;
 
 use cgraph::algos::trace_arrivals;
 use cgraph::core::{
-    Engine, EngineConfig, FaultConfig, FaultPlane, JobOutcome, RetryPolicy, ServeConfig, ServeLoop,
-    ServeReport,
+    Engine, EngineConfig, FaultConfig, FaultPlane, JobOutcome, ServeConfig, ServeLoop, ServeReport,
 };
 use cgraph::graph::snapshot::SnapshotStore;
 use cgraph::graph::vertex_cut::VertexCutPartitioner;
@@ -55,9 +54,6 @@ fn serve_under(
             time_scale: 1.0,
             // Bounded backlog: offers over this shed instead of queueing.
             max_backlog: 24,
-            // Past this depth (or any quarantine) the window widens 4x.
-            brownout_backlog: 12,
-            ..ServeConfig::default()
         },
     );
     serve.offer_all(trace_arrivals(trace, SECONDS_PER_HOUR, 64));
@@ -124,15 +120,15 @@ fn main() {
     println!("{}", row("moderate", &faulted, &faulted_plane));
 
     // Hostile chaos: a third of fetches fail, some permanently, and the
-    // retry budget is starved — quarantines and shedding kick in, the
-    // admission window browns out, and the loop still drains.
+    // retry budget is starved — quarantines and shedding kick in, and
+    // the loop still drains.
     let hostile = FaultConfig {
         seed: SEED,
         fetch_rate: 0.35,
         permanent_rate: 0.05,
         spike_rate: 0.2,
         spike_seconds: 5e-3,
-        retry: RetryPolicy { max_attempts: 2, ..RetryPolicy::default() },
+        max_attempts: 2,
         ..FaultConfig::default()
     };
     let (degraded, degraded_plane) = serve_under(&store, &trace, hostile);
@@ -167,8 +163,8 @@ fn main() {
         s.delay_micros as f64 / 1e3,
     );
     println!(
-        "degradation: {} quarantined (typed), {} shed at admission, brownout widened \
-         the window to keep draining",
+        "degradation: {} quarantined (typed), {} shed at admission, and the serve \
+         still drained",
         degraded.quarantined, degraded.rejected,
     );
     println!("\nre-run it: same seed, same storm, bit for bit.");

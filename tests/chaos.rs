@@ -22,8 +22,8 @@ use proptest::prelude::*;
 
 use cgraph::algos::{trace_arrivals, Bfs, Reachability, Sssp, Wcc};
 use cgraph::core::{
-    Engine, EngineConfig, FaultBoundary, FaultConfig, FaultPlane, FaultStats, RetryPolicy,
-    ServeConfig, ServeLoop,
+    Engine, EngineConfig, FaultBoundary, FaultConfig, FaultPlane, FaultStats, ServeConfig,
+    ServeLoop,
 };
 use cgraph::graph::snapshot::{ShardedSnapshotStore, SnapshotStore};
 use cgraph::graph::vertex_cut::VertexCutPartitioner;
@@ -219,7 +219,7 @@ fn aggressive_faults_quarantine_typed_without_hang() {
     let plane = FaultPlane::new(FaultConfig {
         seed: 7,
         fetch_rate: 0.98,
-        retry: RetryPolicy { max_attempts: 1, ..RetryPolicy::default() },
+        max_attempts: 1,
         // Breakers off: every fetch draws, nothing reroutes to safety.
         breaker: cgraph::core::BreakerConfig { trip_after: 0, ..Default::default() },
         ..FaultConfig::default()
@@ -279,6 +279,57 @@ fn disabled_plane_is_bit_identical_to_no_plane() {
         "an undrawable config makes an inert plane"
     );
     assert_eq!(digest(Some(zero)), digest(None));
+}
+
+/// A spike-only plane never faults a fetch: it only adds modeled delay.
+/// Results, loads and metrics match the clean run, and the modeled
+/// seconds grow by exactly `spikes × spike_seconds` — so ignoring either
+/// `spike_rate` or `spike_seconds` on the fetch path fails here.
+#[test]
+fn fetch_spikes_only_add_modeled_delay() {
+    let store = shared_store(1);
+    let run = |faults: Option<Arc<FaultPlane>>| {
+        let mut engine = Engine::new(
+            Arc::clone(store),
+            EngineConfig {
+                workers: 2,
+                wavefront: 4,
+                hierarchy: tight_hierarchy(store),
+                faults,
+                ..EngineConfig::default()
+            },
+        );
+        let bfs = engine.submit_at(Bfs::new(0), 0);
+        let wcc = engine.submit_at(Wcc, 80);
+        let report = engine.run();
+        assert!(report.completed);
+        let results = (
+            engine.results::<Bfs>(bfs).unwrap(),
+            engine.results::<Wcc>(wcc).unwrap(),
+        );
+        (results, report)
+    };
+    let spike_seconds = 1e-3;
+    let plane = FaultPlane::new(FaultConfig {
+        seed: 13,
+        spike_rate: 0.5,
+        spike_seconds,
+        ..FaultConfig::default()
+    });
+    let (clean_results, clean) = run(None);
+    let (spiked_results, spiked) = run(Some(Arc::clone(&plane)));
+    let stats = plane.stats();
+    assert!(stats.spikes > 0, "a 50% spike rate must spike some fetch");
+    assert_eq!(stats.injected, 0, "a spike-only plane injects no fault");
+    assert_eq!(spiked_results, clean_results);
+    assert_eq!(spiked.loads, clean.loads);
+    assert_eq!(spiked.metrics, clean.metrics);
+    let added = spiked.modeled_seconds - clean.modeled_seconds;
+    let want = stats.spikes as f64 * spike_seconds;
+    assert!(
+        (added - want).abs() < 1e-9,
+        "spikes added {added} s of modeled time, expected {want} s"
+    );
 }
 
 /// Store-side faults are fail-open: a durable store wired to a plane
@@ -356,13 +407,7 @@ fn journaled_and_plain_serving_agree_under_chaos() {
                 ..EngineConfig::default()
             },
         );
-        let config = ServeConfig {
-            admission_window: 0.01,
-            time_scale: 1.0,
-            max_backlog,
-            brownout_backlog: max_backlog / 2,
-            ..ServeConfig::default()
-        };
+        let config = ServeConfig { admission_window: 0.01, time_scale: 1.0, max_backlog };
         let mut sl = if journal {
             let path = std::env::temp_dir()
                 .join(format!("cgraph-chaos-journal-{}.wal", std::process::id()));
@@ -462,7 +507,7 @@ fn refaulting_probe_reopens_and_reroute_pricing_stays_lane_correct() {
         let plane = FaultPlane::new(FaultConfig {
             seed: 41,
             fetch_rate: 0.35,
-            retry: RetryPolicy { max_attempts: 2, ..RetryPolicy::default() },
+            max_attempts: 2,
             breaker: cgraph::core::BreakerConfig { trip_after: 1, cooldown_ops: 1 },
             ..FaultConfig::default()
         });

@@ -458,12 +458,7 @@ fn journal_seq_survives_a_different_max_backlog() {
             })
             .collect()
     };
-    let cfg = |max_backlog| ServeConfig {
-        admission_window: 0.0,
-        time_scale: 1.0,
-        max_backlog,
-        ..ServeConfig::default()
-    };
+    let cfg = |max_backlog| ServeConfig { admission_window: 0.0, time_scale: 1.0, max_backlog };
 
     // Incarnation 1, backlog 4: the whole trace is offered up front, so
     // offers 4..12 are shed under backlog pressure (they still consume
