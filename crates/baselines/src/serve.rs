@@ -9,7 +9,7 @@
 //! batch to drain (its queue wait absorbs the batch's remaining
 //! execution), and completions resolve at batch granularity.
 
-use cgraph_core::serve::{Arrival, JobLatency, JobOutcome, ServeReport};
+use cgraph_core::serve::{AdmissionController, Arrival, JobLatency, JobOutcome, ServeReport};
 
 use crate::stream::StreamEngine;
 
@@ -18,8 +18,9 @@ use crate::stream::StreamEngine;
 /// [`ServeLoop`](cgraph_core::ServeLoop) emits.
 pub struct FifoServe {
     engine: StreamEngine,
-    /// Pending arrivals, ascending by arrival time.
-    queue: Vec<Arrival<StreamEngine>>,
+    /// Pending arrivals at window 0: each release is the due FIFO
+    /// prefix.
+    queue: AdmissionController<StreamEngine>,
     time_scale: f64,
     clock: f64,
 }
@@ -33,17 +34,12 @@ impl FifoServe {
             time_scale.is_finite() && time_scale > 0.0,
             "time scale must be finite and > 0"
         );
-        FifoServe { engine, queue: Vec::new(), time_scale, clock: 0.0 }
+        FifoServe { engine, queue: AdmissionController::new(0.0), time_scale, clock: 0.0 }
     }
 
     /// Queues one arrival.
     pub fn offer(&mut self, arrival: Arrival<StreamEngine>) {
-        let pos = self
-            .queue
-            .iter()
-            .rposition(|a| a.at <= arrival.at)
-            .map_or(0, |p| p + 1);
-        self.queue.insert(pos, arrival);
+        self.queue.offer(arrival);
     }
 
     /// Queues a whole stream of arrivals.
@@ -66,18 +62,15 @@ impl FifoServe {
     /// Serves the stream to exhaustion under FIFO admission.
     pub fn serve(&mut self) -> ServeReport {
         let mut jobs: Vec<JobLatency> = Vec::new();
-        let mut pending = std::mem::take(&mut self.queue).into_iter().peekable();
         let (mut waves, mut batches) = (0u64, 0u64);
         let (mut loads, mut modeled) = (0u64, 0.0f64);
         let mut completed = true;
-        while pending.peek().is_some() {
+        while let Some(next_at) = self.queue.next_deadline() {
             // Jump to the next arrival if the engine went idle earlier.
-            let next_at = pending.peek().expect("peeked non-empty").at;
             self.clock = self.clock.max(next_at);
             // Admit everything due, strictly in arrival order.
             let batch_start = jobs.len();
-            while pending.peek().is_some_and(|a| a.at <= self.clock) {
-                let a = pending.next().expect("peeked in-range arrival");
+            for a in self.queue.release(self.clock, self.engine.store()) {
                 let (at, name, ts) = (a.at, a.name, a.bind_timestamp());
                 let id = a.submit(&mut self.engine, ts);
                 jobs.push(JobLatency {
@@ -206,6 +199,41 @@ mod tests {
             late.arrival
         );
         assert_eq!(late.admitted, report.jobs[0].completed);
+    }
+
+    #[test]
+    fn out_of_order_offers_serve_in_arrival_order() {
+        let ps = VertexCutPartitioner::new(8).partition(&generate::cycle(32));
+        let mut serve = FifoServe::new(
+            StreamEngine::from_partitions(ps, StreamConfig::default()),
+            1.0,
+        );
+        let named = |at: f64, name: &'static str| {
+            Arrival::new(at, name, |e: &mut StreamEngine, ts| {
+                e.submit_program_at(Bfs, ts)
+            })
+        };
+        // Offered out of order; "a" and "b" tie at 0.0 and "d" arrives
+        // while the first batch runs.
+        serve.offer_all([
+            named(1e-9, "d"),
+            named(0.0, "a"),
+            named(0.0, "b"),
+            named(5.0, "e"),
+        ]);
+        let report = serve.serve();
+        let names: Vec<&str> = report.jobs.iter().map(|j| j.name).collect();
+        assert_eq!(
+            names,
+            ["a", "b", "d", "e"],
+            "arrival order, ties in offer order"
+        );
+        assert_eq!(report.waves, 3);
+        // One batch per wave: each batch's rows share its drain stamp.
+        let (first, rest) = report.jobs.split_at(2);
+        assert_eq!(first[0].completed, first[1].completed);
+        assert!(rest[0].completed > first[0].completed);
+        assert!(rest[1].completed > rest[0].completed);
     }
 
     #[test]

@@ -11,7 +11,6 @@ use cgraph_graph::snapshot::SnapshotStore;
 use cgraph_graph::PartitionSet;
 use cgraph_memsim::{CostModel, HierarchyConfig, JobMetrics, Metrics};
 
-use crate::exec::ledger::JobTiming;
 use crate::exec::wavefront::RoundBuffers;
 use crate::exec::{ChargeLedger, ExecError, SlotPlanner};
 use crate::fault::{FaultError, FaultPlane};
@@ -266,7 +265,14 @@ impl Engine {
     pub fn submit_at<P: VertexProgram>(&mut self, program: P, ts: u64) -> JobId {
         let id = self.jobs.len() as JobId;
         let view = self.store.view_at(ts);
-        let runtime = TypedJob::new(id, program, view).observed(&self.obs);
+        self.push_job(TypedJob::new(id, program, view))
+    }
+
+    /// Registers a freshly built job under the next id: observed, in
+    /// the job table, the ledger and the planner.
+    fn push_job<P: VertexProgram>(&mut self, runtime: TypedJob<P>) -> JobId {
+        let id = self.jobs.len() as JobId;
+        let runtime = runtime.observed(&self.obs);
         let done = runtime.is_converged();
         self.jobs
             .push(JobEntry { runtime: Box::new(runtime), done, quarantined: None });
@@ -321,15 +327,8 @@ impl Engine {
             return ResumeSubmit { job: self.submit_at(program, ts), seeded: false };
         }
         let summary = summary.expect("seedable implies Some");
-        let runtime =
-            TypedJob::resume_from(id, program, view, prior, &summary.touched).observed(&self.obs);
-        let done = runtime.is_converged();
-        self.jobs
-            .push(JobEntry { runtime: Box::new(runtime), done, quarantined: None });
-        self.ledger.register_job();
-        let runtime = &*self.jobs[id as usize].runtime;
-        self.planner.track_job(id as usize, runtime, !done);
-        ResumeSubmit { job: id, seeded: true }
+        let runtime = TypedJob::resume_from(id, program, view, prior, &summary.touched);
+        ResumeSubmit { job: self.push_job(runtime), seeded: true }
     }
 
     /// Retires jobs that converged outside a Push of their own (kept
@@ -585,25 +584,6 @@ impl Engine {
     /// Per-job attributed metrics.
     pub fn job_metrics(&self, job: JobId) -> JobMetrics {
         self.ledger.job_metrics(job as usize)
-    }
-
-    /// Records a served job's arrival and admission times (virtual
-    /// seconds) in the ledger — called by the serving layer at the
-    /// moment it releases the job from its admission queue.
-    pub fn record_admission(&mut self, job: JobId, arrival: f64, admitted: f64) {
-        self.ledger
-            .record_admission(job as usize, arrival, admitted);
-    }
-
-    /// Records a served job's convergence time (virtual seconds).
-    /// Idempotent: only the first completion sticks.
-    pub fn record_completion(&mut self, job: JobId, at: f64) {
-        self.ledger.record_completion(job as usize, at);
-    }
-
-    /// The job's serve-layer timing, if it was admitted through one.
-    pub fn job_timing(&self, job: JobId) -> Option<JobTiming> {
-        self.ledger.job_timing(job as usize)
     }
 
     /// Number of submitted jobs.

@@ -15,40 +15,11 @@ use cgraph_memsim::{
 use crate::engine::SyncStrategy;
 use crate::job::{JobRuntime, ProcessStats, PushStats};
 
-/// Virtual-time lifecycle of one served job: when it arrived at the
-/// admission queue, when the serving layer released it into the engine,
-/// and when it converged.  All times are virtual seconds on the serve
-/// loop's clock.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct JobTiming {
-    /// Arrival at the admission queue.
-    pub arrival: f64,
-    /// Release from the queue into the engine.
-    pub admitted: f64,
-    /// Convergence, once observed (`None` while running).
-    pub completed: Option<f64>,
-}
-
-impl JobTiming {
-    /// Queue wait: admission minus arrival (≥ 0 by construction).
-    pub fn wait(&self) -> f64 {
-        self.admitted - self.arrival
-    }
-
-    /// End-to-end latency: convergence minus arrival.
-    pub fn latency(&self) -> Option<f64> {
-        self.completed.map(|c| c - self.arrival)
-    }
-}
-
 /// Owns the simulated hierarchy plus the per-job attributed metrics, and
 /// exposes the only mutation paths engines use to charge work to them.
 pub struct ChargeLedger {
     hierarchy: MemoryHierarchy,
     job_metrics: Vec<JobMetrics>,
-    /// Serve-layer timings, parallel to `job_metrics` (`None` for jobs
-    /// submitted outside an admission controller).
-    timings: Vec<Option<JobTiming>>,
     /// Disk → memory bytes charged through each shard's stage-one I/O
     /// lane (grown on demand; empty while no lane saw disk traffic).
     shard_fetch_bytes: Vec<u64>,
@@ -75,7 +46,6 @@ impl ChargeLedger {
         ChargeLedger {
             hierarchy: MemoryHierarchy::new(config),
             job_metrics: Vec::new(),
-            timings: Vec::new(),
             shard_fetch_bytes: Vec::new(),
             spill_fetch_bytes: Vec::new(),
             retry_fetch_bytes: Vec::new(),
@@ -85,29 +55,6 @@ impl ChargeLedger {
     /// Adds an attribution slot for a newly submitted job.
     pub fn register_job(&mut self) {
         self.job_metrics.push(JobMetrics::default());
-        self.timings.push(None);
-    }
-
-    /// Records a served job's arrival and admission times (no-op for
-    /// unknown jobs, like the sibling accessors).
-    pub fn record_admission(&mut self, job: usize, arrival: f64, admitted: f64) {
-        if let Some(slot) = self.timings.get_mut(job) {
-            *slot = Some(JobTiming { arrival, admitted, completed: None });
-        }
-    }
-
-    /// Records a served job's convergence time; only the first sticks.
-    pub fn record_completion(&mut self, job: usize, at: f64) {
-        if let Some(Some(t)) = self.timings.get_mut(job) {
-            if t.completed.is_none() {
-                t.completed = Some(at);
-            }
-        }
-    }
-
-    /// A job's serve-layer timing, if one was recorded.
-    pub fn job_timing(&self, job: usize) -> Option<JobTiming> {
-        self.timings.get(job).copied().flatten()
     }
 
     /// Accesses `obj` (`bytes` big) on behalf of `job`: the transfer is
@@ -325,25 +272,6 @@ mod tests {
     fn out_of_range_job_metrics_default() {
         let l = ledger();
         assert_eq!(l.job_metrics(99), JobMetrics::default());
-    }
-
-    #[test]
-    fn timings_record_once_and_expose_wait_and_latency() {
-        let mut l = ledger();
-        assert_eq!(l.job_timing(0), None, "no timing before admission");
-        l.record_admission(0, 1.0, 3.5);
-        let t = l.job_timing(0).unwrap();
-        assert_eq!(t.wait(), 2.5);
-        assert_eq!(t.latency(), None, "still running");
-        l.record_completion(0, 10.0);
-        l.record_completion(0, 99.0); // idempotent: first completion sticks
-        let t = l.job_timing(0).unwrap();
-        assert_eq!(t.completed, Some(10.0));
-        assert_eq!(t.latency(), Some(9.0));
-        // Untimed and out-of-range jobs stay None.
-        l.record_completion(1, 5.0);
-        assert_eq!(l.job_timing(1), None);
-        assert_eq!(l.job_timing(42), None);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod planner;
 pub mod prefetch;
 pub mod wavefront;
 
-pub use ledger::{ChargeLedger, JobTiming};
+pub use ledger::ChargeLedger;
 pub use planner::{SlotKey, SlotPlanner};
 pub use prefetch::pipeline_makespan;
 pub use wavefront::{flowshop_makespan, ExecError};

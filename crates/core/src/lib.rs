@@ -55,7 +55,7 @@ pub mod state;
 
 pub use api::JobEngine;
 pub use engine::{Engine, EngineConfig, RunReport, SchedulerKind, SyncStrategy};
-pub use exec::{ChargeLedger, ExecError, JobTiming, SlotPlanner};
+pub use exec::{ChargeLedger, ExecError, SlotPlanner};
 pub use fault::{
     BreakerConfig, FaultBoundary, FaultConfig, FaultError, FaultKind, FaultPlane, FaultStats,
     FetchAdmission,
@@ -66,8 +66,8 @@ pub use obs::{Observer, Recorder, Registry, TraceDump};
 pub use program::{EdgeDirection, VertexInfo, VertexProgram};
 pub use scheduler::{OrderScheduler, PriorityScheduler, Scheduler, SlotInfo};
 pub use serve::{
-    AdmissionController, Arrival, JobLatency, JobOutcome, JobRow, ServeConfig, ServeJournal,
-    ServeLoop, ServeReport,
+    AdmissionController, Arrival, JobLatency, JobOutcome, ServeConfig, ServeJournal, ServeLoop,
+    ServeReport,
 };
 
 use std::sync::{Mutex, MutexGuard, PoisonError};

@@ -19,8 +19,8 @@
 //! * [`ServeLoop`] — interleaves admission with execution round by
 //!   round through [`Engine::step_round`](crate::Engine::step_round),
 //!   advancing virtual time by each round's modeled makespan and
-//!   stamping per-job queue-wait / completion times through the
-//!   [`ChargeLedger`](crate::ChargeLedger).
+//!   stamping each served job's arrival, admission and completion in
+//!   its own served-job table (the engine keeps no serving state).
 //! * [`ServeReport`] — throughput, mean/p50/p99 latency, loads, and the
 //!   spared-loads comparison against a FIFO run.
 //!
@@ -38,5 +38,5 @@ pub mod serve_loop;
 
 pub use admission::{AdmissionController, Arrival};
 pub use journal::{JournalEntry, ServeJournal};
-pub use report::{JobLatency, JobOutcome, JobRow, ServeReport};
+pub use report::{JobLatency, JobOutcome, ServeReport};
 pub use serve_loop::{ServeConfig, ServeLoop};

@@ -31,7 +31,9 @@ impl JobOutcome {
 /// One served job's virtual-time lifecycle, fully resolved.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct JobLatency {
-    /// Engine job id.
+    /// Engine job id — or, for a lifecycle a journaling
+    /// [`ServeLoop`](super::ServeLoop) replayed instead of running, the
+    /// offer's offer-order sequence number.
     pub job: JobId,
     /// Job-kind display name.
     pub name: &'static str,
@@ -55,25 +57,6 @@ impl JobLatency {
     pub fn latency(&self) -> f64 {
         self.completed - self.arrival
     }
-}
-
-/// One row of [`ServeReport::per_job`]: a served job's identity plus
-/// the derived wait/latency figures callers previously re-derived from
-/// the raw [`JobLatency`] stamps.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct JobRow {
-    /// Engine job id.
-    pub job: JobId,
-    /// Job-kind display name.
-    pub name: &'static str,
-    /// Arrival at the admission queue (virtual seconds).
-    pub arrival: f64,
-    /// Queue wait: admission minus arrival.
-    pub wait: f64,
-    /// End-to-end latency: convergence minus arrival.
-    pub latency: f64,
-    /// How the lifecycle ended (completed / truncated / quarantined).
-    pub outcome: JobOutcome,
 }
 
 /// Summary of one serving run over an arrival stream.
@@ -110,7 +93,9 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Builds a report, deriving the makespan from the job lifecycles.
+    /// Builds a report, deriving the makespan from the job lifecycles;
+    /// the degradation counters (`rejected`, `quarantined`, `retries`)
+    /// start at 0 for the caller to set.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         engine: &'static str,
@@ -142,33 +127,6 @@ impl ServeReport {
             quarantined: 0,
             retries: 0,
         }
-    }
-
-    /// Attaches the degradation counters (load-shed rejections,
-    /// quarantined jobs, fault-plane retries) to a report built with
-    /// [`new`](Self::new) — zero for engines without a fault plane.
-    pub fn with_counts(mut self, rejected: u64, quarantined: u64, retries: u64) -> Self {
-        self.rejected = rejected;
-        self.quarantined = quarantined;
-        self.retries = retries;
-        self
-    }
-
-    /// Per-job wait/latency rows, in admission order — the one-stop
-    /// accessor for tables and bench JSON (no re-deriving from the raw
-    /// arrival/admitted/completed stamps).
-    pub fn per_job(&self) -> Vec<JobRow> {
-        self.jobs
-            .iter()
-            .map(|j| JobRow {
-                job: j.job,
-                name: j.name,
-                arrival: j.arrival,
-                wait: j.wait(),
-                latency: j.latency(),
-                outcome: j.outcome,
-            })
-            .collect()
     }
 
     /// Jobs served per virtual second of makespan (0 for an empty or

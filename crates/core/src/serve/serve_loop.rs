@@ -13,11 +13,6 @@ use crate::serve::admission::{AdmissionController, Arrival};
 use crate::serve::journal::{JournalEntry, ServeJournal};
 use crate::serve::report::{JobLatency, JobOutcome, ServeReport};
 
-/// Smoothing factor of the arrival-rate EWMA gauge: each new
-/// inter-arrival sample carries 20% weight, so the gauge tracks bursts
-/// within ~5 arrivals without whiplashing on a single gap.
-const ARRIVAL_EWMA_ALPHA: f64 = 0.2;
-
 /// Serving-layer configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
@@ -53,20 +48,20 @@ impl Default for ServeConfig {
 /// 3. stamp completions for jobs that converged, then repeat; when the
 ///    engine idles, jump the clock to the next admission deadline.
 ///
-/// Queue wait and end-to-end latency flow through the engine's
-/// [`ChargeLedger`](crate::ChargeLedger)
-/// ([`Engine::record_admission`] / [`Engine::record_completion`]) and
-/// surface in the final [`ServeReport`].
+/// The loop alone keeps each served job's lifecycle stamps (arrival,
+/// admission, completion) in one table; the engine knows nothing of
+/// serving.  Each [`serve`](Self::serve) call drains the table into its
+/// [`ServeReport`], so the loop's per-job history is bounded by one
+/// call's admissions.
 pub struct ServeLoop {
     engine: Engine,
     admission: AdmissionController<Engine>,
     time_scale: f64,
     clock: f64,
-    /// Every admitted job, in admission order, with its offer-order
-    /// journal sequence (when journaling).
-    tracked: Vec<(JobId, &'static str, Option<u64>)>,
-    /// Admitted jobs not yet stamped complete.
-    open: Vec<JobId>,
+    /// This `serve` call's admitted jobs, in admission order.
+    served: Vec<Served>,
+    /// Indices into `served` of the jobs not yet stamped complete.
+    open: Vec<usize>,
     waves: u64,
     rounds: u64,
     /// Durable completion journal (restartable serving only).
@@ -88,10 +83,6 @@ pub struct ServeLoop {
     obs: Arc<Observer>,
     /// Serve-thread event recorder (admission defer/release, rounds).
     rec: Recorder,
-    /// Previous arrival's virtual time (EWMA inter-arrival sampling).
-    last_arrival: Option<f64>,
-    /// Smoothed arrival rate in jobs per virtual second.
-    arrival_ewma: Option<f64>,
     /// Backlog bound for load shedding (0 = unbounded).
     max_backlog: usize,
     /// The configured admission window, reported in every
@@ -110,8 +101,23 @@ pub struct ServeLoop {
     standing: Vec<Box<dyn StandingRunner>>,
     /// Per-runner index into the version list of the next emission.
     standing_next: Vec<usize>,
-    /// Standing emissions not yet resolved: (runner, job, bind ts).
-    standing_open: Vec<(usize, JobId, u64)>,
+}
+
+/// One admitted job's lifecycle in virtual seconds, kept from
+/// admission until the report that covers it.
+#[derive(Clone, Copy)]
+struct Served {
+    job: JobId,
+    name: &'static str,
+    /// Offer-order journal sequence (journaling only).
+    seq: Option<u64>,
+    arrival: f64,
+    admitted: f64,
+    /// Convergence or quarantine stamp (`None` while open).
+    completed: Option<f64>,
+    /// A standing emission's runner and bind timestamp: harvested into
+    /// the runner's prior when it converges.
+    standing: Option<(usize, u64)>,
 }
 
 impl ServeLoop {
@@ -132,7 +138,7 @@ impl ServeLoop {
             admission: AdmissionController::new(config.admission_window),
             time_scale: config.time_scale,
             clock: 0.0,
-            tracked: Vec::new(),
+            served: Vec::new(),
             open: Vec::new(),
             waves: 0,
             rounds: 0,
@@ -143,15 +149,12 @@ impl ServeLoop {
             resumed_count: 0,
             obs,
             rec,
-            last_arrival: None,
-            arrival_ewma: None,
             max_backlog: config.max_backlog,
             base_window: config.admission_window,
             rejected: 0,
             reported_rejected: 0,
             standing: Vec::new(),
             standing_next: Vec::new(),
-            standing_open: Vec::new(),
         }
     }
 
@@ -188,30 +191,21 @@ impl ServeLoop {
     /// Queues one arrival.  Under a journal
     /// ([`with_journal`](Self::with_journal)), an offer a previous
     /// incarnation completed is consumed here instead: its journaled
-    /// lifecycle goes straight to the next report.  With a bounded
+    /// lifecycle goes straight to the next report, with the offer-order
+    /// sequence number as its [`JobLatency::job`] (no engine job ever
+    /// ran it in this incarnation).  With a bounded
     /// backlog ([`ServeConfig::max_backlog`]), an offer arriving over a
     /// full queue is *shed*: counted as rejected, never submitted, never
     /// journaled.  Shed offers still consume their offer-order sequence
     /// number, so journal identity is stable across restarts.
-    pub fn offer(&mut self, arrival: Arrival) {
+    pub fn offer(&mut self, mut arrival: Arrival) {
         if self.rec.on() {
             self.note_arrival(arrival.at);
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        if let Some(journal) = &self.journal {
-            if let Some(entry) = journal.entry(seq) {
-                self.resumed.push(JobLatency {
-                    job: seq as JobId,
-                    name: arrival.name,
-                    arrival: entry.arrival,
-                    admitted: entry.admitted,
-                    completed: entry.completed,
-                    outcome: JobOutcome::Completed,
-                });
-                self.resumed_count += 1;
-                return;
-            }
+        if self.replay(seq, arrival.name) {
+            return;
         }
         if self.max_backlog > 0 && self.admission.pending() >= self.max_backlog {
             self.rejected += 1;
@@ -227,13 +221,27 @@ impl ServeLoop {
             }
             return;
         }
-        if self.journal.is_some() {
-            let mut arrival = arrival;
-            arrival.seq = Some(seq);
-            self.admission.offer(arrival);
-            return;
-        }
+        arrival.seq = self.journal.is_some().then_some(seq);
         self.admission.offer(arrival);
+    }
+
+    /// Consumes offer-order sequence `seq` when the journal shows a
+    /// previous incarnation completed it: its journaled lifecycle,
+    /// keyed by `seq`, goes to the next report.
+    fn replay(&mut self, seq: u64, name: &'static str) -> bool {
+        let Some(entry) = self.journal.as_ref().and_then(|j| j.entry(seq)) else {
+            return false;
+        };
+        self.resumed.push(JobLatency {
+            job: seq as JobId,
+            name,
+            arrival: entry.arrival,
+            admitted: entry.admitted,
+            completed: entry.completed,
+            outcome: JobOutcome::Completed,
+        });
+        self.resumed_count += 1;
+        true
     }
 
     /// Queues a whole stream of arrivals.
@@ -331,38 +339,28 @@ impl ServeLoop {
             self.standing_next[r] += 1;
             let seq = self.next_seq;
             self.next_seq += 1;
-            if let Some(journal) = &self.journal {
-                if let Some(entry) = journal.entry(seq) {
-                    self.resumed.push(JobLatency {
-                        job: seq as JobId,
-                        name: self.standing[r].name(),
-                        arrival: entry.arrival,
-                        admitted: entry.admitted,
-                        completed: entry.completed,
-                        outcome: JobOutcome::Completed,
-                    });
-                    self.resumed_count += 1;
-                    // The replayed emission's result is unknown to this
-                    // incarnation: drop the prior so the next live
-                    // emission recomputes from scratch.
-                    self.standing[r].invalidate();
-                    continue;
-                }
+            let name = self.standing[r].name();
+            if self.replay(seq, name) {
+                // The replayed emission's result is unknown to this
+                // incarnation: drop the prior so the next live
+                // emission recomputes from scratch.
+                self.standing[r].invalidate();
+                continue;
             }
-            let id = self.standing[r].resubmit(&mut self.engine, ts);
-            self.engine.record_admission(id, ts as f64, self.clock);
-            let seq = self.journal.is_some().then_some(seq);
-            self.tracked.push((id, self.standing[r].name(), seq));
-            self.open.push(id);
-            self.standing_open.push((r, id, ts));
+            let job = self.standing[r].resubmit(&mut self.engine, ts);
+            self.open.push(self.served.len());
+            self.served.push(Served {
+                job,
+                name,
+                seq: self.journal.is_some().then_some(seq),
+                arrival: ts as f64,
+                admitted: self.clock,
+                completed: None,
+                standing: Some((r, ts)),
+            });
             emitted = true;
         }
         emitted
-    }
-
-    /// The current virtual time.
-    pub fn clock(&self) -> f64 {
-        self.clock
     }
 
     /// Offers skipped because the journal showed a previous incarnation
@@ -394,24 +392,11 @@ impl ServeLoop {
     }
 
     /// Observability tap for one offered arrival: arrival counter plus
-    /// the smoothed arrival-rate gauge (inter-arrival EWMA in jobs per
-    /// virtual second) and an admission-defer instant event.  Only
-    /// called with the recorder on, and reads nothing back — offered
-    /// arrivals behave identically traced or not.
-    fn note_arrival(&mut self, at: f64) {
-        let r = self.obs.registry();
-        r.counter("serve_arrivals").inc();
-        if let Some(prev) = self.last_arrival {
-            let dt = (at - prev).max(1e-9);
-            let sample = 1.0 / dt;
-            let ewma = match self.arrival_ewma {
-                Some(e) => ARRIVAL_EWMA_ALPHA * sample + (1.0 - ARRIVAL_EWMA_ALPHA) * e,
-                None => sample,
-            };
-            self.arrival_ewma = Some(ewma);
-            r.gauge("serve_arrival_rate_ewma").set(ewma);
-        }
-        self.last_arrival = Some(at);
+    /// an admission-defer instant event carrying the arrival time.
+    /// Only called with the recorder on, and reads nothing back —
+    /// offered arrivals behave identically traced or not.
+    fn note_arrival(&self, at: f64) {
+        self.obs.registry().counter("serve_arrivals").inc();
         self.rec.instant(
             EventKind::AdmitDefer,
             NONE,
@@ -437,7 +422,6 @@ impl ServeLoop {
         for a in wave {
             let (at, name, seq, ts) = (a.at, a.name, a.seq, a.bind_timestamp());
             let id = a.submit(&mut self.engine, ts);
-            self.engine.record_admission(id, at, self.clock);
             if self.rec.on() {
                 // Queue wait in *virtual* microseconds — the serving
                 // clock is modeled time, not the wall.
@@ -454,8 +438,16 @@ impl ServeLoop {
                     wait_us,
                 );
             }
-            self.tracked.push((id, name, seq));
-            self.open.push(id);
+            self.open.push(self.served.len());
+            self.served.push(Served {
+                job: id,
+                name,
+                seq,
+                arrival: at,
+                admitted: self.clock,
+                completed: None,
+                standing: None,
+            });
         }
         true
     }
@@ -466,59 +458,43 @@ impl ServeLoop {
     /// restart) — and journals the genuinely converged ones.
     fn note_completions(&mut self) {
         let clock = self.clock;
-        let mut finished: Vec<JobId> = Vec::new();
-        let mut resolved: Vec<JobId> = Vec::new();
-        let engine = &mut self.engine;
-        self.open.retain(|&id| {
-            if engine.job_done(id) {
-                engine.record_completion(id, clock);
-                finished.push(id);
-                resolved.push(id);
-                false
-            } else if engine.job_fault(id).is_some() {
-                engine.record_completion(id, clock);
-                resolved.push(id);
-                false
-            } else {
-                true
+        let mut finished: Vec<usize> = Vec::new();
+        let (engine, served, standing) = (&self.engine, &mut self.served, &mut self.standing);
+        self.open.retain(|&i| {
+            let row = &mut served[i];
+            let done = engine.job_done(row.job);
+            if !done && engine.job_fault(row.job).is_none() {
+                return true;
             }
-        });
-        // Harvest resolved standing emissions: a converged one becomes
-        // the runner's next prior; a quarantined one leaves the last
-        // good prior in place (resuming over a longer addition-only
-        // range is still exact, and any removal forces the fallback).
-        if !self.standing_open.is_empty() {
-            for &id in &resolved {
-                if let Some(pos) = self.standing_open.iter().position(|&(_, j, _)| j == id) {
-                    let (r, job, ts) = self.standing_open.swap_remove(pos);
-                    if self.engine.job_done(job) {
-                        self.standing[r].harvest(&self.engine, job, ts);
-                    }
+            row.completed = Some(clock);
+            // A converged standing emission becomes the runner's next
+            // prior; a quarantined one leaves the last good prior in
+            // place (resuming over a longer addition-only range is
+            // still exact, and any removal forces the fallback).
+            if done {
+                if let Some((r, ts)) = row.standing {
+                    standing[r].harvest(engine, row.job, ts);
                 }
+                finished.push(i);
             }
-        }
+            false
+        });
         if self.journal.is_some() {
-            for id in finished {
-                self.journal_completion(id);
+            for i in finished {
+                self.journal_completion(self.served[i]);
             }
         }
     }
 
     /// Appends one converged job's lifecycle to the journal; a write
     /// failure stops journaling but not serving.
-    fn journal_completion(&mut self, id: JobId) {
-        let Some(&(_, _, Some(seq))) = self.tracked.iter().find(|t| t.0 == id) else {
+    fn journal_completion(&mut self, row: Served) {
+        let (Some(seq), Some(completed), Some(journal)) =
+            (row.seq, row.completed, self.journal.as_mut())
+        else {
             return;
         };
-        let Some(journal) = self.journal.as_mut() else {
-            return;
-        };
-        let timing = self.engine.job_timing(id).expect("admitted jobs are timed");
-        let entry = JournalEntry {
-            arrival: timing.arrival,
-            admitted: timing.admitted,
-            completed: timing.completed.expect("completion was just stamped"),
-        };
+        let entry = JournalEntry { arrival: row.arrival, admitted: row.admitted, completed };
         if let Err(e) = journal.record(seq, entry) {
             self.journal = None;
             self.journal_fault.get_or_insert(e);
@@ -547,7 +523,6 @@ impl ServeLoop {
         let start_loads = self.engine.total_loads();
         let start_pipeline = self.engine.pipeline_seconds();
         let (start_waves, start_rounds) = (self.waves, self.rounds);
-        let report_from = self.tracked.len();
         let max_loads = self.engine.config().max_loads;
         let start_quarantined = self.engine.quarantined_count();
         let start_retries = self
@@ -616,35 +591,30 @@ impl ServeLoop {
         // genuine convergence may be skipped on restart.  Flush any
         // completions the last iteration journaled.
         self.sync_journal();
-        // Resolve truncated jobs at the stop-time so the report is
-        // total; `completed` records that they were cut short.
-        let clock = self.clock;
-        for &id in &self.open {
-            self.engine.record_completion(id, clock);
-        }
-        self.open.clear();
+        // Truncated jobs (still open) resolve at the stop-time so the
+        // report is total; `completed` records that they were cut short.
         // Truncated standing emissions are never harvested: the runner
         // keeps its last *converged* prior.
-        self.standing_open.clear();
+        let clock = self.clock;
+        self.open.clear();
         // Journal-resumed offers lead the report (their lifecycles are a
         // previous incarnation's, so they sort before this serve's), so
         // the combined job list covers the whole re-offered trace.
         let mut jobs: Vec<JobLatency> = std::mem::take(&mut self.resumed);
-        jobs.extend(self.tracked[report_from..].iter().map(|&(id, name, _)| {
-            let t = self.engine.job_timing(id).expect("admitted jobs are timed");
-            let outcome = if self.engine.job_fault(id).is_some() {
+        jobs.extend(self.served.drain(..).map(|row| {
+            let outcome = if self.engine.job_fault(row.job).is_some() {
                 JobOutcome::Quarantined
-            } else if self.engine.job_done(id) {
+            } else if self.engine.job_done(row.job) {
                 JobOutcome::Completed
             } else {
                 JobOutcome::Truncated
             };
             JobLatency {
-                job: id,
-                name,
-                arrival: t.arrival,
-                admitted: t.admitted,
-                completed: t.completed.expect("served jobs are complete"),
+                job: row.job,
+                name: row.name,
+                arrival: row.arrival,
+                admitted: row.admitted,
+                completed: row.completed.unwrap_or(clock),
                 outcome,
             }
         }));
@@ -658,7 +628,7 @@ impl ServeLoop {
         // `reported_rejected`): the offer phase precedes the loop.
         let rejected = self.rejected - self.reported_rejected;
         self.reported_rejected = self.rejected;
-        ServeReport::new(
+        let mut report = ServeReport::new(
             "cgraph-serve",
             self.base_window,
             jobs,
@@ -667,11 +637,10 @@ impl ServeLoop {
             self.engine.total_loads() - start_loads,
             self.engine.pipeline_seconds() - start_pipeline,
             completed,
-        )
-        .with_counts(
-            rejected,
-            self.engine.quarantined_count() - start_quarantined,
-            retries,
-        )
+        );
+        report.rejected = rejected;
+        report.quarantined = self.engine.quarantined_count() - start_quarantined;
+        report.retries = retries;
+        report
     }
 }

@@ -64,7 +64,7 @@ fn serve_under(
 fn row(label: &str, r: &ServeReport, plane: &FaultPlane) -> String {
     let s = plane.stats();
     let done = r
-        .per_job()
+        .jobs
         .iter()
         .filter(|j| j.outcome == JobOutcome::Completed)
         .count();
@@ -142,7 +142,7 @@ fn main() {
         ("hostile", &degraded),
     ] {
         let done = r
-            .per_job()
+            .jobs
             .iter()
             .filter(|j| j.outcome == JobOutcome::Completed)
             .count() as u64;

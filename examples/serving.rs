@@ -104,10 +104,10 @@ fn main() {
     println!("{}", row("stream-fifo", &baseline.serve()));
 
     // The per-job view behind the aggregates: the widest window's five
-    // longest waits, straight from `ServeReport::per_job()`.
+    // longest waits, straight from `ServeReport::jobs`.
     let widest = widest.expect("the window loop served at least once");
-    let mut jobs = widest.per_job();
-    jobs.sort_by(|a, b| b.wait.partial_cmp(&a.wait).expect("finite waits"));
+    let mut jobs = widest.jobs.clone();
+    jobs.sort_by(|a, b| b.wait().partial_cmp(&a.wait()).expect("finite waits"));
     println!(
         "\nlongest queue waits at w={:.0}ms ({}):",
         widest.admission_window * 1e3,
@@ -123,8 +123,8 @@ fn main() {
             j.job,
             j.name,
             j.arrival * 1e3,
-            j.wait * 1e3,
-            j.latency * 1e3,
+            j.wait() * 1e3,
+            j.latency() * 1e3,
         );
     }
 

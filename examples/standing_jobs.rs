@@ -63,13 +63,13 @@ fn main() {
     // Every emission is a first-class served job with a latency row —
     // and each one's results are bit-identical to a from-scratch bind
     // at its version (pinned exhaustively in tests/incremental.rs).
-    for row in report.per_job() {
+    for row in &report.jobs {
         println!(
             "  job {:>2} {:<13} arrival {:>5.1}s latency {:>6.3}s [{}]",
             row.job,
             row.name,
             row.arrival,
-            row.latency,
+            row.latency(),
             row.outcome.name(),
         );
     }

@@ -431,7 +431,7 @@ fn journaled_and_plain_serving_agree_under_chaos() {
             "journaling must not perturb a chaos serve"
         );
         let completed = plain
-            .per_job()
+            .jobs
             .iter()
             .filter(|r| r.outcome == cgraph::core::JobOutcome::Completed)
             .count() as u64;

@@ -343,7 +343,7 @@ fn tracing_changes_no_bit_on_the_serve_loop() {
     // ServeReport is PartialEq over every field, including each job's
     // f64 arrival/admitted/completed stamps.
     assert_eq!(plain, traced, "live observer changed the serve outcome");
-    assert_eq!(plain.per_job(), traced.per_job());
+    assert_eq!(plain.jobs, traced.jobs);
     // And the serve-layer signals were really recorded.
     assert!(obs.registry().counter("serve_arrivals").get() > 0);
     assert!(obs.registry().histogram("serve_queue_wait_us").count() > 0);

@@ -284,6 +284,43 @@ fn serve_honors_max_loads_valve() {
     }
 }
 
+/// A loop served again after a valve-truncated call reports only the
+/// jobs that call admitted: across the calls every offer appears in
+/// exactly one report.
+#[test]
+fn second_serve_reports_only_its_own_admissions() {
+    let st = store();
+    let tr = trace();
+    let engine = Engine::new(
+        Arc::clone(&st),
+        EngineConfig { max_loads: 20, ..EngineConfig::default() },
+    );
+    let mut sl = ServeLoop::new(
+        engine,
+        ServeConfig { admission_window: 0.0, time_scale: 1.0, ..ServeConfig::default() },
+    );
+    sl.offer_all(trace_arrivals(&tr, SPH, 64));
+    let mut seen = std::collections::HashSet::new();
+    let mut calls = 0;
+    loop {
+        let report = sl.serve();
+        calls += 1;
+        for j in &report.jobs {
+            assert!(seen.insert(j.job), "job {} reported twice", j.job);
+        }
+        if report.completed {
+            break;
+        }
+        assert!(calls < 10_000, "repeated serving must drain the stream");
+    }
+    assert!(
+        calls > 1,
+        "the valve must split this stream over several calls"
+    );
+    assert_eq!(seen.len(), tr.len(), "every offer lands in one report");
+    assert_eq!(sl.engine().num_jobs(), tr.len());
+}
+
 /// The CGraph serving layer also spares loads against the streaming
 /// FIFO baseline, which shares cache residency but never loads.
 #[test]
