@@ -8,7 +8,7 @@
 //!
 //! * **Shard fetch** (the engine's Load stage) — the fallible
 //!   boundary.  Each planned slot's fetch is
-//!   admitted through [`FaultPlane::admit_fetch`] on the main thread
+//!   admitted through `FaultPlane::admit_fetch` on the main thread
 //!   before the round executes: transient faults are retried up to
 //!   [`FaultConfig::max_attempts`] tries (fixed exponential backoff,
 //!   deterministic jitter and per-attempt timeout, all in *modeled*
@@ -283,7 +283,7 @@ enum Breaker {
     HalfOpen,
 }
 
-/// What [`FaultPlane::admit_fetch`] granted: the fetch proceeds, with
+/// What the plane's fetch admission granted: the fetch proceeds, with
 /// this much injected friction.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FetchAdmission {

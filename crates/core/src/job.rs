@@ -46,14 +46,15 @@ impl std::ops::AddAssign for ProcessStats {
 /// What one Push stage did, for the engine's accounting.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PushStats {
-    /// Private-table partitions touched while applying mirror→master
-    /// records, in sorted order, with record counts (paper Alg. 2 SortD).
+    /// Private-table partitions whose masters received mirror
+    /// contributions, strictly ascending, each with how many it received
+    /// (paper Alg. 2 SortD; a master's own `acc` is not counted).
     pub touched_master_parts: Vec<(PartitionId, u64)>,
-    /// Partitions touched while propagating master state back to mirrors,
-    /// strictly ascending by partition, with record counts (SortS).
+    /// Partitions whose mirror slots received their master's new total,
+    /// strictly ascending, each with how many it received (SortS).
     pub touched_mirror_parts: Vec<(PartitionId, u64)>,
-    /// Total synchronization records handled: the counts of
-    /// `touched_master_parts` and `touched_mirror_parts` summed.
+    /// Synchronization operations: the counts of `touched_master_parts`
+    /// and `touched_mirror_parts` summed.
     pub sync_records: u64,
     /// Whether the job converged (nothing active next iteration).
     pub converged: bool,
@@ -113,7 +114,7 @@ pub struct TypedJob<P: VertexProgram> {
     view: GraphView,
     /// Immutable per-partition `VertexInfo` tables (replica-parallel).
     infos: Vec<Vec<VertexInfo>>,
-    /// The view's shared master→mirror routing (Push, Phase C).
+    /// The view's shared replica routing (Push).
     plan: Arc<ReplicaPlan>,
     /// Whether binding `plan` built it (vs. shared a live one).
     plan_built: bool,
@@ -465,9 +466,31 @@ impl<P: VertexProgram> JobRuntime for TypedJob<P> {
         lock(&self.state).pending.remaining() == 0
     }
 
+    /// The Push stage (paper Alg. 2) as one scan through the view's
+    /// [`ReplicaPlan`]; nothing is buffered, sorted or searched.
+    ///
+    /// - **Fold.**  Visit every slot `(pid, li)` in ascending order and
+    ///   drain each non-identity `acc` straight into its master's delta
+    ///   through [`ReplicaPlan::master_slot`].  A mirror first drains its
+    ///   master's own `acc` if that is still non-identity.  One bit per
+    ///   touched master row records the fold.
+    /// - **Fan-out.**  Walk the set bits in ascending row order and copy
+    ///   each non-identity total to its mirror slots.
+    /// - **Recount.**  Recount activation where a delta arrived.
+    ///
+    /// The fold order is a specification, because float sums (PageRank,
+    /// Katz) show it in their bits:
+    /// - Trigger folds each contribution into `acc` in ascending local
+    ///   index, out-edges before in-edges;
+    /// - Push folds each master's own `acc` first, then its mirrors' in
+    ///   ascending partition — what a stable sort of mirror→master
+    ///   records by `(partition, vertex)` gives;
+    /// - `change[pid]` sums in ascending local index.
+    ///
+    /// The fan-out only assigns, and each mirror slot has one master, so
+    /// its order cannot show.
     fn push_and_advance(&self) -> PushStats {
-        let mut st = lock(&self.state);
-        self.push_with(&mut st, Self::fan_out_mirrors)
+        self.push(&mut lock(&self.state))
     }
 
     fn is_converged(&self) -> bool {
@@ -484,91 +507,91 @@ impl<P: VertexProgram> JobRuntime for TypedJob<P> {
 }
 
 impl<P: VertexProgram> TypedJob<P> {
-    /// The Push stage with its master→mirror half supplied by the
-    /// caller: [`fan_out_mirrors`](Self::fan_out_mirrors) in production,
-    /// the sort-based oracle in the differential test.
-    fn push_with(
-        &self,
-        st: &mut JobState<P::Value>,
-        fan_out: impl FnOnce(&Self, &mut [PartState<P::Value>], &[(PartitionId, u32)], &mut PushStats),
-    ) -> PushStats {
+    /// [`push_and_advance`](JobRuntime::push_and_advance) on the
+    /// locked state.
+    fn push(&self, st: &mut JobState<P::Value>) -> PushStats {
         let identity = self.program.identity();
-        let np = self.view.num_partitions();
-
-        // Phase A: drain accumulation buffers.  Master-local contributions
-        // fold directly; mirror contributions become records routed to the
-        // master's partition (paper Alg. 1 line 6).
-        let mut records: Vec<(PartitionId, VertexId, P::Value)> = Vec::new();
-        // Masters that received any new delta: (partition, local index).
-        let mut touched_masters: Vec<(PartitionId, u32)> = Vec::new();
+        let plan = &*self.plan;
+        let np = st.parts.len();
+        let mut touched = vec![0u64; plan.num_rows().div_ceil(64)];
+        let mut into_masters = vec![0u64; np];
         for pid in 0..np as PartitionId {
-            let part = self.view.partition(pid);
-            let table = &mut st.parts[pid as usize];
-            for li in 0..table.len() {
-                if table.acc[li] == identity {
+            for li in 0..st.parts[pid as usize].len() as LocalId {
+                let slot = &mut st.parts[pid as usize].acc[li as usize];
+                if *slot == identity {
                     continue;
                 }
-                let val = table.acc[li];
-                table.acc[li] = identity;
-                // Master location comes from the view (it may have moved
-                // under a snapshot delta while this partition's metadata
-                // stayed untouched).
-                let vid = part.global_of(li as u32);
-                let master_partition = self.view.master_of(vid);
-                if master_partition == pid {
-                    let cur = table.deltas[li];
-                    table.deltas[li] = self.program.acc(cur, val);
-                    touched_masters.push((pid, li as u32));
-                } else {
-                    records.push((master_partition, vid, val));
+                let val = std::mem::replace(slot, identity);
+                let (mp, mli) = plan.master_slot(pid, li);
+                let master = &mut st.parts[mp as usize];
+                let m = mli as usize;
+                if mp != pid {
+                    // A mirror: its master's own `acc` folds first.
+                    let own = std::mem::replace(&mut master.acc[m], identity);
+                    if own != identity {
+                        master.deltas[m] = self.program.acc(master.deltas[m], own);
+                    }
+                    into_masters[mp as usize] += 1;
+                }
+                master.deltas[m] = self.program.acc(master.deltas[m], val);
+                let row = plan.row(mp, mli);
+                touched[row / 64] |= 1 << (row % 64);
+            }
+        }
+
+        let mut into_mirrors = vec![0u64; np];
+        for (w, &bits) in touched.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let (pid, li) = plan.slot_of(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+                let mirrors = plan.mirrors(pid, li);
+                let total = st.parts[pid as usize].deltas[li as usize];
+                if mirrors.is_empty() || total == identity {
+                    continue;
+                }
+                for &(q, qli) in mirrors {
+                    st.parts[q as usize].deltas[qli as usize] = total;
+                    into_mirrors[q as usize] += 1;
                 }
             }
         }
 
-        // Phase B (SortD): apply mirror→master records in master-partition
-        // order, so each private-table partition is loaded once.
-        records.sort_unstable_by_key(|&(d, vid, _)| (d, vid));
-        let mut stats = PushStats { sync_records: records.len() as u64, ..PushStats::default() };
+        let sent: u64 = into_mirrors.iter().sum();
+        if let Some(counter) = &self.mirror_records {
+            counter.add(sent);
+        }
+        let mut stats = PushStats {
+            sync_records: into_masters.iter().sum::<u64>() + sent,
+            touched_master_parts: nonzero(into_masters),
+            touched_mirror_parts: nonzero(into_mirrors),
+            converged: false,
+        };
+        self.advance(st, &mut stats);
+        stats
+    }
+
+    /// Push's last phase: the next iteration's active set is recounted
+    /// in every partition that received a delta or still holds one
+    /// (anything processed this round was consumed), then the iteration
+    /// advances or the job converges.
+    fn advance(&self, st: &mut JobState<P::Value>, stats: &mut PushStats) {
+        let identity = self.program.identity();
+        let mut recount = vec![false; st.parts.len()];
+        for &(p, _) in stats
+            .touched_master_parts
+            .iter()
+            .chain(&stats.touched_mirror_parts)
         {
-            let mut i = 0;
-            while i < records.len() {
-                let dpid = records[i].0;
-                let start = i;
-                let part = self.view.partition(dpid);
-                let table = &mut st.parts[dpid as usize];
-                while i < records.len() && records[i].0 == dpid {
-                    let (_, vid, val) = records[i];
-                    let li = part.local_of(vid).expect("master replica present") as usize;
-                    let cur = table.deltas[li];
-                    table.deltas[li] = self.program.acc(cur, val);
-                    touched_masters.push((dpid, li as u32));
-                    i += 1;
-                }
-                stats.touched_master_parts.push((dpid, (i - start) as u64));
-            }
+            recount[p as usize] = true;
         }
-
-        // Phase C (SortS): propagate each touched master's final delta back
-        // to its mirror replicas, counted per mirror partition.
-        touched_masters.sort_unstable();
-        touched_masters.dedup();
-        fan_out(self, &mut st.parts, &touched_masters, &mut stats);
-        let mut touched_partitions: Vec<PartitionId> =
-            stats.touched_mirror_parts.iter().map(|&(p, _)| p).collect();
-        touched_partitions.extend(stats.touched_master_parts.iter().map(|&(p, _)| p));
-
-        // Phase D: next iteration's activation = partitions whose replicas
-        // hold fresh deltas (anything processed this round was consumed).
-        let mut recount: Vec<PartitionId> = touched_partitions;
-        recount.extend((0..np as PartitionId).filter(|&p| {
-            // Partitions with direct master-local folds.
-            st.parts[p as usize].deltas.iter().any(|d| *d != identity)
-        }));
-        recount.sort_unstable();
-        recount.dedup();
+        for (p, table) in st.parts.iter().enumerate() {
+            recount[p] = recount[p] || table.deltas.iter().any(|d| *d != identity);
+        }
         st.pending.reset();
         st.change.fill(0.0);
-        self.recompute_activation(st, recount);
+        let pids = (0..recount.len()).filter(|&p| recount[p]);
+        self.recompute_activation(st, pids.map(|p| p as PartitionId));
 
         let any = st.pending.any_active();
         if any {
@@ -577,52 +600,18 @@ impl<P: VertexProgram> TypedJob<P> {
             st.converged = true;
         }
         stats.converged = !any;
-        stats
-    }
-
-    /// Phase C of Push over the view's [`ReplicaPlan`]: every touched
-    /// master's non-identity total is copied into its mirror slots.
-    /// Pure assignment — each mirror slot has exactly one master and
-    /// master slots are never written here — so the order of the copies
-    /// cannot show in any value.
-    fn fan_out_mirrors(
-        &self,
-        parts: &mut [PartState<P::Value>],
-        touched_masters: &[(PartitionId, u32)],
-        stats: &mut PushStats,
-    ) {
-        let identity = self.program.identity();
-        let mut records = vec![0u64; parts.len()];
-        for &(pid, li) in touched_masters {
-            let mirrors = self.plan.mirrors(pid, li);
-            if mirrors.is_empty() {
-                continue;
-            }
-            let total = parts[pid as usize].deltas[li as usize];
-            if total == identity {
-                continue;
-            }
-            for &(mp, mli) in mirrors {
-                parts[mp as usize].deltas[mli as usize] = total;
-                records[mp as usize] += 1;
-            }
-        }
-        let mut sent = 0;
-        for (mp, &n) in records.iter().enumerate() {
-            if n > 0 {
-                stats.touched_mirror_parts.push((mp as PartitionId, n));
-                sent += n;
-            }
-        }
-        stats.sync_records += sent;
-        if let Some(counter) = &self.mirror_records {
-            counter.add(sent);
-        }
     }
 
     fn as_any_impl(&self) -> &dyn Any {
         self
     }
+}
+
+/// Per-partition counts as `(partition, count)` pairs, ascending, the
+/// zero counts left out.
+fn nonzero(counts: Vec<u64>) -> Vec<(PartitionId, u64)> {
+    let pairs = counts.into_iter().enumerate().filter(|&(_, n)| n > 0);
+    pairs.map(|(p, n)| (p as PartitionId, n)).collect()
 }
 
 #[cfg(test)]
@@ -807,7 +796,7 @@ pub(crate) mod tests {
         assert!(job.pending().is_empty());
     }
 
-    // ---- Differential oracles: the copied Trigger and the sorted Phase C ----
+    // ---- Differential oracles: the copied Trigger and the sorted Push ----
 
     impl<P: VertexProgram> TypedJob<P> {
         /// The copy-out Trigger that the in-place
@@ -875,11 +864,73 @@ pub(crate) mod tests {
             stats
         }
 
-        /// The sort-based Phase C that
-        /// [`fan_out_mirrors`](TypedJob::fan_out_mirrors) replaced, kept as
-        /// its differential oracle: re-derives each touched master's
-        /// mirrors from the view, sorts the records by (partition, vertex)
-        /// and applies them through a search per record.
+        /// The record-and-sort Push that the one-scan
+        /// [`push`](TypedJob::push) replaced, kept as its differential
+        /// oracle.  Phase A drains every `acc`: master-local contributions
+        /// fold in place, mirror contributions become `(master partition,
+        /// vertex, value)` records.  Phase B stably sorts the records by
+        /// `(partition, vertex)` and folds each through a search; the
+        /// stable sort is what pins the fold order.  Phase C fans the
+        /// sorted, deduplicated touched masters out through
+        /// [`fan_out_mirrors_sorted`](Self::fan_out_mirrors_sorted), and
+        /// the recount is production's.
+        fn push_sorted(&self, st: &mut JobState<P::Value>) -> PushStats {
+            let identity = self.program.identity();
+            let np = self.view.num_partitions();
+            let mut records: Vec<(PartitionId, VertexId, P::Value)> = Vec::new();
+            let mut touched_masters: Vec<(PartitionId, u32)> = Vec::new();
+            for pid in 0..np as PartitionId {
+                let part = self.view.partition(pid);
+                let table = &mut st.parts[pid as usize];
+                for li in 0..table.len() {
+                    if table.acc[li] == identity {
+                        continue;
+                    }
+                    let val = table.acc[li];
+                    table.acc[li] = identity;
+                    let vid = part.global_of(li as u32);
+                    let master_partition = self.view.master_of(vid);
+                    if master_partition == pid {
+                        let cur = table.deltas[li];
+                        table.deltas[li] = self.program.acc(cur, val);
+                        touched_masters.push((pid, li as u32));
+                    } else {
+                        records.push((master_partition, vid, val));
+                    }
+                }
+            }
+
+            records.sort_by_key(|&(d, vid, _)| (d, vid));
+            let mut stats =
+                PushStats { sync_records: records.len() as u64, ..PushStats::default() };
+            let mut i = 0;
+            while i < records.len() {
+                let dpid = records[i].0;
+                let start = i;
+                let part = self.view.partition(dpid);
+                let table = &mut st.parts[dpid as usize];
+                while i < records.len() && records[i].0 == dpid {
+                    let (_, vid, val) = records[i];
+                    let li = part.local_of(vid).expect("master replica present") as usize;
+                    let cur = table.deltas[li];
+                    table.deltas[li] = self.program.acc(cur, val);
+                    touched_masters.push((dpid, li as u32));
+                    i += 1;
+                }
+                stats.touched_master_parts.push((dpid, (i - start) as u64));
+            }
+
+            touched_masters.sort_unstable();
+            touched_masters.dedup();
+            self.fan_out_mirrors_sorted(&mut st.parts, &touched_masters, &mut stats);
+            self.advance(st, &mut stats);
+            stats
+        }
+
+        /// The sort-based Phase C that the plan-routed fan-out replaced:
+        /// re-derives each touched master's mirrors from the view, sorts
+        /// the records by (partition, vertex) and applies them through a
+        /// search per record.
         fn fan_out_mirrors_sorted(
             &self,
             parts: &mut [PartState<P::Value>],
@@ -905,7 +956,7 @@ pub(crate) mod tests {
                     }
                 }
             }
-            mirror_updates.sort_unstable_by_key(|&(p, vid, _)| (p, vid));
+            mirror_updates.sort_by_key(|&(p, vid, _)| (p, vid));
             stats.sync_records += mirror_updates.len() as u64;
             let mut i = 0;
             while i < mirror_updates.len() {
@@ -1024,8 +1075,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// Delta-PageRank as in `cgraph-algos`: the one program whose `acc`
-    /// (a float sum) is sensitive to order — which Phase C never calls.
+    /// Delta-PageRank as in `cgraph-algos`: its `acc` (a float sum)
+    /// shows the order Push folds mirrors into their master in.
     struct PageRank;
 
     impl VertexProgram for PageRank {
@@ -1134,7 +1185,7 @@ pub(crate) mod tests {
 
     /// Runs two copies of one program in lockstep — `routed` through the
     /// production Trigger and Push, `oracle` through the copied Trigger
-    /// at `nchunks` chunks per partition and the sorted Phase C — and
+    /// at `nchunks` chunks per partition and the sorted Push — and
     /// pins them equal after every Trigger (stats) and every Push (stats,
     /// activation, and every private table bit for bit).
     fn assert_fan_out_matches_oracle<P>(
@@ -1162,7 +1213,7 @@ pub(crate) mod tests {
                 oracle.mark_processed(pid);
             }
             let got = routed.push_and_advance();
-            let want = oracle.push_with(&mut lock(&oracle.state), TypedJob::fan_out_mirrors_sorted);
+            let want = oracle.push_sorted(&mut lock(&oracle.state));
             pushes += 1;
             assert_eq!(got, want, "{what}: PushStats at push {pushes}");
             assert_eq!(routed.pending(), oracle.pending(), "{what}: pending");

@@ -171,7 +171,7 @@ impl ServeLoop {
 
     /// Wraps an engine for **restartable** serving: completions are
     /// journaled to the WAL segment at `path`
-    /// ([`ServeJournal`](crate::serve::journal::ServeJournal)), and a
+    /// ([`ServeJournal`]), and a
     /// loop re-opened over the same path skips every offer a previous
     /// incarnation already finished — no re-execution, no double-charged
     /// engine work, the journaled latencies reported verbatim.  Offer

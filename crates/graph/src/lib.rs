@@ -61,7 +61,7 @@ pub use edge::{Edge, EdgeList};
 pub use fault::{FaultInjector, StoreFaultBoundary};
 pub use obs::StoreObserver;
 pub use partition::{Partition, PartitionSet, VertexMeta};
-pub use plan::{MirrorSlot, ReplicaPlan};
+pub use plan::{ReplicaPlan, Slot};
 pub use snapshot::{
     CompactionPolicy, GraphDelta, GraphView, ShardCapacity, ShardedSnapshotStore, SnapshotShard,
     SnapshotStore,

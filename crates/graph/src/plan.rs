@@ -1,16 +1,17 @@
-//! The replica plan: a view's master→mirror routing table.
+//! The replica plan: a view's replica routing table.
 //!
-//! Push (paper Alg. 2) ends by copying every touched master's state to
-//! its mirror replicas.  Which slots those are — partition and local
-//! index — is a constant of the snapshot, not of the job or the
-//! iteration, so a [`ReplicaPlan`] resolves it once per view: a CSR
-//! from each local slot that is a *master* to its mirror slots,
+//! Push (paper Alg. 2) folds every mirror's contribution into its
+//! master and then copies every touched master's state to its mirror
+//! replicas.  Which slots those are — partition and local index — is a
+//! constant of the snapshot, not of the job or the iteration, so a
+//! [`ReplicaPlan`] resolves it once per view: every local slot's
+//! *master* slot, and a CSR from each master slot to its mirror slots,
 //! ascending by partition.  Mirror slots (and fully local vertices) map
-//! to an empty range.
+//! to an empty mirror range.
 //!
-//! A plan is plain index data — 4 B per replica plus 8 B per mirror
-//! slot, in two flat allocations — and holds no reference back into the
-//! store, so keeping one alive never pins a snapshot.
+//! A plan is plain index data — 4 B + 8 B per replica plus 8 B per
+//! mirror slot, in three flat allocations — and holds no reference back
+//! into the store, so keeping one alive never pins a snapshot.
 //! [`GraphView::replica_plan`] hands out the shared, lazily built plan
 //! of a view.
 //!
@@ -21,22 +22,25 @@ use std::sync::{Arc, Mutex, PoisonError, Weak};
 use crate::partition::Partition;
 use crate::types::{LocalId, PartitionId, VertexId, NO_PARTITION};
 
-/// One mirror replica: the partition holding it and its local index there.
-pub type MirrorSlot = (PartitionId, LocalId);
+/// One replica slot: the partition holding it and its local index there.
+pub type Slot = (PartitionId, LocalId);
 
-/// Master→mirror routing for every partition of one view.
+/// Replica routing for every partition of one view.
 ///
-/// One CSR over all replica slots of the view, partitions back to back:
-/// local slot `li` of partition `p` is row `base[p] + li`, and a
-/// partition's rows own one contiguous run of `slots`.  Two exact-size
-/// allocations rather than a pair per partition: a plan is rebuilt per
+/// Every replica slot of the view is one *row*, partitions back to
+/// back: local slot `li` of partition `p` is row `base[p] + li`.  Each
+/// row names its master slot (a master row names itself), and a CSR
+/// over the rows lists each master row's mirror slots; a partition's
+/// master rows own one contiguous run of `slots`.  Three exact-size
+/// allocations rather than a set per partition: a plan is rebuilt per
 /// bound version, and many small blocks freed between a store's
 /// long-lived partition allocations fragment the heap measurably.
 #[derive(Debug)]
 pub struct ReplicaPlan {
     base: Vec<u32>,
     offsets: Vec<u32>,
-    slots: Vec<MirrorSlot>,
+    master_slots: Vec<Slot>,
+    slots: Vec<Slot>,
 }
 
 impl ReplicaPlan {
@@ -44,8 +48,9 @@ impl ReplicaPlan {
     /// vertices are visited in ascending id order and each partition's
     /// vertex list is sorted, so a vertex's local index in a partition
     /// is simply how many of that partition's replicas were visited
-    /// before it — no search per replica.  A first pass over the replica
-    /// table sizes each partition's run of `slots`.
+    /// before it — no search per replica.  The same pass records each
+    /// row's master slot.  A first pass over the replica table sizes
+    /// each partition's run of `slots`.
     ///
     /// # Panics
     ///
@@ -91,7 +96,8 @@ impl ReplicaPlan {
         base.push(rows);
 
         let mut offsets = vec![0u32; rows as usize + 1];
-        let mut slots: Vec<MirrorSlot> = vec![(0, 0); next[np] as usize];
+        let mut master_slots: Vec<Slot> = vec![(0, 0); rows as usize];
+        let mut slots: Vec<Slot> = vec![(0, 0); next[np] as usize];
         let mut visited = vec![0 as LocalId; np];
         let mut locals: Vec<LocalId> = Vec::new();
         for v in 0..num_vertices {
@@ -117,10 +123,15 @@ impl ReplicaPlan {
                 visited[q as usize] += 1;
                 locals.push(li);
             }
+            let at = reps.iter().position(|&q| q == master);
+            let slot = (master, locals[at.expect("master asserted among replicas")]);
             let fill = &mut next[master as usize];
-            for (&q, &li) in reps.iter().zip(&locals).filter(|&(&q, _)| q != master) {
-                slots[*fill as usize] = (q, li);
-                *fill += 1;
+            for (&q, &li) in reps.iter().zip(&locals) {
+                master_slots[(base[q as usize] + li) as usize] = slot;
+                if q != master {
+                    slots[*fill as usize] = (q, li);
+                    *fill += 1;
+                }
             }
         }
         for (q, part) in parts.iter().enumerate() {
@@ -129,14 +140,41 @@ impl ReplicaPlan {
             }
         }
         offsets[rows as usize] = slots.len() as u32;
-        ReplicaPlan { base, offsets, slots }
+        ReplicaPlan { base, offsets, master_slots, slots }
+    }
+
+    /// The row of local slot `local` of partition `pid`: rows number
+    /// every replica slot of the view, in ascending `(pid, local)` order.
+    pub fn row(&self, pid: PartitionId, local: LocalId) -> usize {
+        (self.base[pid as usize] + local) as usize
+    }
+
+    /// The slot of `row`, the inverse of [`row`](Self::row).
+    pub fn slot_of(&self, row: usize) -> Slot {
+        let pid = self.base.partition_point(|&b| b as usize <= row) - 1;
+        (
+            pid as PartitionId,
+            (row - self.base[pid] as usize) as LocalId,
+        )
+    }
+
+    /// Replica slots across all partitions: the number of rows.
+    pub fn num_rows(&self) -> usize {
+        self.master_slots.len()
+    }
+
+    /// The master slot of the vertex held at local slot `local` of
+    /// partition `pid`; `(pid, local)` itself when that slot is the
+    /// master.
+    pub fn master_slot(&self, pid: PartitionId, local: LocalId) -> Slot {
+        self.master_slots[self.row(pid, local)]
     }
 
     /// The mirror slots of the master at local slot `local` of partition
     /// `pid`, ascending by partition; empty when that slot is a mirror
     /// or the vertex has no other replica.
-    pub fn mirrors(&self, pid: PartitionId, local: LocalId) -> &[MirrorSlot] {
-        let row = (self.base[pid as usize] + local) as usize;
+    pub fn mirrors(&self, pid: PartitionId, local: LocalId) -> &[Slot] {
+        let row = self.row(pid, local);
         &self.slots[self.offsets[row] as usize..self.offsets[row + 1] as usize]
     }
 
@@ -231,7 +269,7 @@ mod tests {
                     assert!(got.is_empty(), "mirror slot of vertex {v} routes nowhere");
                     continue;
                 }
-                let want: Vec<MirrorSlot> = ps
+                let want: Vec<Slot> = ps
                     .replicas_of(v)
                     .iter()
                     .filter(|&&q| q != p.id())
@@ -243,6 +281,84 @@ mod tests {
         }
         assert_eq!(plan.num_mirror_slots(), slots);
         assert!(slots > 0, "fixture must replicate something");
+    }
+
+    /// Every row of `view`'s plan names its vertex's master slot — the
+    /// row itself on the master — and `row` / `slot_of` invert each
+    /// other.
+    fn assert_master_slots(view: &crate::snapshot::GraphView) {
+        let plan = view.replica_plan();
+        let mut rows = 0;
+        for pid in 0..view.num_partitions() as PartitionId {
+            for (li, &v) in view.partition(pid).vertex_ids().iter().enumerate() {
+                let li = li as LocalId;
+                let master = view.master_of(v);
+                let want = (master, view.partition(master).local_of(v).unwrap());
+                assert_eq!(
+                    plan.master_slot(pid, li),
+                    want,
+                    "vertex {v} in partition {pid}"
+                );
+                if master == pid {
+                    assert_eq!(want, (pid, li), "master row of {v} points to itself");
+                }
+                assert_eq!(plan.row(pid, li), rows);
+                assert_eq!(plan.slot_of(rows), (pid, li));
+                rows += 1;
+            }
+        }
+        assert_eq!(plan.num_rows(), rows);
+    }
+
+    #[test]
+    fn master_slots_follow_moved_masters_and_new_mirrors() {
+        use crate::snapshot::{GraphDelta, SnapshotStore};
+        use crate::Edge;
+        let mut el = generate::rmat(8, 6, generate::RmatParams::default(), 11);
+        el.sort_and_dedup();
+        let ps = VertexCutPartitioner::new(8).partition(&el);
+        let n = ps.num_vertices();
+        // Strip a replicated vertex of every edge its master partition
+        // holds, so its master moves ...
+        let mover = (0..n).find(|&v| ps.replicas_of(v).len() > 1).unwrap();
+        let stripped: Vec<(VertexId, VertexId)> = ps
+            .partition(ps.master_of(mover))
+            .edges_global()
+            .iter()
+            .map(|e| (e.src, e.dst))
+            .filter(|&(s, d)| s == mover || d == mover)
+            .collect();
+        // ... and fan a hub out to vertices its master partition has
+        // never seen, so they gain mirrors.
+        let hub = (0..n)
+            .filter(|&v| v != mover && ps.master_of(v) != NO_PARTITION)
+            .find(|&v| stripped.iter().all(|&(s, d)| s != v && d != v))
+            .unwrap();
+        let strangers: Vec<VertexId> = (0..n)
+            .filter(|&t| t != hub && !ps.replicas_of(t).contains(&ps.master_of(hub)))
+            .take(6)
+            .collect();
+        let mut store = SnapshotStore::new(ps);
+        store.apply(10, &GraphDelta::removing(stripped)).unwrap();
+        let fan = strangers.iter().map(|&t| Edge::weighted(hub, t, 2.5));
+        store.apply(20, &GraphDelta::adding(fan)).unwrap();
+        let store = Arc::new(store);
+        let (base, moved, fanned) = (store.base_view(), store.view_at(10), store.view_at(20));
+        assert_ne!(
+            moved.master_of(mover),
+            base.master_of(mover),
+            "master moved"
+        );
+        assert!(!strangers.is_empty());
+        for &t in &strangers {
+            assert!(
+                fanned.replicas_of(t).len() > moved.replicas_of(t).len(),
+                "{t} gained a mirror"
+            );
+        }
+        for view in [&base, &moved, &fanned] {
+            assert_master_slots(view);
+        }
     }
 
     /// `ps`'s replica table with `edit` applied to `victim`'s entry.

@@ -9,7 +9,7 @@
 //!
 //! # Layered delta chains
 //!
-//! Records are *layered*: each [`SnapshotRecord`] (vertex level) and
+//! Records are *layered*: each `SnapshotRecord` (vertex level) and
 //! `ShardRecord` (partition level) stores only the entries **its** delta
 //! touched, so writing a record costs O(|delta|) however long the chain
 //! grows — never O(accumulated state).  (Checkpoint stamping, when a
@@ -83,7 +83,7 @@
 //! segment files *before* mutating memory, and
 //! [`ShardedSnapshotStore::open`] / [`ShardedSnapshotStore::recover`]
 //! rebuild the store — records, checkpoints, spill flags, and the
-//! incremental [`CurrentIndex`] — by replaying them.  Recovery truncates
+//! incremental `CurrentIndex` — by replaying them.  Recovery truncates
 //! a torn tail (a crash mid-append) and refuses mid-log corruption with
 //! a typed [`StoreError`].  On a durable store, capacity spill is *real*:
 //! spilled payloads are dropped from memory and reads through them
@@ -1673,7 +1673,7 @@ impl ShardedSnapshotStore {
     ///
     /// Recovery rebuilds everything — the vertex and shard delta
     /// chains, checkpoints, spill flags, and the incremental
-    /// [`CurrentIndex`] — from the logs, truncating any torn tail or
+    /// `CurrentIndex` — from the logs, truncating any torn tail or
     /// uncommitted suffix (shard frames whose store-level commit frame
     /// never hit the disk) so the result is exactly the newest
     /// committed prefix.  Mid-log corruption is refused with a typed

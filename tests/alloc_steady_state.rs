@@ -54,8 +54,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Net live-byte growth allowed across the measured rounds.
 const BOUND: i64 = 64 * 1024;
-/// Allocation calls allowed across the measured rounds.
-const CALLS_BOUND: u64 = 1200;
+/// Allocation calls allowed across the measured rounds: under 10 %
+/// above the 781 the one-scan Push measures, so a per-Push buffer that
+/// grows again fails here.
+const CALLS_BOUND: u64 = 850;
 
 #[test]
 fn steady_state_rounds_do_not_grow_the_heap() {

@@ -7,15 +7,18 @@
 //! that never returns shows up as a hang, caught by CI's per-binary
 //! timeout.
 //!
-//! The mix uses integer-valued programs only (BFS, SSSP, WCC,
+//! The first mix uses integer-valued programs only (BFS, SSSP, WCC,
 //! reachability): their accumulators are exact min/or folds, so results,
 //! traffic counters, *and* the modeled-seconds bit pattern must all
-//! match exactly.  CI runs this binary with default threading, with
-//! `--test-threads=1`, and pinned to one CPU.
+//! match exactly.  The second mix (PageRank, Katz) folds f64 sums, so
+//! its rows also pin the fold order that `TypedJob::push_and_advance`
+//! documents: a change of that order moves their result bits.  CI runs
+//! this binary with default threading, with `--test-threads=1`, and
+//! pinned to one CPU.
 
 use std::sync::Arc;
 
-use cgraph::algos::{Bfs, Reachability, Sssp, Wcc};
+use cgraph::algos::{Bfs, Katz, PageRank, Reachability, Sssp, Wcc};
 use cgraph::core::{
     Engine, EngineConfig, ExecError, FaultConfig, FaultPlane, VertexInfo, VertexProgram,
 };
@@ -70,14 +73,20 @@ fn tight_hierarchy(store: &Arc<SnapshotStore>) -> HierarchyConfig {
     HierarchyConfig { cache_bytes: (total / 4).max(1), memory_bytes: total * 4 }
 }
 
-/// Runs the five-job integer mix under `config` (two trigger workers,
-/// the tight hierarchy) with the jobs arriving at `arrivals`.
-fn run_mix(store: &Arc<SnapshotStore>, config: EngineConfig, arrivals: [u64; 5]) -> RunDigest {
+/// An engine over `store` under `config`, with two trigger workers and
+/// the tight hierarchy.
+fn engine(store: &Arc<SnapshotStore>, config: EngineConfig) -> Engine {
     let hierarchy = tight_hierarchy(store);
-    let mut engine = Engine::new(
+    Engine::new(
         Arc::clone(store),
         EngineConfig { workers: 2, hierarchy, ..config },
-    );
+    )
+}
+
+/// Runs the five-job integer mix under `config` with the jobs arriving
+/// at `arrivals`.
+fn run_mix(store: &Arc<SnapshotStore>, config: EngineConfig, arrivals: [u64; 5]) -> RunDigest {
+    let mut engine = engine(store, config);
     let bfs = engine.submit_at(Bfs::new(0), arrivals[0]);
     let sssp = engine.submit_at(Sssp::new(1), arrivals[1]);
     let wcc = engine.submit_at(Wcc, arrivals[2]);
@@ -97,12 +106,12 @@ fn run_mix(store: &Arc<SnapshotStore>, config: EngineConfig, arrivals: [u64; 5])
     }
 }
 
-/// A [`RunDigest`] boiled down to integers that fit in the source: one
-/// FNV-1a hash per result vector, the load count, every `Metrics` field
-/// in declaration order, and the modeled-seconds bit pattern.
+/// A run boiled down to integers that fit in the source: one FNV-1a
+/// hash per result vector (`N` jobs), the load count, every `Metrics`
+/// field in declaration order, and the modeled-seconds bit pattern.
 #[derive(PartialEq, Debug)]
-struct Golden {
-    results: [u64; 5],
+struct Golden<const N: usize = 5> {
+    results: [u64; N],
     loads: u64,
     metrics: [u64; 8],
     modeled_bits: u64,
@@ -116,8 +125,20 @@ fn fnv1a(words: impl Iterator<Item = u32>) -> u64 {
     hash
 }
 
+fn metric_words(m: &Metrics) -> [u64; 8] {
+    [
+        m.cache_accesses,
+        m.cache_misses,
+        m.memory_misses,
+        m.bytes_mem_to_cache,
+        m.bytes_disk_to_mem,
+        m.edge_ops,
+        m.vertex_ops,
+        m.sync_ops,
+    ]
+}
+
 fn golden_of(d: &RunDigest) -> Golden {
-    let m = &d.metrics;
     Golden {
         results: [
             fnv1a(d.bfs.iter().copied()),
@@ -127,17 +148,34 @@ fn golden_of(d: &RunDigest) -> Golden {
             fnv1a(d.late_bfs.iter().copied()),
         ],
         loads: d.loads,
-        metrics: [
-            m.cache_accesses,
-            m.cache_misses,
-            m.memory_misses,
-            m.bytes_mem_to_cache,
-            m.bytes_disk_to_mem,
-            m.edge_ops,
-            m.vertex_ops,
-            m.sync_ops,
-        ],
+        metrics: metric_words(&d.metrics),
         modeled_bits: d.modeled_bits,
+    }
+}
+
+/// Runs the float-sum mix under `config`: PageRank arriving with the
+/// integer mix's first job and Katz with its third.
+fn run_sum_mix(store: &Arc<SnapshotStore>, config: EngineConfig, arrivals: [u64; 5]) -> Golden<2> {
+    let mut engine = engine(store, config);
+    let pagerank = engine.submit_at(PageRank::default(), arrivals[0]);
+    let katz = engine.submit_at(Katz::default(), arrivals[2]);
+    let report = engine.run();
+    assert!(report.completed, "sum mix must converge");
+    let hash = |xs: Vec<f64>| {
+        fnv1a(
+            xs.into_iter()
+                .map(f64::to_bits)
+                .flat_map(|b| [b as u32, (b >> 32) as u32]),
+        )
+    };
+    Golden {
+        results: [
+            hash(engine.results::<PageRank>(pagerank).unwrap()),
+            hash(engine.results::<Katz>(katz).unwrap()),
+        ],
+        loads: report.loads,
+        metrics: metric_words(&report.metrics),
+        modeled_bits: report.modeled_seconds.to_bits(),
     }
 }
 
@@ -221,6 +259,47 @@ const GOLDEN: &[Golden] = &[
     MULTI_BATCH,
 ];
 
+/// The sum mix's rows, in [`golden_configs`] order.  Recorded when Push
+/// became one scan through the replica plan, which fixed the order
+/// mirror contributions fold into their master (the master's own first,
+/// then ascending partition); the record-and-sort Push before it left
+/// ties between mirrors of one vertex to `sort_unstable`.
+const SUM_GOLDEN: &[Golden<2>] = &[
+    SUM_WIDTH_1,
+    SUM_WIDTH_1,
+    SUM_WIDTH_1,
+    sum_width_4(4564715968659588849),
+    sum_width_4(4564066325984196203),
+    sum_width_4(4564043101533407403),
+    SUM_MULTI_BATCH,
+];
+
+/// PageRank and Katz hashes of the spread-arrival sum mix.
+const SUM_SPREAD_RESULTS: [u64; 2] = [2971589583336015639, 1627830194423266498];
+
+const SUM_WIDTH_1: Golden<2> = Golden {
+    results: SUM_SPREAD_RESULTS,
+    loads: 814,
+    metrics: [3502, 3430, 52, 7525200, 137808, 74427, 48885, 94176],
+    modeled_bits: 4565674304684334170,
+};
+
+const fn sum_width_4(modeled_bits: u64) -> Golden<2> {
+    Golden {
+        results: SUM_SPREAD_RESULTS,
+        loads: 814,
+        metrics: [3502, 3431, 52, 7527360, 137808, 74427, 48885, 94176],
+        modeled_bits,
+    }
+}
+
+const SUM_MULTI_BATCH: Golden<2> = Golden {
+    results: [16831008202655943876, 4119845827316181667],
+    loads: 655,
+    metrics: [3195, 3051, 48, 6635360, 120816, 73505, 48449, 91119],
+    modeled_bits: 4565085535342047564,
+};
+
 #[test]
 fn golden_digests_hold_at_inline_fetch() {
     let rows = golden_runs(&shared_store());
@@ -233,22 +312,41 @@ fn golden_digests_hold_at_inline_fetch() {
 }
 
 #[test]
+fn sum_golden_digests_hold_at_inline_fetch() {
+    let store = shared_store();
+    let rows: Vec<Golden<2>> = golden_configs(&store)
+        .into_iter()
+        .map(|(config, arrivals)| run_sum_mix(&store, config, arrivals))
+        .collect();
+    let table: Vec<String> = rows.iter().map(|row| format!("    {row:?},")).collect();
+    assert!(
+        rows == SUM_GOLDEN,
+        "sum-mix digests moved; the full new table is:\n{}",
+        table.join("\n")
+    );
+}
+
+#[test]
 fn racing_engines_on_one_shared_store_stay_deterministic() {
-    // Every golden configuration races all the others on the same Arc'd
-    // store, each engine on its own OS thread; each must still land on
-    // its own golden row.
+    // Every golden configuration of both mixes races all the others on
+    // the same Arc'd store, each engine on its own OS thread; each must
+    // still land on its own golden row.
     let store = shared_store();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = golden_configs(&store)
-            .into_iter()
-            .map(|(config, arrivals)| {
-                let store = &store;
-                scope.spawn(move || golden_of(&run_mix(store, config, arrivals)))
-            })
-            .collect();
-        for (row, (handle, want)) in handles.into_iter().zip(GOLDEN).enumerate() {
+        let mut ints = Vec::new();
+        let mut sums = Vec::new();
+        for (config, arrivals) in golden_configs(&store) {
+            let (store, int_config) = (&store, config.clone());
+            ints.push(scope.spawn(move || golden_of(&run_mix(store, int_config, arrivals))));
+            sums.push(scope.spawn(move || run_sum_mix(store, config, arrivals)));
+        }
+        for (row, (handle, want)) in ints.into_iter().zip(GOLDEN).enumerate() {
             let got = handle.join().expect("racing engine run panicked");
             assert_eq!(&got, want, "racing engine on golden row {row} diverged");
+        }
+        for (row, (handle, want)) in sums.into_iter().zip(SUM_GOLDEN).enumerate() {
+            let got = handle.join().expect("racing engine run panicked");
+            assert_eq!(&got, want, "racing engine on sum row {row} diverged");
         }
     });
 }

@@ -65,22 +65,28 @@ fn apply_cost_is_flat_in_chain_length() {
 /// reproduces the pre-layering representation: full state on every
 /// record) on total ingest time and resident override bytes.  The wall
 /// bound is loose — debug builds spend most of each apply rebuilding
-/// partitions, work both layouts share — but the resident-bytes win is
-/// deterministic.
+/// partitions, work both layouts share — and compares the fastest of
+/// three interleaved runs per layout, since one run of either layout
+/// alone spreads by tens of percent on a busy host.  The resident-bytes
+/// win is deterministic.
 #[test]
 fn layered_ingest_beats_cumulative_layout() {
     let _serial = timing_lock();
-    let layered = run(CompactionPolicy::default());
-    let cumulative = run(CompactionPolicy::EveryK(1));
+    let mut fastest = [f64::INFINITY; 2];
+    let mut bytes = [0; 2];
+    for _ in 0..3 {
+        let layouts = [CompactionPolicy::default(), CompactionPolicy::EveryK(1)];
+        for (i, policy) in layouts.into_iter().enumerate() {
+            let ingest = run(policy);
+            fastest[i] = fastest[i].min(ingest.total_us());
+            bytes[i] = ingest.points[0].override_bytes;
+        }
+    }
+    let ([layered, cumulative], [lb, cb]) = (fastest, bytes);
     assert!(
-        layered.total_us() * 1.1 <= cumulative.total_us(),
-        "expected a total ingest win, got layered {:.0}µs vs cumulative {:.0}µs",
-        layered.total_us(),
-        cumulative.total_us()
-    );
-    let (lb, cb) = (
-        layered.points[0].override_bytes,
-        cumulative.points[0].override_bytes,
+        layered * 1.1 <= cumulative,
+        "expected a total ingest win, got layered {layered:.0}µs vs cumulative {cumulative:.0}µs \
+         (fastest of three runs each)"
     );
     assert!(
         lb * 4 <= cb,
@@ -116,6 +122,9 @@ fn latest_view_lookups_stay_constant_time() {
 /// it, whichever policy laid out the chain.
 #[test]
 fn historical_views_identical_across_policies() {
+    // Three 200-apply streams: serialized with the timed tests, whose
+    // margins they would otherwise perturb.
+    let _serial = timing_lock();
     let stores: Vec<Arc<SnapshotStore>> = [
         CompactionPolicy::Off,
         CompactionPolicy::EveryK(4),

@@ -54,8 +54,8 @@ fn resolve_stream(el: &EdgeList, rounds: &[Round]) -> Vec<(u64, GraphDelta)> {
 
 /// Pins a view's replica plan to its replica table: every master slot
 /// routes to exactly `replicas_of(v)` minus the master's own partition,
-/// each at the local index `local_of` finds, and mirror slots route
-/// nowhere.
+/// each at the local index `local_of` finds, mirror slots route
+/// nowhere, and every slot names its master's slot.
 fn assert_plan_matches_replica_table(view: &GraphView) {
     let plan = view.replica_plan();
     let mut slots = 0;
@@ -75,6 +75,9 @@ fn assert_plan_matches_replica_table(view: &GraphView) {
                 "ts {} partition {pid} vertex {v}",
                 view.timestamp()
             );
+            let master = view.master_of(v);
+            let at = view.partition(master).local_of(v).expect("master replica");
+            assert_eq!(plan.master_slot(pid, li as u32), (master, at), "vertex {v}");
             slots += want.len();
         }
     }

@@ -191,9 +191,14 @@ fn mix_results(ps: PartitionSet, width: usize) -> (Vec<f64>, Vec<f32>, Vec<u32>,
     mix_results_cfg(ps, width, 1, 0)
 }
 
-/// Any wavefront width converges to the same algorithm results: min-plus
-/// fixpoints (SSSP/BFS/WCC) exactly, PageRank within the convergence
-/// tolerance (its residual depends on the processing order).
+/// The exact bit patterns of a PageRank result.
+fn bits(ranks: &[f64]) -> Vec<u64> {
+    ranks.iter().map(|r| r.to_bits()).collect()
+}
+
+/// Any wavefront width converges to the same algorithm results, bit for
+/// bit: min-plus fixpoints (SSSP/BFS/WCC) and PageRank alike, because
+/// Trigger and Push fold in an order no schedule can change.
 #[test]
 fn wavefront_widths_agree_on_results() {
     let ps = partitions();
@@ -203,14 +208,11 @@ fn wavefront_widths_agree_on_results() {
         assert_eq!(wide.2, base.2, "BFS mismatch at width {width}");
         assert_eq!(wide.3, base.3, "WCC mismatch at width {width}");
         assert_eq!(wide.1, base.1, "SSSP mismatch at width {width}");
-        for v in 0..base.0.len() {
-            assert!(
-                (wide.0[v] - base.0[v]).abs() < 2e-3 * base.0[v].max(1.0),
-                "PageRank v{v} at width {width}: {} vs {}",
-                wide.0[v],
-                base.0[v]
-            );
-        }
+        assert_eq!(
+            bits(&wide.0),
+            bits(&base.0),
+            "PageRank mismatch at width {width}"
+        );
     }
 }
 
@@ -226,14 +228,11 @@ fn sharded_prefetch_agrees_on_results() {
     assert_eq!(pre.1, base.1, "SSSP mismatch under prefetch");
     assert_eq!(pre.2, base.2, "BFS mismatch under prefetch");
     assert_eq!(pre.3, base.3, "WCC mismatch under prefetch");
-    for v in 0..base.0.len() {
-        assert!(
-            (pre.0[v] - base.0[v]).abs() < 2e-3 * base.0[v].max(1.0),
-            "PageRank v{v}: {} vs {}",
-            pre.0[v],
-            base.0[v]
-        );
-    }
+    assert_eq!(
+        bits(&pre.0),
+        bits(&base.0),
+        "PageRank mismatch under prefetch"
+    );
 }
 
 /// A sharded snapshot store is transparent to the engine: at width 1
