@@ -11,7 +11,7 @@
 //!   spanning partitions have one *master* replica and any number of
 //!   *mirror* replicas (paper §3.2.1, Fig. 4).
 //! * [`vertex_cut`] / [`core_subgraph`] — the two partitioning strategies
-//!   (plain equal-edge vertex cut, and the paper's core-subgraph packing
+//!   (greedy equal-edge vertex cut, and the paper's core-subgraph packing
 //!   from §3.3).
 //! * [`generate`] — deterministic synthetic graph generators (R-MAT,
 //!   Erdős–Rényi, grids, …) plus the scaled-down stand-ins for the paper's
@@ -71,7 +71,7 @@ pub use wal::{SegmentId, StoreError};
 
 /// A strategy that turns an edge list into a [`PartitionSet`].
 ///
-/// Both the plain equal-edge vertex cut
+/// Both the greedy equal-edge vertex cut
 /// ([`vertex_cut::VertexCutPartitioner`]) and the core-subgraph packing
 /// partitioner ([`core_subgraph::CoreSubgraphPartitioner`]) implement this.
 pub trait Partitioner {

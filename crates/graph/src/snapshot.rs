@@ -112,7 +112,14 @@ use crate::wal::{
 pub struct GraphDelta {
     /// Edges to add.
     pub additions: Vec<Edge>,
-    /// `(src, dst)` pairs to remove (first matching edge).
+    /// `(src, dst)` pairs to remove, one edge per entry: the first
+    /// matching edge.  "First" means the earliest partition in `src`'s
+    /// replica order ([`GraphView::replicas_of`]) that holds a copy of
+    /// the pair not yet claimed by an earlier entry of this delta, then
+    /// the earliest matching row of that partition.  So when a pair has
+    /// several copies with different weights, the partition layout
+    /// decides which weight goes; the `(src, dst)` multiset left behind
+    /// does not depend on the layout.
     pub removals: Vec<(VertexId, VertexId)>,
 }
 
@@ -971,33 +978,43 @@ impl ShardedSnapshotStore {
 
         // 1. Locate removals and place additions.  Removals sharing a
         //    source resolve against the same pre-delta adjacency, so each
-        //    replica's out-neighbor set is materialized at most once per
-        //    source — lazily, in replica order, stopping at the first
-        //    partition holding the edge (as the old scan did).
+        //    replica's out-neighbor counts are materialized at most once
+        //    per source — lazily, in replica order, stopping at the first
+        //    partition that still holds an unclaimed copy of the edge.
+        //    Each removal claims one copy, so a pair removed twice whose
+        //    copies sit in two partitions takes one from each.  A removal
+        //    left without a copy goes to the first partition holding the
+        //    pair at all, whose rebuild then reports `EdgeNotFound`.
         let mut removed: HashMap<PartitionId, Vec<(VertexId, VertexId)>> = HashMap::new();
-        let mut out_cache: HashMap<VertexId, Vec<HashSet<VertexId>>> = HashMap::new();
+        let mut out_cache: HashMap<VertexId, Vec<HashMap<VertexId, u32>>> = HashMap::new();
         for &(s, d) in &delta.removals {
             if s >= n || d >= n {
                 return Err(SnapshotError::VertexOutOfRange(s.max(d)).into());
             }
             let reps = replicas(s);
             let adj = out_cache.entry(s).or_default();
-            let mut found = None;
+            let (mut found, mut holder) = (None, None);
             for (i, &pid) in reps.iter().enumerate() {
                 if i == adj.len() {
                     let p = resolve(pid);
-                    adj.push(
-                        p.local_of(s)
-                            .map(|li| p.out_edges(li).map(|(t, _)| p.global_of(t)).collect())
-                            .unwrap_or_default(),
-                    );
+                    let mut copies: HashMap<VertexId, u32> = HashMap::new();
+                    if let Some(li) = p.local_of(s) {
+                        for (t, _) in p.out_edges(li) {
+                            *copies.entry(p.global_of(t)).or_default() += 1;
+                        }
+                    }
+                    adj.push(copies);
                 }
-                if adj[i].contains(&d) {
-                    found = Some(pid);
-                    break;
+                if let Some(c) = adj[i].get_mut(&d) {
+                    holder = holder.or(Some(pid));
+                    if *c > 0 {
+                        *c -= 1;
+                        found = Some(pid);
+                        break;
+                    }
                 }
             }
-            let pid = found.ok_or(SnapshotError::EdgeNotFound(s, d))?;
+            let pid = found.or(holder).ok_or(SnapshotError::EdgeNotFound(s, d))?;
             removed.entry(pid).or_default().push((s, d));
         }
         // The fallback partition (for additions whose endpoints are both
@@ -2715,6 +2732,25 @@ mod tests {
         assert_eq!(v.edges_global().len(), 7);
         assert_eq!(v.degree_of(1), (0, 1));
         assert_eq!(v.degree_of(2), (1, 0));
+    }
+
+    /// Each removal claims one copy: a pair whose two copies sit in two
+    /// partitions can be removed twice in one delta, not a third time.
+    #[test]
+    fn removals_claim_copies_across_partitions() {
+        let copies = vec![
+            vec![Edge::unit(0, 1), Edge::unit(1, 2)],
+            vec![Edge::unit(0, 1), Edge::unit(2, 0)],
+        ];
+        let mut s = SnapshotStore::new(PartitionSet::assemble(copies, 3));
+        let thrice = GraphDelta::removing([(0, 1), (0, 1), (0, 1)]);
+        let err = s.apply(1, &thrice).unwrap_err();
+        assert_eq!(err, StoreError::Snapshot(SnapshotError::EdgeNotFound(0, 1)));
+        s.apply(1, &GraphDelta::removing([(0, 1), (0, 1)])).unwrap();
+        let s = Arc::new(s);
+        let left = s.latest().edges_global();
+        assert_eq!(left.len(), 2);
+        assert!(left.edges().iter().all(|e| (e.src, e.dst) != (0, 1)));
     }
 
     #[test]

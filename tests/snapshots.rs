@@ -4,13 +4,14 @@
 
 use std::sync::Arc;
 
-use cgraph::algos::{reference, Bfs, Wcc};
+use cgraph::algos::{reference, Bfs, Sssp, Wcc};
 use cgraph::baselines::BaselinePreset;
 use cgraph::core::{Engine, EngineConfig, TypedJob};
 use cgraph::graph::snapshot::{GraphDelta, SnapshotStore};
 use cgraph::graph::vertex_cut::VertexCutPartitioner;
-use cgraph::graph::{generate, Csr, Edge, Partitioner};
+use cgraph::graph::{generate, Csr, Edge, PartitionSet, Partitioner};
 use cgraph::memsim::HierarchyConfig;
+use cgraph_bench::ingest_stream_spread;
 
 fn evolving_store(seed: u64) -> Arc<SnapshotStore> {
     evolving_store_with(seed, false)
@@ -269,4 +270,71 @@ fn replica_plans_neither_pile_up_nor_pin_the_store() {
         plans.last().unwrap().strong_count() == 1,
         "and only by the store"
     );
+}
+
+/// A removal takes the first matching edge in layout order (see
+/// `GraphDelta::removals`), so which weighted copy of a duplicated
+/// `(src, dst)` pair it drops depends on the partitions.  On the
+/// executor-stress store (R-MAT 9 × 4, seed 2024, whose duplicated pairs
+/// carry different weights, then 24 deltas that each remove the previous
+/// delta's pairs) the greedy cut and a source-sorted layout must hold
+/// the same pair multiset at every version, and each version's SSSP must
+/// equal the reference over that view's own edges.
+#[test]
+fn removals_keep_pair_multisets_across_layouts() {
+    let el = generate::rmat(9, 4, generate::RmatParams::default(), 2024);
+    let n = el.num_vertices();
+    let mut sorted = el.edges().to_vec();
+    sorted.sort_by_key(|e| (e.src, e.dst));
+    let chunks = sorted
+        .chunks(sorted.len().div_ceil(16))
+        .map(<[Edge]>::to_vec)
+        .collect();
+    let deltas = ingest_stream_spread(n, 24, 48, 4);
+    let build = |ps: PartitionSet| {
+        let mut store = SnapshotStore::with_shards(ps, 4);
+        for (i, delta) in deltas.iter().enumerate() {
+            store.apply((i as u64 + 1) * 10, delta).unwrap();
+        }
+        Arc::new(store)
+    };
+    let stores = [
+        build(VertexCutPartitioner::new(16).partition(&el)),
+        build(PartitionSet::assemble(chunks, n)),
+    ];
+    let stamps: Vec<u64> = (0..=24).map(|i| i * 10).collect();
+    let pairs = |store: &Arc<SnapshotStore>, ts: u64| {
+        let mut pairs: Vec<(u32, u32)> = store
+            .view_at(ts)
+            .edges_global()
+            .edges()
+            .iter()
+            .map(|e| (e.src, e.dst))
+            .collect();
+        pairs.sort_unstable();
+        pairs
+    };
+    for &ts in &stamps {
+        assert_eq!(
+            pairs(&stores[0], ts),
+            pairs(&stores[1], ts),
+            "pair multisets differ at ts {ts}"
+        );
+    }
+    for store in &stores {
+        let mut engine = Engine::new(Arc::clone(store), EngineConfig::default());
+        let jobs: Vec<_> = stamps
+            .iter()
+            .map(|&ts| engine.submit_at(Sssp::new(1), ts))
+            .collect();
+        assert!(engine.run().completed);
+        for (job, &ts) in jobs.into_iter().zip(&stamps) {
+            let expect = reference::sssp(&Csr::from_edges(&store.view_at(ts).edges_global()), 1);
+            assert_eq!(
+                engine.results::<Sssp>(job).unwrap(),
+                expect,
+                "SSSP at ts {ts}"
+            );
+        }
+    }
 }

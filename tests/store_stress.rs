@@ -297,9 +297,11 @@ fn capacity_eviction_invariants() {
 #[test]
 fn spill_refetches_charge_the_owning_lane() {
     let ps = VertexCutPartitioner::new(8).partition(&generate::cycle(256));
-    // Partitions are contiguous 32-vertex ranges; round-robin over 2
-    // shards puts even pids on shard 0.  Edges among partition 0's
-    // vertices keep every delta (and so every spill) on shard 0.
+    // The greedy cut streams the cycle's edges in order, and each one
+    // joins the open partition that holds its source, so partition p
+    // holds the edges out of sources 32p to 32p + 31; round-robin over 2
+    // shards puts even pids on shard 0.  Edges among partition 0's vertices keep
+    // every delta (and so every spill) on shard 0.
     let mut store =
         ShardedSnapshotStore::with_shards(ps, 2).with_compaction(CompactionPolicy::EveryK(4));
     for i in 1..=40u64 {
